@@ -14,11 +14,12 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .polycore import (
+    InvariantError,
     Polynomial,
-    _int_coeffs,
+    _horner,
     _int_derivative,
-    _int_primitive,
     _int_rem_positive,
+    _primitive,
     _sign,
     gcd,
     sign_at,
@@ -89,29 +90,16 @@ class MergedRoot:
 @lru_cache(maxsize=None)
 def _sturm_chain(sf: Polynomial) -> tuple[tuple[int, ...], ...]:
     """Sturm chain of a squarefree polynomial, as primitive integer vectors."""
-    c0 = _int_coeffs(sf)
+    c0 = sf.prim
     if len(c0) <= 1:
         return (c0,)
-    chain = [list(c0), _int_primitive(_int_derivative(c0))]
+    chain = [c0, _primitive(_int_derivative(c0))[0]]
     while len(chain[-1]) > 1:
-        r = _int_rem_positive(chain[-2], chain[-1])
-        r = _int_primitive([-c for c in r])
+        r = _primitive([-c for c in _int_rem_positive(chain[-2], chain[-1])])[0]
         if not r:
             break
         chain.append(r)
-    return tuple(tuple(c) for c in chain)
-
-
-def _int_sign_at(coeffs: Sequence[int], x: Fraction) -> int:
-    if not coeffs:
-        return 0
-    a, b = x.numerator, x.denominator
-    acc = coeffs[-1]
-    bp = 1
-    for coef in reversed(coeffs[:-1]):
-        bp *= b
-        acc = acc * a + coef * bp
-    return _sign(acc)
+    return tuple(chain)
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -127,7 +115,7 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def _variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    return _variations(_int_sign_at(c, x) for c in chain)
+    return _variations(_sign(_horner(c, x)) for c in chain)
 
 
 def _variations_at_infinity(chain: Sequence[Sequence[int]], positive: bool) -> int:
@@ -181,9 +169,8 @@ def root_count(p: Polynomial) -> RootCount:
 
 def _cauchy_bound(p: Polynomial) -> Fraction:
     """Rational B with every real root of p strictly inside (-B, B)."""
-    lc = abs(p.leading_coefficient())
-    worst = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + worst / lc
+    worst = max((abs(c) for c in p.prim[:-1]), default=0)
+    return 1 + Fraction(worst, abs(p.prim[-1]))
 
 
 def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
@@ -285,7 +272,7 @@ def _multiplicity_of(iv: IsolatingInterval,
     for mult, factor in decomposition:
         if factor.degree > 0 and _vanishes_on(factor, iv):
             return mult
-    raise AssertionError("isolating interval does not match any squarefree factor")
+    raise InvariantError("isolating interval does not match any squarefree factor")
 
 
 def _bisect_interval(iv: IsolatingInterval, witness: Polynomial) -> IsolatingInterval:

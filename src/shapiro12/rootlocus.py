@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .polycore import ONE, ZERO, Polynomial, div_exact, gcd, sign_at
+from .polycore import ONE, ZERO, InvariantError, Polynomial, div_exact, gcd, sign_at
 from .realroots import (
     IsolatedRoot,
     isolate_real_roots,
@@ -157,7 +157,7 @@ def axis_events(rf: RationalFunctionOnAxis) -> tuple[AxisEvent, ...]:
     picked: list[IsolatedRoot] = []
     for group in merged:
         if len(group.members) != 1:
-            raise AssertionError("coprime numerator and denominator share a root")
+            raise InvariantError("coprime numerator and denominator share a root")
         picked.append(group.primary)
     picked = separate_roots(picked)
     return tuple(AxisEvent(r, kinds[r.owner]) for r in picked)
@@ -170,7 +170,7 @@ def axis_segments(rf: RationalFunctionOnAxis) -> tuple[AxisSegment, ...]:
     Parity comes from the exact sign of the function on the segment.  For a
     positive leading-coefficient ratio this agrees with the classical rule:
     the segment lies on the +1 locus iff the multiplicity-weighted count of
-    real zeros and poles to its right is even; the agreement is asserted.
+    real zeros and poles to its right is even; a disagreement raises.
     """
     _require_canceled(rf)
     events = axis_events(rf)
@@ -195,11 +195,11 @@ def axis_segments(rf: RationalFunctionOnAxis) -> tuple[AxisSegment, ...]:
             witness = (lo_event.root.interval.hi + hi_event.root.interval.lo) / 2
         sign = rf.sign_of_value_at(witness)
         if sign == 0:
-            raise AssertionError("segment witness fell on an event")
+            raise InvariantError("segment witness fell on an event")
         parity = Parity.EVEN if sign > 0 else Parity.ODD
         right_count = suffix[i]
-        if positive_ratio:
-            assert (parity is Parity.EVEN) == (right_count % 2 == 0)
+        if positive_ratio and (parity is Parity.EVEN) != (right_count % 2 == 0):
+            raise InvariantError("segment sign disagrees with the right-count parity rule")
         segments.append(AxisSegment(lo_event, hi_event, parity, right_count, witness))
     return tuple(segments)
 
@@ -266,7 +266,7 @@ def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
         k_slope_left = -sigma * sign_at(n_poly, left)
         k_slope_right = -sigma * sign_at(n_poly, right)
         if k_slope_left == 0 or k_slope_right == 0:
-            raise AssertionError("side sample hit a critical point")
+            raise InvariantError("side sample hit a critical point")
         standard = k_slope_left != k_slope_right
         if not standard:
             extremum = Extremum.NONE

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .polycore import Polynomial, sign_at
+from .polycore import InvariantError, Polynomial, sign_at
 from .realroots import (
     IsolatedRoot,
     RootCount,
@@ -88,7 +88,6 @@ class DeltaIdenticallyZeroError(ValueError):
 class IntervalKind(Enum):
     RIGHT_INFINITE = "RIGHT_INFINITE"
     LEFT_INFINITE_EVEN = "LEFT_INFINITE_EVEN"
-    FINITE_EVEN = "FINITE_EVEN"
     POLE_TO_ZERO = "POLE_TO_ZERO"
 
 
@@ -143,7 +142,8 @@ def build(p: Polynomial) -> ShapiroInstance:
     p2 = p1.derivative()
     delta = (p1 * p1).scale(n - 1) - (p * p2).scale(n)
     # The top coefficient cancels exactly, so deg delta <= 2n - 3.
-    assert delta.coefficient(2 * n - 2) == 0
+    if delta.coefficient(2 * n - 2) != 0:
+        raise InvariantError("the x^(2n-2) coefficient of delta must cancel")
     pp = normalize(p2 * p, p1 * p1)
     return ShapiroInstance(p, n, p1, p2, delta, Fraction(n, n - 1), pp)
 
@@ -163,36 +163,16 @@ def actual_verdict(instance: ShapiroInstance) -> ActualVerdict:
     return ActualVerdict(verdict, nr_delta, nr_p)
 
 
-def _finding(kind: IntervalKind, segment: AxisSegment,
-             pp: RationalFunctionOnAxis, k0: Fraction,
-             minima: list[BreakawayPoint]) -> tuple[IntervalFinding, bool]:
-    """Check one interval's condition: every minimum gain strictly above k0.
-
-    Returns the finding plus whether the condition is satisfied (vacuously
-    true when the interval has no standard minimum).
-    """
-    findings = []
-    decisive = None
-    satisfied = True
-    for b in minima:
-        cmp = gain_vs_threshold(pp, b, k0)
-        bf = BreakawayFinding(b, cmp)
-        findings.append(bf)
-        if cmp is not Comparison.GT and decisive is None:
-            decisive = bf
-            satisfied = False
-    return IntervalFinding(kind, segment, tuple(findings), decisive), satisfied
-
-
 def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
     """Assign the unique class of p and record the decisive exact evidence."""
-    p, p1, p2, pp, k0 = instance.p, instance.p1, instance.p2, instance.pp, instance.k0
+    p, p1, p2 = instance.p, instance.p1, instance.p2
 
     if sturm_count(p) > 0:
         return ClassLabel.LAMBDA_1, Evidence(None, 0, 0, ())
 
     p1_roots = isolate_real_roots(p1)
-    assert p1_roots, "odd-degree derivative must have a real root"
+    if not p1_roots:
+        raise InvariantError("odd-degree derivative must have a real root")
     if len(p1_roots) >= 2:
         return ClassLabel.LAMBDA_21, Evidence(None, 0, 0, ())
     p0 = p1_roots[0]
@@ -207,40 +187,35 @@ def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
     left = right = 0
     for z in p2_roots:
         side = compare_roots(z, p0)
-        assert side != 0, "p'' cannot vanish at the simple zero of p'"
+        if side == 0:
+            raise InvariantError("p'' cannot vanish at the simple zero of p'")
         if side < 0:
             left += z.multiplicity
         else:
             right += z.multiplicity
 
+    # p'' has the sign of the leading coefficient at p0 and at both
+    # infinities, so each side's count is even and the four odd-count
+    # classes are empty.
+    if left % 2 or right % 2:
+        raise InvariantError(f"odd count of p'' zeros beside p0 (left {left}, right {right})")
+
     if right == 0:
         # Zeros of p'' on the left only: the segment from the nearest zero to
         # the pole lies on the +1 locus and sweeps every gain value.
-        segments = axis_segments(pp)
-        pole_idx = _pole_index(pp)
-        seg = segments[pole_idx]
-        assert seg.parity is Parity.EVEN
-        finding = IntervalFinding(IntervalKind.POLE_TO_ZERO, seg, (), None)
-        return ClassLabel.GAMMA_22, Evidence(p0, left, right, (finding,))
-
-    if left == 0:
-        if right % 2 == 0:
-            return _even_right_label(instance, p0, left, right, ClassLabel.GAMMA_211)
-        label, evidence = _odd_right_conditions(instance, p0, left, right, include_left=False)
-        return label, evidence
-
-    if right % 2 == 0:
-        return _even_right_label(instance, p0, left, right, ClassLabel.GAMMA_231)
-    return _odd_right_conditions(instance, p0, left, right, include_left=True)
+        return _pole_to_zero(instance, p0, left, right, 0, ClassLabel.GAMMA_22)
+    label = ClassLabel.GAMMA_211 if left == 0 else ClassLabel.GAMMA_231
+    return _pole_to_zero(instance, p0, left, right, 1, label)
 
 
 def _pole_index(pp: RationalFunctionOnAxis) -> int:
     events = axis_events(pp)
     for i, e in enumerate(events):
         if e.kind is EventKind.POLE:
-            assert e.multiplicity == 2
+            if e.multiplicity != 2:
+                raise InvariantError("the pole of pp at p0 must be double")
             return i
-    raise AssertionError("pp must have exactly one real (double) pole")
+    raise InvariantError("pp must have exactly one real (double) pole")
 
 
 def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
@@ -248,12 +223,14 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     """p'' has no real zeros: the whole axis is the +1 locus."""
     pp, k0 = instance.pp, instance.k0
     segments = axis_segments(pp)
-    assert all(seg.parity is Parity.EVEN for seg in segments)
+    if any(seg.parity is not Parity.EVEN for seg in segments):
+        raise InvariantError("with p'' definite the whole axis is the +1 locus")
     standard = standard_points(breakaway_points(pp))
     if not standard:
         return ClassLabel.GAMMA_11, Evidence(p0, 0, 0, ())
     maxima = [b for b in standard if b.extremum is Extremum.MAX]
-    assert maxima, "a standard breakaway here forces a gain maximum"
+    if not maxima:
+        raise InvariantError("a standard breakaway here forces a gain maximum")
     findings = []
     all_below = True
     for seg, kind in ((segments[-1], IntervalKind.RIGHT_INFINITE),
@@ -275,61 +252,18 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     return label, Evidence(p0, 0, 0, tuple(findings))
 
 
-def _even_right_label(instance: ShapiroInstance, p0: IsolatedRoot,
-                      left: int, right: int, label: ClassLabel,
-                      ) -> tuple[ClassLabel, Evidence]:
-    """Even count of p'' zeros right of p0: the pole-to-zero segment on the
-    right lies on the +1 locus and its gain sweeps (0, +inf)."""
+def _pole_to_zero(instance: ShapiroInstance, p0: IsolatedRoot,
+                  left: int, right: int, offset: int, label: ClassLabel,
+                  ) -> tuple[ClassLabel, Evidence]:
+    """The segment between the pole p0 and its neighbouring zero of p''
+    (offset 0: on the left, 1: on the right) lies on the +1 locus, and its
+    gain sweeps (0, +inf)."""
     pp = instance.pp
-    segments = axis_segments(pp)
-    seg = segments[_pole_index(pp) + 1]
-    assert seg.parity is Parity.EVEN
+    seg = axis_segments(pp)[_pole_index(pp) + offset]
+    if seg.parity is not Parity.EVEN:
+        raise InvariantError("the pole-to-zero segment must lie on the +1 locus")
     finding = IntervalFinding(IntervalKind.POLE_TO_ZERO, seg, (), None)
     return label, Evidence(p0, left, right, (finding,))
-
-
-def _odd_right_conditions(instance: ShapiroInstance, p0: IsolatedRoot,
-                          left: int, right: int, include_left: bool,
-                          ) -> tuple[ClassLabel, Evidence]:
-    """Odd count of p'' zeros right of p0: the verdict rests on minimum gains
-    in the +1-locus intervals bounded by zeros (and the infinite ends)."""
-    pp, k0 = instance.pp, instance.k0
-    segments = axis_segments(pp)
-    pole_idx = _pole_index(pp)
-    bps = breakaway_points(pp)
-
-    def minima_in(segment: AxisSegment) -> list[BreakawayPoint]:
-        return [b for b in bps if b.segment == segment and b.standard
-                and b.extremum is Extremum.MIN]
-
-    checks: list[tuple[IntervalKind, AxisSegment]] = []
-    rightmost = segments[-1]
-    assert rightmost.parity is Parity.EVEN
-    checks.append((IntervalKind.RIGHT_INFINITE, rightmost))
-    # Finite zero-to-zero segments strictly right of the pole.
-    for j in range(pole_idx + 2, len(segments) - 1):
-        if segments[j].parity is Parity.EVEN:
-            checks.append((IntervalKind.FINITE_EVEN, segments[j]))
-    if include_left:
-        for j in range(1, pole_idx):
-            if segments[j].parity is Parity.EVEN:
-                checks.append((IntervalKind.FINITE_EVEN, segments[j]))
-        leftmost = segments[0]
-        if leftmost.parity is Parity.EVEN:
-            checks.append((IntervalKind.LEFT_INFINITE_EVEN, leftmost))
-
-    findings = []
-    all_ok = True
-    for kind, seg in checks:
-        finding, ok = _finding(kind, seg, pp, k0, minima_in(seg))
-        findings.append(finding)
-        all_ok = all_ok and ok
-
-    if include_left:
-        label = ClassLabel.GAMMA_2321 if all_ok else ClassLabel.GAMMA_2322
-    else:
-        label = ClassLabel.GAMMA_2121 if all_ok else ClassLabel.GAMMA_2122
-    return label, Evidence(p0, left, right, tuple(findings))
 
 
 def delta_sign_shortcut(instance: ShapiroInstance,

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from shapiro12 import cli
 from shapiro12.polycore import parse_polynomial
 from shapiro12.shapiro import Verdict
@@ -50,6 +52,13 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "1,x,3")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("text", ["1e5,0,1", "1_0,0,1", "1.5,0,1"])
+    def test_undocumented_token_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "classify", text)
+        assert code == 2
+        assert out == ""
+        assert "malformed polynomial text" in err
 
     def test_descending(self, capsys):
         _, out_asc, _ = run_cli(capsys, "classify", "1,0,1")

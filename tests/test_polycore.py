@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,12 @@ class TestConstruction:
     def test_canonical_enforced(self):
         with pytest.raises(ValueError):
             Polynomial((Fraction(1), Fraction(0)))
+
+    @pytest.mark.parametrize("prim, content", [
+        ((2, 4), Fraction(1)), ((1,), Fraction(-1)), ((), Fraction(2))])
+    def test_content_times_primitive_enforced(self, prim, content):
+        with pytest.raises(ValueError):
+            Polynomial(prim, content)
 
     def test_str(self):
         assert str(P("32,0,-80,0,16")) == "16x^4 - 80x^2 + 32"
@@ -108,6 +115,28 @@ class TestGcd:
         assert gcd(from_coefficients([0]), P("0,0,4")) == P("0,0,1")
 
 
+class TestDivExact:
+    def test_exact(self):
+        assert div_exact(P("-1,0,1"), P("1,1")) == P("-1,1")
+        assert div_exact(P("1/2,0,1/2"), P("3,0,3")) == constant(Fraction(1, 6))
+
+    def test_inexact_step(self):
+        with pytest.raises(ValueError):
+            div_exact(P("1,1"), P("1,2"))
+
+    def test_inexact_remainder(self):
+        with pytest.raises(ValueError):
+            div_exact(P("1,0,1"), P("1,1"))
+
+    def test_divisor_of_higher_degree(self):
+        with pytest.raises(ValueError):
+            div_exact(P("1,1"), P("1,0,1"))
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            div_exact(P("1,1"), from_coefficients([0]))
+
+
 class TestSquarefree:
     def test_repeated_factor_removed(self):
         p = P("-1,1") * P("-1,1") * P("2,1")
@@ -154,6 +183,15 @@ class TestTextFormat:
             with pytest.raises(ValueError):
                 parse_polynomial(bad)
 
+    @pytest.mark.parametrize("bad", ["1e5,0,1", "1_0,0,1", "1.5,0,1"])
+    def test_only_integers_and_fractions(self, bad):
+        # Fraction() itself accepts these; the documented format does not.
+        with pytest.raises(ValueError):
+            parse_polynomial(bad)
+
+    def test_signs_and_spaces(self):
+        assert parse_polynomial(" +1 , -2/3,4 ") == from_coefficients([1, Fraction(-2, 3), 4])
+
 
 class TestRingProperties:
     @given(poly_strategy(6), poly_strategy(6))
@@ -198,3 +236,81 @@ class TestRingProperties:
     @settings(max_examples=60, deadline=None)
     def test_text_round_trip(self, p):
         assert parse_polynomial(format_polynomial(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# Reference arithmetic on plain Fraction lists, independent of the kernel.
+# ---------------------------------------------------------------------------
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ref_trim(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_eval(a, x):
+    return sum((c * x ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def _assert_canonical(p):
+    if p.is_zero:
+        assert p.prim == () and p.content == 1
+        return
+    assert all(isinstance(c, int) for c in p.prim)
+    assert math.gcd(*p.prim) == 1
+    assert p.content > 0
+    assert p.prim[-1] != 0
+
+
+def fraction_lists(max_len=7):
+    return st.lists(st.fractions(-20, 20, max_denominator=12), max_size=max_len)
+
+
+class TestKernelReference:
+    @given(fraction_lists(), fraction_lists(), st.fractions(-5, 5, max_denominator=9))
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, a, b, c):
+        p, q = from_coefficients(a), from_coefficients(b)
+        a, b = _ref_trim(a), _ref_trim(b)
+        cases = [
+            (p, a),
+            (p + q, _ref_add(a, b)),
+            (p - q, _ref_add(a, [-y for y in b])),
+            (p * q, _ref_mul(a, b)),
+            (p.scale(c), _ref_trim(x * c for x in a)),
+            (p.derivative(), _ref_trim(i * x for i, x in enumerate(a))[1:]
+             if len(a) > 1 else ()),
+        ]
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.coeffs == want
+        assert p.eval_at(c) == _ref_eval(a, c)
+
+    @given(fraction_lists(), fraction_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_monic_and_exact_division(self, a, b):
+        p, q = from_coefficients(a), from_coefficients(b)
+        a, b = _ref_trim(a), _ref_trim(b)
+        if a:
+            m = monic(p)
+            _assert_canonical(m)
+            assert m.coeffs == tuple(x / a[-1] for x in a)
+        if b:
+            quo = div_exact(p * q, q)
+            _assert_canonical(quo)
+            assert quo.coeffs == a

@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import shapiro12
 
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import constant, from_coefficients, parse_polynomial
@@ -265,3 +272,39 @@ class TestTheoremAgreement:
                             coeff_bound=12, strategy=Strategy.POSITIVE_ONLY)
         for i in range(config.cases):
             assert sturm_count(random_polynomial(config, i)) == 0
+
+
+# Under ``python -O`` an ``assert`` is stripped; an invariant must still fire.
+_DROP_ONE_P2_ROOT = textwrap.dedent("""
+    import sys
+    from shapiro12 import shapiro
+    from shapiro12.harness import FIXTURES
+    from shapiro12.polycore import InvariantError, parse_polynomial
+
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+    inst = shapiro.build(parse_polynomial(FIXTURES[shapiro.ClassLabel.GAMMA_231]))
+    isolate = shapiro.isolate_real_roots
+
+    def drop_one_p2_root(p):
+        roots = isolate(p)
+        return roots[1:] if p == inst.p2 else roots
+
+    shapiro.isolate_real_roots = drop_one_p2_root
+    try:
+        label, _ = shapiro.classify(inst)
+    except InvariantError as exc:
+        print("raised:", exc)
+        sys.exit(0)
+    sys.exit(f"classify returned {label} without raising")
+""")
+
+
+class TestInvariantsUnderOptimize:
+    def test_odd_p2_count_raises_under_dash_O(self):
+        src = str(Path(shapiro12.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run([sys.executable, "-O", "-c", _DROP_ONE_P2_ROOT],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "odd count of p'' zeros" in result.stdout
