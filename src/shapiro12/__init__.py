@@ -38,7 +38,6 @@ from .rootlocus import (
     breakaway_points,
     gain_at,
     gain_derivative_numerator,
-    gain_vs_threshold,
     normalize,
 )
 from .shapiro import (
@@ -66,7 +65,7 @@ __all__ = [
     "RationalFunctionOnAxis", "AxisEvent", "AxisSegment", "BreakawayPoint",
     "EventKind", "Parity", "Extremum", "Comparison", "normalize",
     "axis_events", "axis_segments", "gain_at", "gain_derivative_numerator",
-    "breakaway_points", "gain_vs_threshold",
+    "breakaway_points",
     "ShapiroInstance", "ClassLabel", "Verdict", "Evidence", "ActualVerdict",
     "DeltaIdenticallyZeroError", "build", "classify", "predict_verdict",
     "actual_verdict", "delta_sign_shortcut",

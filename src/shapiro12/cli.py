@@ -3,7 +3,7 @@
 JSON output carries every mathematical quantity as an exact rational string;
 the CSV plot data renders decimals at 12 significant digits from the exact
 values.  Exit codes: 0 ok, 1 verdict mismatch (verify), 2 parse error,
-3 domain error.
+3 domain error (odd degree, degree < 2 or > MAX_DEGREE).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .harness import FIXTURES, FuzzConfig, Strategy, run_fuzz
+from .harness import FIXTURES, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
 from .polycore import Polynomial, format_polynomial, parse_polynomial
 from .realroots import IsolatedRoot, refine
 from .rootlocus import EventKind, InfiniteGainError, axis_events, breakaway_points, gain_at
@@ -50,6 +50,8 @@ def _load_polynomial(text: str, descending: bool) -> Polynomial:
 
 
 def _build_instance(poly: Polynomial):
+    if poly.degree > MAX_DEGREE:
+        raise _CliError(EXIT_DOMAIN, f"polynomial degree must be at most {MAX_DEGREE}")
     try:
         return build(poly)
     except ValueError as exc:
@@ -230,10 +232,8 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     for b in breakaway_points(pp):
         x = b.location.interval.lo if b.location.interval.is_point \
             else _approx_position(b.location)
-        if lo <= x <= hi:
-            rows.setdefault(x, "BREAKAWAY")
-            if rows[x] is None:
-                rows[x] = "BREAKAWAY"
+        if lo <= x <= hi and rows.get(x) is None:
+            rows[x] = "BREAKAWAY"
 
     print("x,K,delta,parity,is_event")
     for x in sorted(rows):

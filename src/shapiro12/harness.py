@@ -34,7 +34,6 @@ class FuzzConfig:
     degree_range: tuple[int, int] = (2, 8)
     coeff_bound: int = 10
     strategy: Strategy = Strategy.UNIFORM
-    target: ClassLabel | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.degree_range
@@ -199,7 +198,7 @@ def find_class_example(label: ClassLabel, budget: int,
         found, _ = classify(build(poly))
         if found is label:
             return poly
-    search_cfg = replace(config, strategy=Strategy.TARGETED, target=label)
+    search_cfg = replace(config, strategy=Strategy.TARGETED)
     for i in range(budget):
         poly = random_polynomial(search_cfg, i)
         try:

@@ -294,7 +294,17 @@ def squarefree_part(p: Polynomial) -> Polynomial:
         raise ValueError("zero polynomial has no squarefree part")
     if p.degree == 0:
         return ONE
-    return monic(div_exact(p, gcd(p, p.derivative())))
+    return div_exact(monic(p), repeated_part(p))
+
+
+def repeated_part(p: Polynomial) -> Polynomial:
+    """Monic gcd(p, p'): each root of p with its multiplicity lowered by one.
+
+    The gcd is keyed on monic p, as squarefree_decomposition keys it, so
+    every caller shares one cached gcd per polynomial.
+    """
+    f = monic(p)
+    return gcd(f, f.derivative())
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,9 @@
 For the locus equation K * RF(s) = +-1 with gain K(x) = |den(x)/num(x)|,
 this module computes the axis partition into segments of constant sign
 (positive sign: the +1 locus; negative: the -1 locus), locates the
-breakaway candidates as real critical points of RF, classifies them by the
-gain's monotonicity change, and compares gains against rational thresholds
-exactly at algebraic points.
+breakaway points as the real roots of the reduced critical polynomial of RF,
+classifies them by the gain's monotonicity change, and compares gains
+against rational thresholds exactly at algebraic points.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
-from .polycore import ONE, ZERO, InvariantError, Polynomial, div_exact, gcd, sign_at
+from .polycore import ONE, ZERO, InvariantError, Polynomial, div_exact, gcd, repeated_part, sign_at
 from .realroots import (
     IsolatedRoot,
     isolate_real_roots,
@@ -213,8 +212,7 @@ def gain_at(rf: RationalFunctionOnAxis, x: Fraction | int) -> Fraction:
 
 
 def gain_derivative_numerator(rf: RationalFunctionOnAxis) -> Polynomial:
-    """Numerator of d(num/den)/dx; its real roots away from multiple zeros
-    and poles are exactly the breakaway candidates."""
+    """Numerator N = num'*den - num*den' of d(num/den)/dx."""
     _require_canceled(rf)
     return rf.numerator.derivative() * rf.denominator - rf.numerator * rf.denominator.derivative()
 
@@ -223,34 +221,34 @@ def gain_derivative_numerator(rf: RationalFunctionOnAxis) -> Polynomial:
 def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
     """All real breakaway points, sorted, with standard/extremum classification.
 
-    A candidate is standard exactly when the gain derivative changes sign
-    across it, tested at rational points inside the same segment with no
-    other critical point or event in between.
+    A zero or pole of multiplicity m is a root of multiplicity exactly m - 1
+    of N = num'*den - num*den', so the candidates are the real roots of the
+    reduced critical polynomial N / (gcd(num, num') * gcd(den, den')), which
+    vanishes at no zero and no pole.  For pp = p''p/(p')^2 it is, up to a
+    constant, B = 2*p*p''^2 - p'^2*p'' - p*p'*p'''.  A candidate is standard
+    exactly when N changes sign across it, tested at rational points inside
+    the same segment with no other critical point or event in between.
     """
     _require_canceled(rf)
     n_poly = gain_derivative_numerator(rf)
     if n_poly.degree < 1:
         return ()
-    candidates = isolate_real_roots(n_poly)
+    crit = div_exact(n_poly, repeated_part(rf.numerator) * repeated_part(rf.denominator))
+    candidates = isolate_real_roots(crit)
     if not candidates:
         return ()
     events = axis_events(rf)
     segments = axis_segments(rf)
-    event_roots = {e.root: e for e in events}
+    event_roots = {e.root for e in events}
 
     merged = order_roots(list(candidates) + [e.root for e in events])
     reps: list[IsolatedRoot] = []
     is_event: list[bool] = []
     for group in merged:
-        event_member = next((m for m in group.members if m in event_roots), None)
-        if event_member is not None:
-            # A critical point sitting on an event is a multiple zero or
-            # multiple pole: excluded from the breakaway set.
-            reps.append(event_member)
-            is_event.append(True)
-        else:
-            reps.append(group.primary)
-            is_event.append(False)
+        if len(group.members) != 1:
+            raise InvariantError("the reduced critical polynomial vanishes at a zero or pole")
+        reps.append(group.primary)
+        is_event.append(group.primary in event_roots)
     reps = separate_roots(reps)
 
     out: list[BreakawayPoint] = []
@@ -292,18 +290,3 @@ def gain_compare_at(rf: RationalFunctionOnAxis, location: IsolatedRoot,
     if s < 0:
         return Comparison.LT
     return Comparison.EQ
-
-
-def gain_vs_threshold(rf: RationalFunctionOnAxis, b: BreakawayPoint,
-                      k0: Fraction | int) -> Comparison:
-    """Whether K(b) is below, at, or above k0."""
-    return gain_compare_at(rf, b.location, k0)
-
-
-def standard_points(points: Sequence[BreakawayPoint],
-                    extremum: Extremum | None = None) -> list[BreakawayPoint]:
-    """Filter helper: the standard breakaway points, optionally by kind."""
-    out = [b for b in points if b.standard]
-    if extremum is not None:
-        out = [b for b in out if b.extremum is extremum]
-    return out

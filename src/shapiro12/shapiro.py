@@ -35,9 +35,7 @@ from .rootlocus import (
     axis_events,
     axis_segments,
     breakaway_points,
-    gain_vs_threshold,
     normalize,
-    standard_points,
 )
 
 
@@ -221,11 +219,11 @@ def _pole_index(pp: RationalFunctionOnAxis) -> int:
 def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
                           ) -> tuple[ClassLabel, Evidence]:
     """p'' has no real zeros: the whole axis is the +1 locus."""
-    pp, k0 = instance.pp, instance.k0
+    pp = instance.pp
     segments = axis_segments(pp)
     if any(seg.parity is not Parity.EVEN for seg in segments):
         raise InvariantError("with p'' definite the whole axis is the +1 locus")
-    standard = standard_points(breakaway_points(pp))
+    standard = [b for b in breakaway_points(pp) if b.standard]
     if not standard:
         return ClassLabel.GAMMA_11, Evidence(p0, 0, 0, ())
     maxima = [b for b in standard if b.extremum is Extremum.MAX]
@@ -240,7 +238,8 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
         for b in maxima:
             if b.segment != seg:
                 continue
-            cmp = gain_vs_threshold(pp, b, k0)
+            # On the +1 locus sign(K - K0) = sign(delta).
+            cmp = delta_sign_shortcut(instance, b.location)
             bf = BreakawayFinding(b, cmp)
             here.append(bf)
             if cmp is not Comparison.LT and decisive is None:

@@ -48,6 +48,18 @@ class TestClassify:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["classify", "verify", "plotdata"])
+    def test_degree_past_cap_exit_3(self, capsys, monkeypatch, command):
+        def build_called(poly):
+            raise AssertionError("build must not run past the degree cap")
+
+        monkeypatch.setattr(cli, "build", build_called)
+        text = ",".join(["1"] * (cli.MAX_DEGREE + 3))  # degree MAX_DEGREE + 2
+        code, out, err = run_cli(capsys, command, text)
+        assert code == 3
+        assert out == ""
+        assert "at most 32" in err
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "1,x,3")
         assert code == 2

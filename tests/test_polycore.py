@@ -164,6 +164,16 @@ class TestSquarefree:
             product = product * factor ** mult
         assert product == p
 
+    def test_part_and_decomposition_share_one_gcd(self):
+        # Both key gcd(p, p') on monic p, so the second call is a cache hit.
+        p = P("3,-5,0,7") * P("1,2,9")
+        assert p.leading_coefficient() != 1
+        for cached in (gcd, squarefree_part, squarefree_decomposition):
+            cached.cache_clear()
+        squarefree_part(p)
+        squarefree_decomposition(p)
+        assert gcd.cache_info().misses == 1
+
 
 class TestTextFormat:
     def test_round_trip(self):

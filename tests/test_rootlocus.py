@@ -1,10 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapiro12.polycore import constant, from_coefficients, gcd, parse_polynomial, sign_at
-from shapiro12.realroots import order_roots, refine, separate_roots, sign_at_root
+from shapiro12.realroots import (
+    compare_roots,
+    isolate_real_roots,
+    order_roots,
+    refine,
+    separate_roots,
+    sign_at_root,
+)
 from shapiro12.rootlocus import (
     Comparison,
     EventKind,
@@ -17,7 +27,6 @@ from shapiro12.rootlocus import (
     gain_at,
     gain_compare_at,
     gain_derivative_numerator,
-    gain_vs_threshold,
     normalize,
 )
 
@@ -159,9 +168,9 @@ class TestBreakaway:
 
     def test_gain_threshold_trio(self):
         b = breakaway_points(RECIP_QUARTIC)[0]
-        assert gain_vs_threshold(RECIP_QUARTIC, b, 2) is Comparison.LT
-        assert gain_vs_threshold(RECIP_QUARTIC, b, 1) is Comparison.EQ
-        assert gain_vs_threshold(RECIP_QUARTIC, b, Fraction(1, 2)) is Comparison.GT
+        assert gain_compare_at(RECIP_QUARTIC, b.location, 2) is Comparison.LT
+        assert gain_compare_at(RECIP_QUARTIC, b.location, 1) is Comparison.EQ
+        assert gain_compare_at(RECIP_QUARTIC, b.location, Fraction(1, 2)) is Comparison.GT
 
 
 FIXTURE_RFS = [
@@ -297,3 +306,67 @@ class TestStructuralInvariants:
                         assert (sgn > 0) == (seg.parity is Parity.EVEN)
             for b in breakaway_points(rf):
                 assert b.standard == (b.location.multiplicity % 2 == 1)
+
+
+def _linear_power(args):
+    a, e = args
+    return from_coefficients([-a, 1]) ** e
+
+
+def _quadratic_power(args):
+    b, extra, e = args
+    return from_coefficients([b * b // 4 + extra, b, 1]) ** e  # no real root
+
+
+def factored_poly():
+    """Nonzero constant times powers of real linear and complex quadratic factors."""
+    linear = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(_linear_power)
+    quadratic = st.tuples(st.integers(-2, 2), st.integers(1, 3), st.integers(1, 2)).map(_quadratic_power)
+    lead = st.integers(1, 3).flatmap(lambda c: st.sampled_from([c, -c])).map(constant)
+    factors = st.lists(st.one_of(linear, quadratic), max_size=3)
+    return st.tuples(lead, factors).map(lambda t: math.prod(t[1], start=t[0]))
+
+
+def reference_breakaways(rf):
+    """Real roots of the gain derivative numerator N that are no zero or pole.
+
+    A root r of multiplicity m is standard iff m is odd.  K = sigma*den/num
+    with sigma the sign of rf at r, so sign K' = -sigma * sign N, and just
+    left of r the sign of N is (-1)^m times the sign of N^(m)(r).
+    """
+    n_poly = gain_derivative_numerator(rf)
+    if n_poly.degree < 1:
+        return []
+    events = [e.root for e in axis_events(rf)]
+    out = []
+    for r in isolate_real_roots(n_poly):
+        if any(compare_roots(r, e) == 0 for e in events):
+            continue
+        m = r.multiplicity
+        n_m = n_poly
+        for _ in range(m):
+            n_m = n_m.derivative()
+        sigma = sign_at_root(rf.numerator, r) * sign_at_root(rf.denominator, r)
+        slope_left = -sigma * (-1) ** m * sign_at_root(n_m, r)
+        if m % 2 == 0:
+            extremum = Extremum.NONE
+        elif slope_left > 0:
+            extremum = Extremum.MAX
+        else:
+            extremum = Extremum.MIN
+        out.append((r, m % 2 == 1, extremum))
+    return out
+
+
+class TestReducedCriticalPolynomial:
+    @given(factored_poly(), factored_poly())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_generic_numerator_minus_events(self, num, den):
+        rf = normalize(num, den)
+        got = breakaway_points(rf)
+        want = reference_breakaways(rf)
+        assert len(got) == len(want)
+        for b, (r, standard, extremum) in zip(got, want):
+            assert compare_roots(b.location, r) == 0
+            assert b.location.multiplicity == r.multiplicity
+            assert (b.standard, b.extremum) == (standard, extremum)

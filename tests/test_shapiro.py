@@ -12,8 +12,8 @@ import shapiro12
 
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import constant, from_coefficients, parse_polynomial
-from shapiro12.realroots import sturm_count
-from shapiro12.rootlocus import Comparison, Parity, breakaway_points, gain_vs_threshold
+from shapiro12.realroots import compare_roots, isolate_real_roots, sturm_count
+from shapiro12.rootlocus import Comparison, Parity, breakaway_points, gain_compare_at
 from shapiro12.shapiro import (
     ActualVerdict,
     ClassLabel,
@@ -226,9 +226,47 @@ class TestDeltaSignShortcut:
             for b in breakaway_points(inst.pp):
                 if b.segment.parity is not Parity.EVEN:
                     continue
-                via_gain = gain_vs_threshold(inst.pp, b, inst.k0)
+                via_gain = gain_compare_at(inst.pp, b.location, inst.k0)
                 via_delta = delta_sign_shortcut(inst, b.location)
                 assert via_gain is via_delta
+
+
+_GAMMA_1 = (ClassLabel.GAMMA_11, ClassLabel.GAMMA_121, ClassLabel.GAMMA_122)
+
+
+@pytest.fixture(scope="module")
+def gamma1_instances():
+    """Every Gamma1 case among the fixtures and 150 seeded positive-only cases."""
+    config = FuzzConfig(seed=3, cases=150, degree_range=(4, 10), coeff_bound=12,
+                        strategy=Strategy.POSITIVE_ONLY)
+    polys = [P(text) for text in FIXTURES.values()]
+    polys += [random_polynomial(config, i) for i in range(config.cases)]
+    instances = [build(p) for p in polys]
+    return [inst for inst in instances if classify(inst)[0] in _GAMMA_1]
+
+
+class TestPaperAlgebraOnGamma1:
+    def test_corpus_not_vacuous(self, gamma1_instances):
+        assert len(gamma1_instances) >= 100
+
+    def test_breakaways_are_the_real_roots_of_b(self, gamma1_instances):
+        # B = 2*p*p''^2 - p'^2*p'' - p*p'*p''' is pp's reduced critical polynomial.
+        for inst in gamma1_instances:
+            p, p1, p2 = inst.p, inst.p1, inst.p2
+            b_poly = (p * p2 * p2).scale(2) - p1 * p1 * p2 - p * p1 * p2.derivative()
+            roots = isolate_real_roots(b_poly)
+            points = breakaway_points(inst.pp)
+            assert len(points) == len(roots)
+            for b, r in zip(points, roots):
+                assert compare_roots(b.location, r) == 0
+                assert b.standard == (r.multiplicity % 2 == 1)
+
+    def test_delta_sign_equals_gain_comparison(self, gamma1_instances):
+        # gain_compare_at never reads delta, so the two routes stay independent.
+        for inst in gamma1_instances:
+            for b in breakaway_points(inst.pp):
+                via_gain = gain_compare_at(inst.pp, b.location, inst.k0)
+                assert delta_sign_shortcut(inst, b.location) is via_gain
 
 
 class TestScalingCovariance:
