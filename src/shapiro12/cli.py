@@ -3,7 +3,8 @@
 JSON output carries every mathematical quantity as an exact rational string;
 the CSV plot data renders decimals at 12 significant digits from the exact
 values.  Exit codes: 0 ok, 1 verdict mismatch (verify), 2 parse error,
-3 domain error (odd degree, degree < 2 or > MAX_DEGREE).
+3 domain error (odd degree, degree < 2 or > MAX_DEGREE, a coefficient
+numerator or denominator longer than MAX_COEFF_BITS bits).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .harness import FIXTURES, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
+from .harness import FIXTURES, MAX_COEFF_BITS, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
 from .polycore import Polynomial, format_polynomial, parse_polynomial
 from .realroots import IsolatedRoot, refine
 from .rootlocus import EventKind, InfiniteGainError, axis_events, breakaway_points, gain_at
@@ -52,6 +53,9 @@ def _load_polynomial(text: str, descending: bool) -> Polynomial:
 def _build_instance(poly: Polynomial):
     if poly.degree > MAX_DEGREE:
         raise _CliError(EXIT_DOMAIN, f"polynomial degree must be at most {MAX_DEGREE}")
+    if any(max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS
+           for c in poly.coeffs):
+        raise _CliError(EXIT_DOMAIN, f"coefficients must have at most {MAX_COEFF_BITS} bits")
     try:
         return build(poly)
     except ValueError as exc:

@@ -19,6 +19,7 @@ from .shapiro import (
 )
 
 MAX_DEGREE = 32
+MAX_COEFF_BITS = 64
 
 
 class Strategy(Enum):

@@ -273,21 +273,42 @@ def sign_at(p: Polynomial, x: Fraction | int) -> int:
     return _sign(_horner(p.prim, Fraction(x)))
 
 
+def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """a, b, -rem(a, b), ... as primitive integer vectors, up to the last nonzero one.
+
+    Each remainder is negated and taken up to a positive factor, so for
+    b = a' this is a Sturm sequence of a; the last element is gcd(a, b) up
+    to a constant.
+    """
+    seq = [a, b]
+    while seq[-1]:
+        seq.append(_primitive([-c for c in _int_rem_positive(seq[-2], seq[-1])])[0])
+    seq.pop()
+    return tuple(seq)
+
+
 @lru_cache(maxsize=None)
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor, via a primitive Euclidean remainder scheme."""
+    """Monic greatest common divisor: the last element of the remainder sequence."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = p.prim, q.prim
-    if not a:
-        a, b = b, a
-    # Any nonzero multiple of each remainder serves, so reuse the Sturm one.
-    while b:
-        a, b = b, _primitive(_int_rem_positive(a, b))[0]
-    return monic(Polynomial(a))
+    return monic(Polynomial(_remainder_sequence(p.prim, q.prim)[-1]))
 
 
 @lru_cache(maxsize=None)
+def _sturm_sequence(f: Polynomial) -> tuple[tuple[int, ...], ...]:
+    return _remainder_sequence(f.prim, _primitive(_int_derivative(f.prim))[0])
+
+
+def sturm_sequence(p: Polynomial) -> tuple[tuple[int, ...], ...]:
+    """Sturm sequence p, p', -rem, ... as primitive integer vectors, cached on monic p.
+
+    Squarefree or not, its sign variations count distinct real roots at
+    every x with p(x) != 0; its last element is gcd(p, p') up to a constant.
+    """
+    return _sturm_sequence(monic(p))
+
+
 def squarefree_part(p: Polynomial) -> Polynomial:
     """Monic product of the distinct irreducible factors of p."""
     if p.is_zero:
@@ -300,14 +321,11 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 def repeated_part(p: Polynomial) -> Polynomial:
     """Monic gcd(p, p'): each root of p with its multiplicity lowered by one.
 
-    The gcd is keyed on monic p, as squarefree_decomposition keys it, so
-    every caller shares one cached gcd per polynomial.
+    Read off the last element of the Sturm sequence of p.
     """
-    f = monic(p)
-    return gcd(f, f.derivative())
+    return monic(Polynomial(sturm_sequence(p)[-1]))
 
 
-@lru_cache(maxsize=None)
 def squarefree_decomposition(p: Polynomial) -> tuple[tuple[int, Polynomial], ...]:
     """Yun decomposition: pairs (multiplicity, monic squarefree factor).
 
@@ -318,12 +336,11 @@ def squarefree_decomposition(p: Polynomial) -> tuple[tuple[int, Polynomial], ...
     if p.degree == 0:
         return ()
     f = monic(p)
-    fp = f.derivative()
-    g = gcd(f, fp)
+    g = repeated_part(f)
     if g.degree == 0:
         return ((1, f),)
     w = div_exact(f, g)
-    z = div_exact(fp, g) - w.derivative()
+    z = div_exact(f.derivative(), g) - w.derivative()
     out: list[tuple[int, Polynomial]] = []
     i = 1
     while w.degree > 0:

@@ -10,21 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .polycore import (
     InvariantError,
     Polynomial,
     _horner,
-    _int_derivative,
-    _int_rem_positive,
-    _primitive,
     _sign,
     gcd,
     sign_at,
     squarefree_decomposition,
     squarefree_part,
+    sturm_sequence,
 )
 
 
@@ -84,23 +81,8 @@ class MergedRoot:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains
+# Sturm counting
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _sturm_chain(sf: Polynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain of a squarefree polynomial, as primitive integer vectors."""
-    c0 = sf.prim
-    if len(c0) <= 1:
-        return (c0,)
-    chain = [c0, _primitive(_int_derivative(c0))[0]]
-    while len(chain[-1]) > 1:
-        r = _primitive([-c for c in _int_rem_positive(chain[-2], chain[-1])])[0]
-        if not r:
-            break
-        chain.append(r)
-    return tuple(chain)
-
 
 def _variations(signs: Iterable[int]) -> int:
     count = 0
@@ -132,7 +114,10 @@ def _variations_at_infinity(chain: Sequence[Sequence[int]], positive: bool) -> i
 
 def sturm_count(p: Polynomial, lo: Fraction | int | None = None,
                 hi: Fraction | int | None = None) -> int:
-    """Number of distinct real roots of p in (lo, hi); None means unbounded."""
+    """Number of distinct real roots of p in (lo, hi); None means unbounded.
+
+    Reads the Sturm sequence of p itself, valid since no endpoint is a root.
+    """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
     if lo is not None and hi is not None and Fraction(lo) >= Fraction(hi):
@@ -143,7 +128,7 @@ def sturm_count(p: Polynomial, lo: Fraction | int | None = None,
         raise ValueError("interval endpoint is a root")
     if hi is not None and sign_at(p, hi) == 0:
         raise ValueError("interval endpoint is a root")
-    chain = _sturm_chain(squarefree_part(p))
+    chain = sturm_sequence(p)
     v_lo = _variations_at(chain, Fraction(lo)) if lo is not None else _variations_at_infinity(chain, False)
     v_hi = _variations_at(chain, Fraction(hi)) if hi is not None else _variations_at_infinity(chain, True)
     return v_lo - v_hi
@@ -180,7 +165,7 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     sf = squarefree_part(p)
     if sf.degree < 1:
         return ()
-    chain = _sturm_chain(sf)
+    chain = sturm_sequence(sf)
     var_memo: dict[Fraction, int] = {}
 
     def var(x: Fraction) -> int:

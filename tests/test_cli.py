@@ -60,6 +60,24 @@ class TestClassify:
         assert out == ""
         assert "at most 32" in err
 
+    @pytest.mark.parametrize("command", ["classify", "verify", "plotdata"])
+    @pytest.mark.parametrize("text", ["18446744073709551616,0,1", "1/18446744073709551616,0,1"])
+    def test_coefficient_past_bit_cap_exit_3(self, capsys, monkeypatch, command, text):
+        # 2**64 has 65 bits, one past MAX_COEFF_BITS.
+        def build_called(poly):
+            raise AssertionError("build must not run past the bit cap")
+
+        monkeypatch.setattr(cli, "build", build_called)
+        code, out, err = run_cli(capsys, command, text)
+        assert code == 3
+        assert out == ""
+        assert "at most 64 bits" in err
+
+    def test_coefficient_at_bit_cap_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "18446744073709551615,0,1")  # 2**64 - 1
+        assert code == 0
+        assert json.loads(out)["label"] == "Gamma11"
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "1,x,3")
         assert code == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shapiro12.polycore import (
     NEG_INFINITY,
     Polynomial,
+    _sturm_sequence,
     constant,
     div_exact,
     format_polynomial,
@@ -15,10 +16,12 @@ from shapiro12.polycore import (
     gcd,
     monic,
     parse_polynomial,
+    repeated_part,
     sign_at,
     squarefree_decomposition,
     squarefree_part,
 )
+from shapiro12.realroots import isolate_real_roots, sturm_count
 
 P = parse_polynomial
 
@@ -165,14 +168,19 @@ class TestSquarefree:
         assert product == p
 
     def test_part_and_decomposition_share_one_gcd(self):
-        # Both key gcd(p, p') on monic p, so the second call is a cache hit.
+        # gcd(p, p') is the last element of the Sturm sequence of p, which is
+        # keyed on monic p; the squarefree part of a squarefree p is monic p,
+        # so all four calls read one remainder sequence and run no gcd.
         p = P("3,-5,0,7") * P("1,2,9")
         assert p.leading_coefficient() != 1
-        for cached in (gcd, squarefree_part, squarefree_decomposition):
+        for cached in (gcd, _sturm_sequence):
             cached.cache_clear()
         squarefree_part(p)
         squarefree_decomposition(p)
-        assert gcd.cache_info().misses == 1
+        sturm_count(p)
+        isolate_real_roots(p)
+        assert _sturm_sequence.cache_info().misses == 1
+        assert gcd.cache_info().misses == 0
 
 
 class TestTextFormat:
@@ -277,6 +285,23 @@ def _ref_eval(a, x):
     return sum((c * x ** i for i, c in enumerate(a)), Fraction(0))
 
 
+def _ref_derivative(a):
+    return _ref_trim(i * x for i, x in enumerate(a))[1:]
+
+
+def _ref_gcd(a, b):
+    """Monic gcd by the textbook Euclidean algorithm over Q."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            f, k = r[-1] / b[-1], len(r) - len(b)
+            for i, y in enumerate(b):
+                r[i + k] -= f * y
+            r = list(_ref_trim(r))
+        a, b = b, tuple(r)
+    return tuple(x / a[-1] for x in a)
+
+
 def _assert_canonical(p):
     if p.is_zero:
         assert p.prim == () and p.content == 1
@@ -324,3 +349,12 @@ class TestKernelReference:
             quo = div_exact(p * q, q)
             _assert_canonical(quo)
             assert quo.coeffs == a
+
+    @given(fraction_lists(4).filter(any), fraction_lists(3).filter(any))
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_part_is_euclid_gcd(self, a, b):
+        # a * b^2 repeats every root of b, so gcd(p, p') is rarely 1.
+        ref = _ref_mul(_ref_trim(a), _ref_mul(_ref_trim(b), _ref_trim(b)))
+        got = repeated_part(from_coefficients(ref))
+        _assert_canonical(got)
+        assert got.coeffs == _ref_gcd(ref, _ref_derivative(ref))

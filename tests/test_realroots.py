@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shapiro12.polycore import constant, from_coefficients, parse_polynomial, sign_at
+from shapiro12.polycore import constant, from_coefficients, parse_polynomial, repeated_part, sign_at
 from shapiro12.realroots import (
+    RootCount,
     compare_roots,
     isolate_real_roots,
     order_roots,
@@ -202,6 +203,51 @@ class TestRootCount:
     def test_constant(self):
         rc = root_count(constant(7))
         assert rc.distinct == rc.with_multiplicity == 0
+
+
+@st.composite
+def factored_polys(draw):
+    """c * prod (x - r)^m * prod q^k, q = (x - a)^2 + b with b > 0 irreducible.
+
+    Returns p, its distinct real roots r, their multiplicities m, and
+    gcd(p, p') = prod (x - r)^(m - 1) * prod q^(k - 1), all known by construction.
+    """
+    roots = draw(st.lists(st.fractions(-5, 5, max_denominator=6), max_size=4, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(roots), max_size=len(roots)))
+    quads = draw(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
+                                    st.fractions(Fraction(1, 8), 4, max_denominator=8)),
+                          max_size=2, unique=True))
+    powers = draw(st.lists(st.integers(1, 3), min_size=len(quads), max_size=len(quads)))
+    p = constant(draw(st.fractions(-9, 9, max_denominator=5).filter(bool)))
+    repeated = constant(1)
+    for r, m in zip(roots, mults):
+        linear = from_coefficients([-r, 1])
+        p, repeated = p * linear ** m, repeated * linear ** (m - 1)
+    for (a, b), k in zip(quads, powers):
+        quadratic = from_coefficients([a * a + b, -2 * a, 1])
+        p, repeated = p * quadratic ** k, repeated * quadratic ** (k - 1)
+    return p, roots, mults, repeated
+
+
+class TestNonSquarefreeGroundTruth:
+    """Counts on non-squarefree p read the Sturm sequence of p itself."""
+
+    @given(factored_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_and_repeated_part(self, case):
+        p, roots, mults, repeated = case
+        assert sturm_count(p) == len(roots)
+        assert root_count(p) == RootCount(len(roots), sum(mults))
+        assert repeated_part(p) == repeated
+
+    @given(factored_polys(), st.fractions(-6, 6, max_denominator=7),
+           st.fractions(-6, 6, max_denominator=7))
+    @settings(max_examples=80, deadline=None)
+    def test_bounded_count(self, case, lo, hi):
+        p, roots, _, _ = case
+        lo, hi = sorted((lo, hi))
+        assume(lo < hi and lo not in roots and hi not in roots)
+        assert sturm_count(p, lo, hi) == sum(1 for r in roots if lo < r < hi)
 
 
 class TestInvariants:
