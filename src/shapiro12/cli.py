@@ -3,8 +3,9 @@
 JSON output carries every mathematical quantity as an exact rational string;
 the CSV plot data renders decimals at 12 significant digits from the exact
 values.  Exit codes: 0 ok, 1 verdict mismatch (verify), 2 parse error,
-3 domain error (odd degree, degree < 2 or > MAX_DEGREE, a coefficient
-numerator or denominator longer than MAX_COEFF_BITS bits).
+3 domain error (odd degree, degree < 2 or > MAX_DEGREE, a coefficient or
+plot range endpoint whose numerator or denominator is longer than
+MAX_COEFF_BITS bits).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .harness import FIXTURES, MAX_COEFF_BITS, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
-from .polycore import Polynomial, format_polynomial, parse_polynomial
+from .polycore import _TOKEN, Polynomial, format_polynomial, parse_polynomial
 from .realroots import IsolatedRoot, refine
 from .rootlocus import EventKind, InfiniteGainError, axis_events, breakaway_points, gain_at
 from .shapiro import (
@@ -50,11 +51,14 @@ def _load_polynomial(text: str, descending: bool) -> Polynomial:
         raise _CliError(EXIT_PARSE, str(exc)) from exc
 
 
+def _too_long(x: Fraction) -> bool:
+    return max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_COEFF_BITS
+
+
 def _build_instance(poly: Polynomial):
     if poly.degree > MAX_DEGREE:
         raise _CliError(EXIT_DOMAIN, f"polynomial degree must be at most {MAX_DEGREE}")
-    if any(max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS
-           for c in poly.coeffs):
+    if any(_too_long(c) for c in poly.coeffs):
         raise _CliError(EXIT_DOMAIN, f"coefficients must have at most {MAX_COEFF_BITS} bits")
     try:
         return build(poly)
@@ -213,11 +217,16 @@ def _approx_position(root: IsolatedRoot) -> Fraction:
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     poly = _load_polynomial(args.polynomial, args.descending)
+    # Endpoints follow the coefficient token rule and bit cap.
+    texts = [t.strip() for t in args.range.split(":")]
+    if len(texts) != 2 or not all(_TOKEN.fullmatch(t) for t in texts):
+        raise _CliError(EXIT_PARSE, f"malformed range: {args.range!r}")
     try:
-        lo_text, hi_text = args.range.split(":")
-        lo, hi = Fraction(lo_text), Fraction(hi_text)
-    except (ValueError, ZeroDivisionError) as exc:
+        lo, hi = Fraction(texts[0]), Fraction(texts[1])
+    except ZeroDivisionError as exc:
         raise _CliError(EXIT_PARSE, f"malformed range: {args.range!r}") from exc
+    if _too_long(lo) or _too_long(hi):
+        raise _CliError(EXIT_DOMAIN, f"range endpoints must have at most {MAX_COEFF_BITS} bits")
     if lo >= hi or args.samples < 2:
         raise _CliError(EXIT_PARSE, "range must be increasing and samples >= 2")
     instance = _build_instance(poly)

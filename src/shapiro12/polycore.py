@@ -326,33 +326,6 @@ def repeated_part(p: Polynomial) -> Polynomial:
     return monic(Polynomial(sturm_sequence(p)[-1]))
 
 
-def squarefree_decomposition(p: Polynomial) -> tuple[tuple[int, Polynomial], ...]:
-    """Yun decomposition: pairs (multiplicity, monic squarefree factor).
-
-    p equals its leading coefficient times the product of factor**multiplicity.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree decomposition")
-    if p.degree == 0:
-        return ()
-    f = monic(p)
-    g = repeated_part(f)
-    if g.degree == 0:
-        return ((1, f),)
-    w = div_exact(f, g)
-    z = div_exact(f.derivative(), g) - w.derivative()
-    out: list[tuple[int, Polynomial]] = []
-    i = 1
-    while w.degree > 0:
-        gi = gcd(w, z)
-        if gi.degree > 0:
-            out.append((i, gi))
-        w = div_exact(w, gi)
-        z = div_exact(z, gi) - w.derivative()
-        i += 1
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Text format: comma-separated ascending coefficients, integers or num/den.
 # ---------------------------------------------------------------------------

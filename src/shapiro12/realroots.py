@@ -13,13 +13,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .polycore import (
-    InvariantError,
     Polynomial,
     _horner,
     _sign,
     gcd,
+    repeated_part,
     sign_at,
-    squarefree_decomposition,
     squarefree_part,
     sturm_sequence,
 )
@@ -134,17 +133,32 @@ def sturm_count(p: Polynomial, lo: Fraction | int | None = None,
     return v_lo - v_hi
 
 
+def _repeated_parts(p: Polynomial) -> Iterable[Polynomial]:
+    """g1, g2, ... with g0 = p and g(k+1) = gcd(gk, gk'), while deg gk > 0.
+
+    A real root of p of multiplicity m is a root of g0 ... g(m-1) and of no
+    later gk; each gk is read off the Sturm sequence of the one before it.
+    """
+    g = repeated_part(p)
+    while g.degree > 0:
+        yield g
+        g = repeated_part(g)
+
+
 def root_count(p: Polynomial) -> RootCount:
     """Distinct and multiplicity-weighted real root counts."""
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
     if p.degree == 0:
         return RootCount(0, 0)
-    distinct = sturm_count(p)
-    with_mult = 0
-    for mult, factor in squarefree_decomposition(p):
-        if factor.degree > 0:
-            with_mult += mult * sturm_count(factor)
+    distinct = with_mult = sturm_count(p)
+    if distinct:
+        # g(k+1) divides gk: stop at the first gk without a real zero.
+        for g in _repeated_parts(p):
+            count = sturm_count(g)
+            if not count:
+                break
+            with_mult += count
     return RootCount(distinct, with_mult)
 
 
@@ -165,7 +179,9 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     sf = squarefree_part(p)
     if sf.degree < 1:
         return ()
-    chain = sturm_sequence(sf)
+    # Variations are only read where sf, and so p, is nonzero, so the Sturm
+    # sequence of p counts the distinct roots of sf.
+    chain = sturm_sequence(p)
     var_memo: dict[Fraction, int] = {}
 
     def var(x: Fraction) -> int:
@@ -175,8 +191,10 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
 
     bound = _cauchy_bound(sf)
     total = var(-bound) - var(bound)
+    if not total:
+        return ()
     intervals: list[IsolatingInterval] = []
-    stack: list[tuple[Fraction, Fraction, int]] = [(-bound, bound, total)] if total else []
+    stack: list[tuple[Fraction, Fraction, int]] = [(-bound, bound, total)]
     while stack:
         lo, hi, count = stack.pop()
         if count == 1:
@@ -214,11 +232,15 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
                 stack.append((mid, hi, right))
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
 
-    decomposition = squarefree_decomposition(p)
-    roots = []
-    for iv in intervals:
-        roots.append(IsolatedRoot(iv, _multiplicity_of(iv, decomposition), p, sf))
-    return tuple(roots)
+    # A root of gk need not change the sign of gk, but it does change the
+    # sign of its squarefree part hk, which divides sf.
+    multiplicity = [1] * len(intervals)
+    for g in _repeated_parts(p):
+        h = squarefree_part(g)
+        for i, iv in enumerate(intervals):
+            if _vanishes_on(h, iv):
+                multiplicity[i] += 1
+    return tuple(IsolatedRoot(iv, m, p, sf) for iv, m in zip(intervals, multiplicity))
 
 
 def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
@@ -249,15 +271,6 @@ def _vanishes_on(q: Polynomial, iv: IsolatingInterval) -> bool:
     if iv.is_point:
         return sign_at(q, iv.lo) == 0
     return sign_at(q, iv.lo) * sign_at(q, iv.hi) < 0
-
-
-def _multiplicity_of(iv: IsolatingInterval,
-                     decomposition: Sequence[tuple[int, Polynomial]],
-                     ) -> int:
-    for mult, factor in decomposition:
-        if factor.degree > 0 and _vanishes_on(factor, iv):
-            return mult
-    raise InvariantError("isolating interval does not match any squarefree factor")
 
 
 def _bisect_interval(iv: IsolatingInterval, witness: Polynomial) -> IsolatingInterval:

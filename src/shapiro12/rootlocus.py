@@ -46,6 +46,11 @@ class Comparison(Enum):
     EQ = "EQ"
     GT = "GT"
 
+    @classmethod
+    def from_sign(cls, sign: int) -> "Comparison":
+        """LT, EQ or GT for the sign -1, 0 or +1 of a difference."""
+        return cls.GT if sign > 0 else cls.LT if sign < 0 else cls.EQ
+
 
 class InfiniteGainError(ZeroDivisionError):
     """Raised where the gain is +infinity (at a zero of the rational function)."""
@@ -284,9 +289,4 @@ def gain_compare_at(rf: RationalFunctionOnAxis, location: IsolatedRoot,
     if threshold < 0:
         raise ValueError("gain thresholds are non-negative")
     test = rf.denominator * rf.denominator - (rf.numerator * rf.numerator).scale(threshold * threshold)
-    s = sign_at_root(test, location)
-    if s > 0:
-        return Comparison.GT
-    if s < 0:
-        return Comparison.LT
-    return Comparison.EQ
+    return Comparison.from_sign(sign_at_root(test, location))

@@ -238,8 +238,8 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
         for b in maxima:
             if b.segment != seg:
                 continue
-            # On the +1 locus sign(K - K0) = sign(delta).
-            cmp = delta_sign_shortcut(instance, b.location)
+            # Every segment is on the +1 locus, where sign(K - K0) = sign(delta).
+            cmp = Comparison.from_sign(sign_at_root(instance.delta, b.location))
             bf = BreakawayFinding(b, cmp)
             here.append(bf)
             if cmp is not Comparison.LT and decisive is None:
@@ -289,8 +289,4 @@ def delta_sign_shortcut(instance: ShapiroInstance,
         if sgn < 0:
             raise ValueError("point lies on the -1 locus")
         s_delta = sign_at(instance.delta, x)
-    if s_delta > 0:
-        return Comparison.GT
-    if s_delta < 0:
-        return Comparison.LT
-    return Comparison.EQ
+    return Comparison.from_sign(s_delta)

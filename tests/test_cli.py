@@ -199,6 +199,31 @@ class TestPlotdata:
         code, _, _ = run_cli(capsys, "plotdata", "1,0,1", "--range", "5:1")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["0:1e5", "0:1_0", "0:1.5", "-1/0:1", "0:1:2", "0"])
+    def test_undocumented_range_token_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "plotdata", "1,0,1", "--range", text)
+        assert code == 2
+        assert out == ""
+        assert "malformed range" in err
+
+    @pytest.mark.parametrize("text", ["0:18446744073709551616", "-1/18446744073709551616:1"])
+    def test_range_endpoint_past_bit_cap_exit_3(self, capsys, monkeypatch, text):
+        # 2**64 has 65 bits, one past MAX_COEFF_BITS.
+        def build_called(poly):
+            raise AssertionError("build must not run past the bit cap")
+
+        monkeypatch.setattr(cli, "build", build_called)
+        code, out, err = run_cli(capsys, "plotdata", "1,0,1", "--range", text)
+        assert code == 3
+        assert out == ""
+        assert "at most 64 bits" in err
+
+    def test_range_endpoint_at_bit_cap_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "plotdata", "1,0,1", "--range",
+                               "-1/18446744073709551615:18446744073709551615", "--samples", "2")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 3  # two grid rows and the pole at 0
+
 
 class TestExample:
     def test_seeded(self, capsys):

@@ -18,10 +18,9 @@ from shapiro12.polycore import (
     parse_polynomial,
     repeated_part,
     sign_at,
-    squarefree_decomposition,
     squarefree_part,
 )
-from shapiro12.realroots import isolate_real_roots, sturm_count
+from shapiro12.realroots import RootCount, isolate_real_roots, root_count, sturm_count
 
 P = parse_polynomial
 
@@ -155,31 +154,18 @@ class TestSquarefree:
         with pytest.raises(ValueError):
             squarefree_part(from_coefficients([0]))
 
-    def test_decomposition(self):
-        p = P("-1,1") * P("-1,1") * P("2,1")
-        dec = squarefree_decomposition(p)
-        assert dec == ((1, P("2,1")), (2, P("-1,1")))
-
-    def test_decomposition_reassembles(self):
-        p = P("0,0,0,4") * P("1,0,1") * P("1,0,1")
-        product = constant(p.leading_coefficient())
-        for mult, factor in squarefree_decomposition(p):
-            product = product * factor ** mult
-        assert product == p
-
-    def test_part_and_decomposition_share_one_gcd(self):
-        # gcd(p, p') is the last element of the Sturm sequence of p, which is
-        # keyed on monic p; the squarefree part of a squarefree p is monic p,
-        # so all four calls read one remainder sequence and run no gcd.
-        p = P("3,-5,0,7") * P("1,2,9")
-        assert p.leading_coefficient() != 1
+    def test_multiplicities_read_only_the_repeated_part_chain(self):
+        # p = (x-1)^3 (x+2) (x^2+1) (x^2-3)^2: the chain g0 = p,
+        # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three Sturm sequences, and
+        # counting, isolating and labelling multiplicities read only those.
+        p = P("-1,1") ** 3 * P("2,1") * P("1,0,1") * P("-3,0,1") ** 2 * 5
         for cached in (gcd, _sturm_sequence):
             cached.cache_clear()
         squarefree_part(p)
-        squarefree_decomposition(p)
         sturm_count(p)
-        isolate_real_roots(p)
-        assert _sturm_sequence.cache_info().misses == 1
+        assert root_count(p) == RootCount(4, 8)
+        assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 2, 3, 2]
+        assert _sturm_sequence.cache_info().misses == 3
         assert gcd.cache_info().misses == 0
 
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shapiro12.polycore import constant, from_coefficients, parse_polynomial, repeated_part, sign_at
+from shapiro12.polycore import (
+    constant,
+    from_coefficients,
+    parse_polynomial,
+    repeated_part,
+    sign_at,
+    squarefree_part,
+)
 from shapiro12.realroots import (
     RootCount,
     compare_roots,
@@ -103,6 +110,11 @@ class TestIsolation:
         p = P("-2,0,1") * P("-2,0,1") * P("0,1")  # (x^2-2)^2 * x
         roots = isolate_real_roots(p)
         assert [r.multiplicity for r in roots] == [2, 1, 2]
+        # A root of odd multiplicity m >= 3 is a root of even multiplicity of
+        # g1 = gcd(p, p'), where g1 does not change sign.
+        p = P("-2,0,1") ** 3 * P("-3,0,1") ** 5 * P("-5,0,1") ** 4
+        assert [r.multiplicity for r in isolate_real_roots(p)] == [4, 5, 3, 3, 5, 4]
+        assert root_count(p) == RootCount(6, 24)
 
 
 class TestRefine:
@@ -213,7 +225,7 @@ def factored_polys(draw):
     gcd(p, p') = prod (x - r)^(m - 1) * prod q^(k - 1), all known by construction.
     """
     roots = draw(st.lists(st.fractions(-5, 5, max_denominator=6), max_size=4, unique=True))
-    mults = draw(st.lists(st.integers(1, 3), min_size=len(roots), max_size=len(roots)))
+    mults = draw(st.lists(st.integers(1, 5), min_size=len(roots), max_size=len(roots)))
     quads = draw(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
                                     st.fractions(Fraction(1, 8), 4, max_denominator=8)),
                           max_size=2, unique=True))
@@ -239,6 +251,9 @@ class TestNonSquarefreeGroundTruth:
         assert sturm_count(p) == len(roots)
         assert root_count(p) == RootCount(len(roots), sum(mults))
         assert repeated_part(p) == repeated
+        isolated = isolate_real_roots(p)
+        assert [r.multiplicity for r in isolated] == [m for _, m in sorted(zip(roots, mults))]
+        assert all(r.witness == squarefree_part(p) for r in isolated)
 
     @given(factored_polys(), st.fractions(-6, 6, max_denominator=7),
            st.fractions(-6, 6, max_denominator=7))
