@@ -46,6 +46,8 @@ class FuzzConfig:
             raise ValueError("case count must be non-negative")
         if self.coeff_bound < 1:
             raise ValueError("coefficient bound must be positive")
+        if self.coeff_bound.bit_length() > MAX_COEFF_BITS:
+            raise ValueError(f"coefficient bound must have at most {MAX_COEFF_BITS} bits")
 
 
 @dataclass(frozen=True)

@@ -166,10 +166,19 @@ def root_count(p: Polynomial) -> RootCount:
 # Isolation
 # ---------------------------------------------------------------------------
 
-def _cauchy_bound(p: Polynomial) -> Fraction:
-    """Rational B with every real root of p strictly inside (-B, B)."""
-    worst = max((abs(c) for c in p.prim[:-1]), default=0)
-    return 1 + Fraction(worst, abs(p.prim[-1]))
+def _root_bound(p: Polynomial) -> Fraction:
+    """Power of two B above the modulus of every root of p, so every real
+    root lies strictly inside (-B, B).
+
+    Fujiwara's bound |z| <= 2 max |a_i/a_n|^(1/(n-i)), read from bit lengths:
+    |a_i/a_n| < 2^(bits(a_i) - bits(a_n) + 1), so each term is below
+    2^k_i with k_i = ceil((bits(a_i) - bits(a_n) + 1) / (n - i)).
+    """
+    n = len(p.prim) - 1
+    top = p.prim[-1].bit_length()
+    k = max((-((top - a.bit_length() - 1) // (n - i))
+             for i, a in enumerate(p.prim[:-1]) if a), default=0)
+    return Fraction(2) ** (k + 1)
 
 
 def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
@@ -189,7 +198,7 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
             var_memo[x] = _variations_at(chain, x)
         return var_memo[x]
 
-    bound = _cauchy_bound(sf)
+    bound = _root_bound(sf)
     total = var(-bound) - var(bound)
     if not total:
         return ()
@@ -292,6 +301,8 @@ def bisect_once(root: IsolatedRoot) -> IsolatedRoot:
 def refine(root: IsolatedRoot, max_width: Fraction | int) -> IsolatedRoot:
     """Shrink the isolating interval to width <= max_width by exact bisection."""
     max_width = Fraction(max_width)
+    if max_width <= 0:
+        raise ValueError("max_width must be positive")
     iv = root.interval
     if not iv.is_point and iv.width > max_width:
         while not iv.is_point and iv.width > max_width:

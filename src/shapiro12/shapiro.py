@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .polycore import InvariantError, Polynomial, sign_at
 from .realroots import (
@@ -113,13 +114,22 @@ class Evidence:
 
 @dataclass(frozen=True)
 class ShapiroInstance:
+    """p, its derivatives, delta and K0 = n/(n-1).
+
+    ``pp = p''p/(p')^2`` is computed on first use: only the Gamma branch
+    and ``plotdata`` read it.
+    """
+
     p: Polynomial
     n: int
     p1: Polynomial
     p2: Polynomial
     delta: Polynomial
     k0: Fraction
-    pp: RationalFunctionOnAxis
+
+    @cached_property
+    def pp(self) -> RationalFunctionOnAxis:
+        return normalize(self.p2 * self.p, self.p1 * self.p1)
 
 
 @dataclass(frozen=True)
@@ -142,8 +152,7 @@ def build(p: Polynomial) -> ShapiroInstance:
     # The top coefficient cancels exactly, so deg delta <= 2n - 3.
     if delta.coefficient(2 * n - 2) != 0:
         raise InvariantError("the x^(2n-2) coefficient of delta must cancel")
-    pp = normalize(p2 * p, p1 * p1)
-    return ShapiroInstance(p, n, p1, p2, delta, Fraction(n, n - 1), pp)
+    return ShapiroInstance(p, n, p1, p2, delta, Fraction(n, n - 1))
 
 
 def predict_verdict(label: ClassLabel) -> Verdict:

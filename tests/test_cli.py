@@ -146,6 +146,22 @@ class TestFuzzCommand:
         assert summary["disagreements"] == []
         assert summary["agreements"] + summary["delta_zero_count"] == summary["total"]
 
+    def test_bound_past_bit_cap_exit_3(self, capsys, monkeypatch):
+        # 2**64 has 65 bits, one past MAX_COEFF_BITS.
+        def run_called(config):
+            raise AssertionError("run_fuzz must not run past the bit cap")
+
+        monkeypatch.setattr(cli, "run_fuzz", run_called)
+        code, out, err = run_cli(capsys, "fuzz", "--bound", "18446744073709551616", "--cases", "2")
+        assert code == 3
+        assert out == ""
+        assert "at most 64 bits" in err
+
+    def test_bound_at_bit_cap_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "fuzz", "--bound", "18446744073709551615", "--cases", "2")
+        assert code == 0
+        assert json.loads(out)["total"] == 2
+
     def test_bad_degrees_exit(self, capsys):
         code, _, _ = run_cli(capsys, "fuzz", "--degrees", "nope")
         assert code == 2

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import shapiro12
 from shapiro12.polycore import (
     constant,
     from_coefficients,
@@ -15,6 +21,7 @@ from shapiro12.polycore import (
 )
 from shapiro12.realroots import (
     RootCount,
+    _root_bound,
     compare_roots,
     isolate_real_roots,
     order_roots,
@@ -117,6 +124,52 @@ class TestIsolation:
         assert root_count(p) == RootCount(6, 24)
 
 
+@st.composite
+def bound_cases(draw):
+    """c * prod (x - r) * prod ((x - a)^2 + b), b > 0, with every root known.
+
+    Roots r = +-2^j test strictness: a bound read from bit lengths lands on
+    such a root first.
+    """
+    dyadic = st.builds(lambda s, j: s * Fraction(2) ** j, st.sampled_from([1, -1]),
+                       st.integers(-12, 12))
+    reals = draw(st.lists(st.one_of(st.fractions(-50, 50, max_denominator=9), dyadic),
+                          max_size=5))
+    quads = draw(st.lists(st.tuples(st.fractions(-9, 9, max_denominator=4),
+                                    st.fractions(Fraction(1, 64), 2 ** 12, max_denominator=64)),
+                          max_size=3))
+    p = constant(draw(st.fractions(-9, 9, max_denominator=5).filter(bool)))
+    for r in reals:
+        p = p * from_coefficients([-r, 1])
+    for a, b in quads:
+        p = p * from_coefficients([a * a + b, -2 * a, 1])
+    assume(p.degree >= 1)
+    # Squared moduli of all roots: r^2, and a^2 + b for a +- i sqrt(b).
+    return p, [r * r for r in reals] + [a * a + b for a, b in quads]
+
+
+def _is_power_of_two(x: Fraction) -> bool:
+    num, den = x.numerator, x.denominator
+    return (num == 1 or den == 1) and num & (num - 1) == 0 and den & (den - 1) == 0
+
+
+class TestRootBound:
+    @given(bound_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_strictly_above_every_root(self, case):
+        p, squared_moduli = case
+        bound = _root_bound(p)
+        assert _is_power_of_two(bound)
+        assert all(m < bound * bound for m in squared_moduli)
+
+    def test_tight_when_coefficients_are_large(self):
+        # (x - 1)(x + 1)(x^2 + 2^40): the largest modulus is 2^20, while the
+        # Cauchy bound 1 + max |a_i / a_n| is about 2^40.
+        p = P("-1,0,1") * from_coefficients([2 ** 40, 0, 1])
+        assert _root_bound(p) <= 2 ** 22
+        assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 1]
+
+
 class TestRefine:
     def test_width_contract(self):
         root = [r for r in isolate_real_roots(P("-2,0,1")) if r.interval.hi > 0][0]
@@ -138,6 +191,29 @@ class TestRefine:
         root = [r for r in isolate_real_roots(P("-2,0,1")) if r.interval.hi > 0][0]
         same = refine(root, root.interval.width + 1)
         assert same.interval.width <= root.interval.width
+
+    def test_nonpositive_width_rejected(self):
+        # Bisecting an irrational root towards width 0 never ends, so run the
+        # calls in a subprocess that a hang cannot stall.
+        src = str(Path(shapiro12.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run([sys.executable, "-c", _REFINE_TO_NONPOSITIVE_WIDTH],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["rejected", "rejected"]
+
+
+_REFINE_TO_NONPOSITIVE_WIDTH = textwrap.dedent("""
+    from shapiro12.polycore import parse_polynomial
+    from shapiro12.realroots import isolate_real_roots, refine
+
+    root = isolate_real_roots(parse_polynomial("-2,0,1"))[0]
+    for width in (0, -1):
+        try:
+            refine(root, width)
+        except ValueError:
+            print("rejected")
+""")
 
 
 class TestSignAtRoot:

@@ -11,9 +11,15 @@ import pytest
 import shapiro12
 
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
-from shapiro12.polycore import constant, from_coefficients, parse_polynomial
+from shapiro12.polycore import constant, from_coefficients, gcd, parse_polynomial
 from shapiro12.realroots import compare_roots, isolate_real_roots, sturm_count
-from shapiro12.rootlocus import Comparison, Parity, breakaway_points, gain_compare_at
+from shapiro12.rootlocus import (
+    Comparison,
+    Parity,
+    breakaway_points,
+    gain_compare_at,
+    normalize,
+)
 from shapiro12.shapiro import (
     ActualVerdict,
     ClassLabel,
@@ -86,6 +92,19 @@ class TestBuild:
             num = inst.p1 * inst.p1
             den = inst.p2 * inst.p
             assert num.leading_coefficient() / den.leading_coefficient() == inst.k0
+
+    def test_pp_built_only_on_first_use(self):
+        # Lambda1 is decided by one Sturm count of p: deciding it runs no gcd,
+        # so pp = p''p/(p')^2 is never normalized.
+        gcd.cache_clear()
+        inst = build(P(FIXTURES[ClassLabel.LAMBDA_1]))
+        assert classify(inst)[0] is ClassLabel.LAMBDA_1
+        assert actual_verdict(inst).verdict is Verdict.HOLDS
+        assert gcd.cache_info().misses == 0
+        assert "pp" not in vars(inst)
+        for text in FIXTURES.values():
+            inst = build(P(text))
+            assert inst.pp == normalize(inst.p2 * inst.p, inst.p1 * inst.p1)
 
 
 class TestClassifyFixtures:
