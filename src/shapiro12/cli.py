@@ -78,30 +78,28 @@ def _root_json(root: IsolatedRoot) -> dict:
     }
 
 
-def _segment_json(segment) -> dict:
-    return {
-        "lo": _root_json(segment.lo_event.root) if segment.lo_event else "-inf",
-        "hi": _root_json(segment.hi_event.root) if segment.hi_event else "+inf",
-        "parity": segment.parity.value,
-    }
-
-
 def _evidence_json(evidence: Evidence) -> dict:
+    # Every finding is a segment of the +1 locus, and its breakaways are its
+    # gain maxima, all of them standard.
     findings = []
     for f in evidence.interval_findings:
         findings.append({
             "kind": f.kind.value,
-            "interval": _segment_json(f.segment),
+            "interval": {
+                "lo": _root_json(f.lo.root) if f.lo else "-inf",
+                "hi": _root_json(f.hi.root) if f.hi else "+inf",
+                "parity": "EVEN",
+            },
             "breakaways": [
                 {
-                    "location": _root_json(bf.breakaway.location),
-                    "standard": bf.breakaway.standard,
-                    "extremum": bf.breakaway.extremum.value,
-                    "gain_vs_k0": bf.comparison.value if bf.comparison else None,
+                    "location": _root_json(bf.location),
+                    "standard": True,
+                    "extremum": "MAX",
+                    "gain_vs_k0": bf.comparison.value,
                 }
                 for bf in f.breakaways
             ],
-            "decisive": _root_json(f.decisive.breakaway.location) if f.decisive else None,
+            "decisive": _root_json(f.decisive.location) if f.decisive else None,
         })
     return {
         "p0": _root_json(evidence.p0) if evidence.p0 else None,

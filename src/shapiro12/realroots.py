@@ -404,6 +404,9 @@ def separate_roots(roots: Sequence[IsolatedRoot]) -> list[IsolatedRoot]:
     for i in range(len(rs) - 1):
         while not rs[i].interval.hi < rs[i + 1].interval.lo:
             a, b = rs[i], rs[i + 1]
+            if b.interval.hi < a.interval.lo or a.interval.is_point and b.interval.is_point:
+                # Out of order, or one rational root twice: refining cannot end.
+                raise ValueError("roots must be strictly increasing")
             if a.interval.is_point:
                 rs[i + 1] = bisect_once(b)
             elif b.interval.is_point or a.interval.width >= b.interval.width:

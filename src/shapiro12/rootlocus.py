@@ -64,12 +64,6 @@ class RationalFunctionOnAxis:
     denominator: Polynomial
     canceled: bool = False
 
-    def value_at(self, x: Fraction | int) -> Fraction:
-        den = self.denominator.eval_at(x)
-        if den == 0:
-            raise ZeroDivisionError("pole of the rational function")
-        return self.numerator.eval_at(x) / den
-
     def sign_of_value_at(self, x: Fraction | int) -> int:
         return sign_at(self.numerator, x) * sign_at(self.denominator, x)
 

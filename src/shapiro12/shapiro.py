@@ -3,14 +3,15 @@
 For a real polynomial p of even degree n, the conjecture asserts that
 delta = (n-1)*(p')^2 - n*p*p'' and p together have at least one real zero.
 This module classifies p into one of thirteen mutually exclusive classes by
-analyzing the real-axis root loci of pp = p''*p / (p')^2, predicts from the
-class alone whether the conjecture holds, and independently verifies the
+the real-axis root loci of pp = p''*p / (p')^2, read off the zero p0 of p',
+the zeros of p'' and the roots of the breakaway polynomial B, predicts from
+the class alone whether the conjecture holds, and independently verifies the
 prediction by exact root counting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -22,22 +23,11 @@ from .realroots import (
     compare_roots,
     isolate_real_roots,
     root_count,
+    separate_roots,
     sign_at_root,
     sturm_count,
 )
-from .rootlocus import (
-    AxisSegment,
-    BreakawayPoint,
-    Comparison,
-    EventKind,
-    Extremum,
-    Parity,
-    RationalFunctionOnAxis,
-    axis_events,
-    axis_segments,
-    breakaway_points,
-    normalize,
-)
+from .rootlocus import AxisEvent, Comparison, EventKind, RationalFunctionOnAxis, normalize
 
 
 class ClassLabel(Enum):
@@ -92,14 +82,19 @@ class IntervalKind(Enum):
 
 @dataclass(frozen=True)
 class BreakawayFinding:
-    breakaway: BreakawayPoint
-    comparison: Comparison | None
+    """A gain maximum and its gain compared with K0."""
+
+    location: IsolatedRoot
+    comparison: Comparison
 
 
 @dataclass(frozen=True)
 class IntervalFinding:
+    """A segment of the +1 locus between two events; None is an infinity."""
+
     kind: IntervalKind
-    segment: AxisSegment
+    lo: AxisEvent | None
+    hi: AxisEvent | None
     breakaways: tuple[BreakawayFinding, ...]
     decisive: BreakawayFinding | None
 
@@ -116,8 +111,8 @@ class Evidence:
 class ShapiroInstance:
     """p, its derivatives, delta and K0 = n/(n-1).
 
-    ``pp = p''p/(p')^2`` is computed on first use: only the Gamma branch
-    and ``plotdata`` read it.
+    ``pp = p''p/(p')^2`` is computed on first use: only ``plotdata`` and
+    ``delta_sign_shortcut`` read it.
     """
 
     p: Polynomial
@@ -186,92 +181,97 @@ def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
     if p0.multiplicity > 1:
         return ClassLabel.LAMBDA_22, Evidence(None, 0, 0, ())
 
-    # From here on p' has the single simple real zero p0, a double pole of pp.
+    # From here on p has no real zero and p' has the single simple real zero
+    # p0, so the real events of pp are known: p0 is a double pole, and the
+    # zeros are those of p''.
     p2_roots = isolate_real_roots(p2) if p2.degree >= 1 else ()
     if not p2_roots:
         return _classify_definite_p2(instance, p0)
 
-    left = right = 0
+    left: list[IsolatedRoot] = []
+    right: list[IsolatedRoot] = []
     for z in p2_roots:
         side = compare_roots(z, p0)
         if side == 0:
             raise InvariantError("p'' cannot vanish at the simple zero of p'")
-        if side < 0:
-            left += z.multiplicity
-        else:
-            right += z.multiplicity
+        (left if side < 0 else right).append(z)
+    n_left = sum(z.multiplicity for z in left)
+    n_right = sum(z.multiplicity for z in right)
 
     # p'' has the sign of the leading coefficient at p0 and at both
     # infinities, so each side's count is even and the four odd-count
     # classes are empty.
-    if left % 2 or right % 2:
-        raise InvariantError(f"odd count of p'' zeros beside p0 (left {left}, right {right})")
+    if n_left % 2 or n_right % 2:
+        raise InvariantError(f"odd count of p'' zeros beside p0 (left {n_left}, right {n_right})")
 
-    if right == 0:
-        # Zeros of p'' on the left only: the segment from the nearest zero to
-        # the pole lies on the +1 locus and sweeps every gain value.
-        return _pole_to_zero(instance, p0, left, right, 0, ClassLabel.GAMMA_22)
-    label = ClassLabel.GAMMA_211 if left == 0 else ClassLabel.GAMMA_231
-    return _pole_to_zero(instance, p0, left, right, 1, label)
+    # The segment between the pole p0 and its nearest zero of p'' lies on
+    # the +1 locus, and its gain sweeps (0, +inf): on the right when p'' has
+    # zeros there, else on the left.
+    pole = _double_pole(instance, p0)
+    if right:
+        label = ClassLabel.GAMMA_211 if not left else ClassLabel.GAMMA_231
+        pole, zero = separate_roots([pole, right[0]])
+        lo, hi = AxisEvent(pole, EventKind.POLE), AxisEvent(zero, EventKind.ZERO)
+    else:
+        label = ClassLabel.GAMMA_22
+        zero, pole = separate_roots([left[-1], pole])
+        lo, hi = AxisEvent(zero, EventKind.ZERO), AxisEvent(pole, EventKind.POLE)
+    finding = IntervalFinding(IntervalKind.POLE_TO_ZERO, lo, hi, (), None)
+    return label, Evidence(p0, n_left, n_right, (finding,))
 
 
-def _pole_index(pp: RationalFunctionOnAxis) -> int:
-    events = axis_events(pp)
-    for i, e in enumerate(events):
-        if e.kind is EventKind.POLE:
-            if e.multiplicity != 2:
-                raise InvariantError("the pole of pp at p0 must be double")
-            return i
-    raise InvariantError("pp must have exactly one real (double) pole")
+def _double_pole(instance: ShapiroInstance, p0: IsolatedRoot) -> IsolatedRoot:
+    """p0 as a root of (p')^2, the double pole of pp."""
+    return replace(p0, owner=instance.p1 * instance.p1, multiplicity=2)
 
 
 def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
                           ) -> tuple[ClassLabel, Evidence]:
-    """p'' has no real zeros: the whole axis is the +1 locus."""
-    pp = instance.pp
-    segments = axis_segments(pp)
-    if any(seg.parity is not Parity.EVEN for seg in segments):
-        raise InvariantError("with p'' definite the whole axis is the +1 locus")
-    standard = [b for b in breakaway_points(pp) if b.standard]
-    if not standard:
+    """p'' has no real zeros, so p''p > 0 and the whole axis is the +1 locus.
+
+    The gain K = (p')^2/(p''p) is 0 at p0 and finite and positive elsewhere.
+    Its derivative is K' = p'B/(p''p)^2, where B = 2pp''^2 - p'^2p'' - pp'p'''
+    is the reduced critical polynomial of pp, so K' changes sign exactly at
+    the real roots of odd multiplicity in B: the standard breakaways. Since
+    K rises away from p0, the standard breakaways on each side are, outward
+    from p0, a maximum, a minimum, a maximum, and so on.
+    """
+    p, p1, p2 = instance.p, instance.p1, instance.p2
+    b = (p * p2 * p2).scale(2) - p1 * p1 * p2 - p * p1 * p2.derivative()
+    left: list[IsolatedRoot] = []
+    right: list[IsolatedRoot] = []
+    for r in isolate_real_roots(b):
+        if r.multiplicity % 2 == 0:
+            continue
+        side = compare_roots(r, p0)
+        if side == 0:
+            raise InvariantError("B = 2pp''^2 cannot vanish at p0")
+        (left if side < 0 else right).append(r)
+    if not left and not right:
         return ClassLabel.GAMMA_11, Evidence(p0, 0, 0, ())
-    maxima = [b for b in standard if b.extremum is Extremum.MAX]
-    if not maxima:
-        raise InvariantError("a standard breakaway here forces a gain maximum")
+
+    pole = _double_pole(instance, p0)
     findings = []
     all_below = True
-    for seg, kind in ((segments[-1], IntervalKind.RIGHT_INFINITE),
-                      (segments[0], IntervalKind.LEFT_INFINITE_EVEN)):
-        here = []
-        decisive = None
-        for b in maxima:
-            if b.segment != seg:
-                continue
-            # Every segment is on the +1 locus, where sign(K - K0) = sign(delta).
-            cmp = Comparison.from_sign(sign_at_root(instance.delta, b.location))
-            bf = BreakawayFinding(b, cmp)
-            here.append(bf)
-            if cmp is not Comparison.LT and decisive is None:
-                decisive = bf
-                all_below = False
-        if here:
-            findings.append(IntervalFinding(kind, seg, tuple(here), decisive))
+    # The maxima are every other standard breakaway, starting next to p0.
+    for kind, maxima in ((IntervalKind.RIGHT_INFINITE, right[::2]),
+                         (IntervalKind.LEFT_INFINITE_EVEN, left[::-2][::-1])):
+        if not maxima:
+            continue
+        if kind is IntervalKind.RIGHT_INFINITE:
+            pole_root, *maxima = separate_roots([pole, *maxima])
+            lo, hi = AxisEvent(pole_root, EventKind.POLE), None
+        else:
+            *maxima, pole_root = separate_roots([*maxima, pole])
+            lo, hi = None, AxisEvent(pole_root, EventKind.POLE)
+        # On the +1 locus sign(K - K0) = sign(delta).
+        here = tuple(BreakawayFinding(m, Comparison.from_sign(sign_at_root(instance.delta, m)))
+                     for m in maxima)
+        decisive = next((bf for bf in here if bf.comparison is not Comparison.LT), None)
+        all_below = all_below and decisive is None
+        findings.append(IntervalFinding(kind, lo, hi, here, decisive))
     label = ClassLabel.GAMMA_121 if all_below else ClassLabel.GAMMA_122
     return label, Evidence(p0, 0, 0, tuple(findings))
-
-
-def _pole_to_zero(instance: ShapiroInstance, p0: IsolatedRoot,
-                  left: int, right: int, offset: int, label: ClassLabel,
-                  ) -> tuple[ClassLabel, Evidence]:
-    """The segment between the pole p0 and its neighbouring zero of p''
-    (offset 0: on the left, 1: on the right) lies on the +1 locus, and its
-    gain sweeps (0, +inf)."""
-    pp = instance.pp
-    seg = axis_segments(pp)[_pole_index(pp) + offset]
-    if seg.parity is not Parity.EVEN:
-        raise InvariantError("the pole-to-zero segment must lie on the +1 locus")
-    finding = IntervalFinding(IntervalKind.POLE_TO_ZERO, seg, (), None)
-    return label, Evidence(p0, left, right, (finding,))
 
 
 def delta_sign_shortcut(instance: ShapiroInstance,

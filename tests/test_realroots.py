@@ -281,6 +281,30 @@ class TestOrderAndCompare:
         for left, right in zip(separated, separated[1:]):
             assert left.interval.hi < right.interval.lo
 
+    def test_separate_roots_out_of_order_rejected(self):
+        # Refining roots given out of order never ends, so run the calls in a
+        # subprocess that a hang cannot stall.
+        src = str(Path(shapiro12.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run([sys.executable, "-c", _SEPARATE_OUT_OF_ORDER],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["rejected"] * 3
+
+
+_SEPARATE_OUT_OF_ORDER = textwrap.dedent("""
+    from shapiro12.polycore import parse_polynomial
+    from shapiro12.realroots import isolate_real_roots, separate_roots
+
+    minus_sqrt2, sqrt2 = isolate_real_roots(parse_polynomial("-2,0,1"))
+    (zero,) = isolate_real_roots(parse_polynomial("0,1"))
+    for roots in ([sqrt2, minus_sqrt2], [sqrt2, zero], [zero, zero]):
+        try:
+            separate_roots(roots)
+        except ValueError:
+            print("rejected")
+""")
+
 
 class TestRootCount:
     def test_examples(self):

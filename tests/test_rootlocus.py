@@ -66,7 +66,7 @@ class TestNormalize:
         num, den = P("2,4,6"), P("0,8")
         rf = normalize(num, den)
         for x in [Fraction(1), Fraction(-3, 2), Fraction(7)]:
-            assert rf.value_at(x) == num.eval_at(x) / den.eval_at(x)
+            assert rf.numerator.eval_at(x) / rf.denominator.eval_at(x) == num.eval_at(x) / den.eval_at(x)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

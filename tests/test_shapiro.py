@@ -15,7 +15,11 @@ from shapiro12.polycore import constant, from_coefficients, gcd, parse_polynomia
 from shapiro12.realroots import compare_roots, isolate_real_roots, sturm_count
 from shapiro12.rootlocus import (
     Comparison,
+    EventKind,
+    Extremum,
     Parity,
+    axis_events,
+    axis_segments,
     breakaway_points,
     gain_compare_at,
     normalize,
@@ -24,6 +28,7 @@ from shapiro12.shapiro import (
     ActualVerdict,
     ClassLabel,
     DeltaIdenticallyZeroError,
+    IntervalKind,
     Verdict,
     actual_verdict,
     build,
@@ -102,8 +107,15 @@ class TestBuild:
         assert actual_verdict(inst).verdict is Verdict.HOLDS
         assert gcd.cache_info().misses == 0
         assert "pp" not in vars(inst)
+        # No class reads pp or runs the generic root-locus analysis of it.
+        locus = (axis_events, axis_segments, breakaway_points)
         for text in FIXTURES.values():
             inst = build(P(text))
+            calls = [f.cache_info()[:2] for f in locus]
+            classify(inst)
+            actual_verdict(inst)
+            assert "pp" not in vars(inst), text
+            assert [f.cache_info()[:2] for f in locus] == calls, text
             assert inst.pp == normalize(inst.p2 * inst.p, inst.p1 * inst.p1)
 
 
@@ -251,17 +263,28 @@ class TestDeltaSignShortcut:
 
 
 _GAMMA_1 = (ClassLabel.GAMMA_11, ClassLabel.GAMMA_121, ClassLabel.GAMMA_122)
+_GAMMA_2 = (ClassLabel.GAMMA_211, ClassLabel.GAMMA_22, ClassLabel.GAMMA_231)
 
 
 @pytest.fixture(scope="module")
-def gamma1_instances():
-    """Every Gamma1 case among the fixtures and 150 seeded positive-only cases."""
+def labelled_instances():
+    """The fixtures and 150 seeded positive-only cases, with their classes."""
     config = FuzzConfig(seed=3, cases=150, degree_range=(4, 10), coeff_bound=12,
                         strategy=Strategy.POSITIVE_ONLY)
     polys = [P(text) for text in FIXTURES.values()]
     polys += [random_polynomial(config, i) for i in range(config.cases)]
     instances = [build(p) for p in polys]
-    return [inst for inst in instances if classify(inst)[0] in _GAMMA_1]
+    return [(inst, classify(inst)[0]) for inst in instances]
+
+
+@pytest.fixture(scope="module")
+def gamma1_instances(labelled_instances):
+    return [inst for inst, label in labelled_instances if label in _GAMMA_1]
+
+
+@pytest.fixture(scope="module")
+def gamma2_instances(labelled_instances):
+    return [inst for inst, label in labelled_instances if label in _GAMMA_2]
 
 
 class TestPaperAlgebraOnGamma1:
@@ -286,6 +309,82 @@ class TestPaperAlgebraOnGamma1:
             for b in breakaway_points(inst.pp):
                 via_gain = gain_compare_at(inst.pp, b.location, inst.k0)
                 assert delta_sign_shortcut(inst, b.location) is via_gain
+
+
+# The seeded corpus has no breakaway of even multiplicity in B and no
+# rational breakaway, so these inputs are crafted to have them.
+_CRAFTED = {
+    "27,-54,54,-36,18,-6,1": ClassLabel.GAMMA_11,     # only breakaway: 0, double in B
+    "4,-6,9,-4,3,0,1": ClassLabel.GAMMA_11,           # only breakaway: -1, double in B
+    "4,-4,4,-4,5,-3,1": ClassLabel.GAMMA_121,         # a gain maximum at 0
+    "400,-120,9,0,40,-6,0,0,1": ClassLabel.GAMMA_122,  # a gain maximum at 0
+}
+
+
+def _same_event(ours, theirs) -> bool:
+    if ours is None or theirs is None:
+        return ours is theirs
+    return (compare_roots(ours.root, theirs.root) == 0 and ours.kind is theirs.kind
+            and ours.multiplicity == theirs.multiplicity)
+
+
+def _check_against_root_locus(inst):
+    """The classifier reads p0, the zeros of p'' and the roots of B; the
+    generic root-locus analysis of pp must find the same evidence."""
+    label, evidence = classify(inst)
+    pp = inst.pp
+    segments = axis_segments(pp)
+    if label in _GAMMA_1:
+        points = breakaway_points(pp)
+        assert (label is ClassLabel.GAMMA_11) == (not any(b.standard for b in points))
+        for kind, seg in ((IntervalKind.RIGHT_INFINITE, segments[-1]),
+                          (IntervalKind.LEFT_INFINITE_EVEN, segments[0])):
+            maxima = [b.location for b in points
+                      if b.segment == seg and b.standard and b.extremum is Extremum.MAX]
+            found = [f for f in evidence.interval_findings if f.kind is kind]
+            if not maxima:
+                assert not found
+                continue
+            (finding,) = found
+            assert _same_event(finding.lo, seg.lo_event)
+            assert _same_event(finding.hi, seg.hi_event)
+            assert len(finding.breakaways) == len(maxima)
+            for bf, location in zip(finding.breakaways, maxima):
+                assert compare_roots(bf.location, location) == 0
+                assert bf.comparison is gain_compare_at(pp, location, inst.k0)
+    else:
+        assert label in _GAMMA_2
+        events = axis_events(pp)
+        (pole,) = [i for i, e in enumerate(events) if e.kind is EventKind.POLE]
+        # The pole's segment towards a zero of p'' on its right if there is
+        # one, else on its left.
+        zero_right = pole + 1 < len(events)
+        assert (label is ClassLabel.GAMMA_22) == (not zero_right)
+        seg = segments[pole + 1 if zero_right else pole]
+        assert seg.parity is Parity.EVEN
+        (finding,) = evidence.interval_findings
+        assert finding.kind is IntervalKind.POLE_TO_ZERO
+        assert _same_event(finding.lo, seg.lo_event)
+        assert _same_event(finding.hi, seg.hi_event)
+
+
+class TestClassifierAgainstRootLocus:
+    def test_fixtures_and_crafted(self):
+        for text in list(FIXTURES.values()) + list(_CRAFTED):
+            inst = build(P(text))
+            label = classify(inst)[0]
+            assert label is _CRAFTED.get(text, label)
+            if label in _GAMMA_1 + _GAMMA_2:
+                _check_against_root_locus(inst)
+
+    def test_seeded_gamma1(self, gamma1_instances):
+        for inst in gamma1_instances:
+            _check_against_root_locus(inst)
+
+    def test_seeded_gamma2(self, gamma2_instances):
+        assert len(gamma2_instances) >= 10
+        for inst in gamma2_instances:
+            _check_against_root_locus(inst)
 
 
 class TestScalingCovariance:
