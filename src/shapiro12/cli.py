@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import count
 
 from .harness import FIXTURES, MAX_COEFF_BITS, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
 from .polycore import _TOKEN, Polynomial, format_polynomial, parse_polynomial
-from .realroots import IsolatedRoot, refine
+from .realroots import IsolatedRoot, bisect_once, isolates, order_roots, rational_value, refine
 from .rootlocus import EventKind, InfiniteGainError, axis_events, breakaway_points, gain_at
 from .shapiro import (
     ClassLabel,
@@ -70,10 +72,67 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
-def _root_json(root: IsolatedRoot) -> dict:
+#: Least level k of the dyadic cells [m/2^k, (m+1)/2^k] that print roots.
+_MIN_CELL_LEVEL = 20
+
+
+def _cell_index(root: IsolatedRoot, k: int) -> tuple[IsolatedRoot, int]:
+    """Refine an irrational root into one level-k cell: (refined root, m)."""
+    scale = 2 ** k
+    while True:
+        iv = root.interval
+        m = math.floor(iv.lo * scale)
+        if iv.hi * scale <= m + 1:
+            return root, m
+        root = bisect_once(root)
+
+
+def _printed_forms(evidence: Evidence) -> dict[IsolatedRoot, tuple[Fraction, Fraction]]:
+    """The canonical (lo, hi) of every root in the evidence.
+
+    A rational root prints as the point (r, r). Any other root prints as its
+    standard dyadic cell [m/2^k, (m+1)/2^k], with one k per report: the least
+    k >= 20 at which distinct numbers get distinct cells, no rational root of
+    the report lies in a cell, and each cell isolates its number among the
+    real roots of its witness. The forms depend only on the numbers, so
+    another isolator or root bound prints the same report.
+    """
+    roots = [evidence.p0] if evidence.p0 else []
+    for f in evidence.interval_findings:
+        roots += [e.root for e in (f.lo, f.hi) if e]
+        roots += [bf.location for bf in f.breakaways]
+    forms: dict[IsolatedRoot, tuple[Fraction, Fraction]] = {}
+    irrational = []
+    for number in order_roots(roots):
+        value = rational_value(number.primary)
+        if value is None:
+            irrational.append(number)
+        else:
+            forms.update((member, (value, value)) for member in number.members)
+    points = [lo for lo, _ in forms.values()]
+    refined = [number.primary for number in irrational]
+    for k in count(_MIN_CELL_LEVEL):
+        width = Fraction(1, 2 ** k)
+        cells = []
+        for i, root in enumerate(refined):
+            refined[i], m = _cell_index(root, k)
+            cells.append((m * width, (m + 1) * width))
+        if len({lo for lo, _ in cells}) == len(cells) \
+                and not any(lo <= x <= hi for lo, hi in cells for x in points) \
+                and all(isolates(member.witness, lo, hi)
+                        for number, (lo, hi) in zip(irrational, cells)
+                        for member in number.members):
+            break
+    for number, cell in zip(irrational, cells):
+        forms.update((member, cell) for member in number.members)
+    return forms
+
+
+def _root_json(root: IsolatedRoot, forms: dict[IsolatedRoot, tuple[Fraction, Fraction]]) -> dict:
+    lo, hi = forms[root]
     return {
-        "lo": _frac(root.interval.lo),
-        "hi": _frac(root.interval.hi),
+        "lo": _frac(lo),
+        "hi": _frac(hi),
         "multiplicity": root.multiplicity,
     }
 
@@ -81,28 +140,29 @@ def _root_json(root: IsolatedRoot) -> dict:
 def _evidence_json(evidence: Evidence) -> dict:
     # Every finding is a segment of the +1 locus, and its breakaways are its
     # gain maxima, all of them standard.
+    forms = _printed_forms(evidence)
     findings = []
     for f in evidence.interval_findings:
         findings.append({
             "kind": f.kind.value,
             "interval": {
-                "lo": _root_json(f.lo.root) if f.lo else "-inf",
-                "hi": _root_json(f.hi.root) if f.hi else "+inf",
+                "lo": _root_json(f.lo.root, forms) if f.lo else "-inf",
+                "hi": _root_json(f.hi.root, forms) if f.hi else "+inf",
                 "parity": "EVEN",
             },
             "breakaways": [
                 {
-                    "location": _root_json(bf.location),
+                    "location": _root_json(bf.location, forms),
                     "standard": True,
                     "extremum": "MAX",
                     "gain_vs_k0": bf.comparison.value,
                 }
                 for bf in f.breakaways
             ],
-            "decisive": _root_json(f.decisive.location) if f.decisive else None,
+            "decisive": _root_json(f.decisive.location, forms) if f.decisive else None,
         })
     return {
-        "p0": _root_json(evidence.p0) if evidence.p0 else None,
+        "p0": _root_json(evidence.p0, forms) if evidence.p0 else None,
         "p2_real_zeros": {
             "left_of_p0": evidence.p2_roots_left,
             "right_of_p0": evidence.p2_roots_right,

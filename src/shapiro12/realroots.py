@@ -8,8 +8,10 @@ relative to another root) reduces to integer sign computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .polycore import (
@@ -163,6 +165,73 @@ def root_count(p: Polynomial) -> RootCount:
 
 
 # ---------------------------------------------------------------------------
+# Descartes' rule of signs on intervals
+# ---------------------------------------------------------------------------
+
+def _sign_changes(coeffs: Iterable[int]) -> int:
+    """Sign variations of a coefficient sequence, zeros skipped."""
+    count = 0
+    prev = 0
+    for c in coeffs:
+        if c:
+            if prev and (c < 0) != (prev < 0):
+                count += 1
+            prev = c
+    return count
+
+
+def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
+    """Descending coefficients of a(x + c), given those of a(x).
+
+    Repeated synthetic division by x - c: each pass is one Horner run, and
+    its last value is the next coefficient from the bottom.
+    """
+    d = list(desc)
+    step = None if c == 1 else (lambda acc, x: acc * c + x)
+    for end in range(len(d), 1, -1):
+        d[:end] = accumulate(d[:end], step)
+    return d
+
+
+def _unit_interval_count(coeffs: Sequence[int]) -> int:
+    """Descartes bound for the roots of a in (0, 1), from ascending coefficients.
+
+    The sign variations of (x + 1)^n a(1/(x + 1)), whose positive roots are
+    the images of the roots of a in (0, 1). Zero or one variation is the
+    exact count; more only says that there may be more roots.
+    """
+    # The ascending coefficients of a are the descending ones of x^n a(1/x).
+    return _sign_changes(_taylor_shift(coeffs))
+
+
+def _descartes_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Descartes bound for the roots of a in the open interval (lo, hi).
+
+    With lo = u/d and hi = v/d the bound is read on (0, 1) from
+    d^n a((u + (v - u) x) / d), a positive multiple of a(lo + (hi - lo) x).
+    """
+    d = math.lcm(lo.denominator, hi.denominator)
+    u, w = int(lo * d), int((hi - lo) * d)
+    n = len(coeffs) - 1
+    # Descending coefficients of d^n a(y / d), then y -> y + u, then y -> w x.
+    desc = [c * d ** (n - i) for i, c in enumerate(coeffs)][::-1]
+    if u:
+        desc = _taylor_shift(desc, u)
+    scaled = [c * w ** k for k, c in enumerate(reversed(desc))]
+    return _unit_interval_count(scaled)
+
+
+def isolates(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
+    """Whether p is nonzero at lo and hi and has exactly one root in (lo, hi).
+
+    A Descartes count of 1 proves it; a larger count proves nothing, so a
+    False answer may also come from an interval that does isolate a root.
+    """
+    return sign_at(p, lo) != 0 and sign_at(p, hi) != 0 \
+        and _descartes_count(p.prim, Fraction(lo), Fraction(hi)) == 1
+
+
+# ---------------------------------------------------------------------------
 # Isolation
 # ---------------------------------------------------------------------------
 
@@ -309,6 +378,24 @@ def refine(root: IsolatedRoot, max_width: Fraction | int) -> IsolatedRoot:
             iv = _bisect_interval(iv, root.witness)
         iv = _snap_rational(iv, root.witness)
     return replace(root, interval=iv)
+
+
+def rational_value(root: IsolatedRoot) -> Fraction | None:
+    """The root as an exact rational number, or None when it is irrational.
+
+    By the rational root theorem lc * r is an integer for every rational root
+    r of the primitive witness with leading coefficient lc. Once the interval
+    is narrower than 1/|lc|, lc times it holds at most one integer s, and the
+    root is rational exactly when s/lc is a root of the witness.
+    """
+    lc = abs(root.witness.prim[-1])
+    iv = refine(root, Fraction(1, 2 * lc)).interval
+    if iv.is_point:
+        return iv.lo
+    s = math.floor(iv.lo * lc) + 1
+    if s < iv.hi * lc and sign_at(root.witness, Fraction(s, lc)) == 0:
+        return Fraction(s, lc)
+    return None
 
 
 # ---------------------------------------------------------------------------

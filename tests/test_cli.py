@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from shapiro12 import cli
-from shapiro12.polycore import parse_polynomial
-from shapiro12.shapiro import Verdict
+from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
+from shapiro12.polycore import parse_polynomial, sign_at
+from shapiro12.realroots import refine, sturm_count
+from shapiro12.shapiro import Verdict, build, classify
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +105,59 @@ class TestClassify:
         assert report["delta_identically_zero"] is True
         assert report["actual"] == "DELTA_IDENTICALLY_ZERO"
         assert report["agreement"] is True  # Lambda1, conjecture holds via p
+
+
+def _narrowed(evidence, width):
+    """The same evidence with every isolating interval refined to width."""
+    def narrow(root):
+        return refine(root, width)
+
+    findings = []
+    for f in evidence.interval_findings:
+        breakaways = tuple(replace(bf, location=narrow(bf.location)) for bf in f.breakaways)
+        decisive = next((new for new, old in zip(breakaways, f.breakaways) if old == f.decisive),
+                        None)
+        findings.append(replace(
+            f, lo=f.lo and replace(f.lo, root=narrow(f.lo.root)),
+            hi=f.hi and replace(f.hi, root=narrow(f.hi.root)),
+            breakaways=breakaways, decisive=decisive))
+    return replace(evidence, p0=evidence.p0 and narrow(evidence.p0),
+                   interval_findings=tuple(findings))
+
+
+@pytest.fixture(scope="module")
+def gamma_evidence():
+    """Evidence of the Gamma fixtures and of seeded positive-only Gamma cases."""
+    config = FuzzConfig(seed=3, cases=60, degree_range=(4, 10), coeff_bound=12,
+                        strategy=Strategy.POSITIVE_ONLY)
+    polys = [parse_polynomial(t) for t in (*FIXTURES.values(), "1/2,-3/7,5/3,0,2/9")]
+    polys += [random_polynomial(config, i) for i in range(config.cases)]
+    out = [classify(build(p))[1] for p in polys]
+    return [e for e in out if e.p0 is not None]
+
+
+class TestCanonicalRoots:
+    def test_points_and_cells_of_one_level(self, gamma_evidence):
+        cells = 0
+        for evidence in gamma_evidence:
+            forms = cli._printed_forms(evidence)
+            widths = {hi - lo for lo, hi in forms.values() if lo != hi}
+            assert len(widths) <= 1
+            for root, (lo, hi) in forms.items():
+                if lo == hi:
+                    assert sign_at(root.witness, lo) == 0
+                    continue
+                width = hi - lo
+                assert width.numerator == 1 and width.denominator >= 2 ** 20
+                assert (lo / width).denominator == 1
+                assert sturm_count(root.witness, lo, hi) == 1
+                cells += 1
+        assert cells >= 50
+
+    def test_report_does_not_depend_on_the_intervals(self, gamma_evidence):
+        for evidence in gamma_evidence:
+            narrow = _narrowed(evidence, Fraction(1, 2 ** 30))
+            assert cli._evidence_json(narrow) == cli._evidence_json(evidence)
 
 
 class TestVerify:

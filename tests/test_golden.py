@@ -35,17 +35,17 @@ GOLDEN = {
     "plotdata 1,0,0,0,1 --range -3:3 --samples 41": "a197e672c74c5977bb4a08367e91fb114b3dd86f98d2f8363260012001b327bc",
     "classify 1,0,1": "a0ab5b5697a0d8d2b20a45b1e56756b43641035e816c9b2f2d45d4b2b47605b6",
     "plotdata 1,0,1 --range -3:3 --samples 41": "0790413f24551cea4e142a8763ab991639a4032902bc58c45f41be9a79f8cfac",
-    "classify 11,-6,4,-3,1": "e039372a8254604ee4f1a781efb3322068dd4a522e6044e49488d61f87881318",
+    "classify 11,-6,4,-3,1": "40e99ea3fa1553bb7b919877e4de12028ed3208ea283a97a3c3d696430023fd4",
     "plotdata 11,-6,4,-3,1 --range -3:3 --samples 41": "ed2cc369b406d288fe000c2a65bbdc057ea2611de5c9ae7931c471a6670ef0a1",
-    "classify 6,-6,4,-3,1": "96c0b137674dd44e5ff2dcbc87f745c644cfd80dec2079d3fbea6b4a5ed1bcb1",
+    "classify 6,-6,4,-3,1": "683d7736624f6037285426cf3d3d96b1efacbeea179bc0cf6bc0be489d6bd2a5",
     "plotdata 6,-6,4,-3,1 --range -3:3 --samples 41": "7a44d86bad6e3dc69f64eed03d09fb69e2fd4b67e5446d40ca176e5d8be956dd",
     "classify 2,0,6,-4,1": "5ad2b2019a5c8a909af062b8556b2408068d606d8a4a15a5ce21eb73a48d23a0",
     "plotdata 2,0,6,-4,1 --range -3:3 --samples 41": "b5d090e29b50ec726111a46e61806e389317c5251b4d279dc609baf6f7cdb1c2",
     "classify 9,-8,6,-4,1": "2aec030f53201200cccea3b736c2f4a7eb9417f871407d79157417c518d4d2d7",
     "plotdata 9,-8,6,-4,1 --range -3:3 --samples 41": "e3c646b95633a3a61f4fcad3a85c11aa3e996d72aeefd868d35200f73b714e1d",
-    "classify 100,0,84,0,-15,0,1": "2e393b0e288df3f9c481af17f61b5365caaa4c4d3ba39b77bc310e341255451a",
+    "classify 100,0,84,0,-15,0,1": "0171128b27053bab5e655067f28ced15af8ecdf4838200cdae603e6b6d4e86e0",
     "plotdata 100,0,84,0,-15,0,1 --range -3:3 --samples 41": "ccc0451dbb729de27aa99f35f63e95608d39aa68f8bc9ee6b6d2089fd1b7f7b2",
-    "classify 1/2,-3/7,5/3,0,2/9": "8eb83befeeeac07983b129951f4304203ecb1d365fbd17d479adcc44d3339cba",
+    "classify 1/2,-3/7,5/3,0,2/9": "47bdc08e140b3efc3173b7aa1b971016544ce828483405ca7bd6155c07a69992",
     "plotdata 1/2,-3/7,5/3,0,2/9 --range -3:3 --samples 41": "463d3db50e0507b0e78cbe56480dfb4ec94534fec92cd2ba7fc28bab05756cdb",
     "classify 16,32,24,8,1": "08912db5e4ae21154d4c3b05b684dd31853a563c7ab1c3402922a3ea33246337",
     "plotdata 16,32,24,8,1 --range -3:3 --samples 41": "e180e0dd98b0edfa6f3fa53c225878d9afa78395489e9f19837400235d40c28b",

@@ -25,6 +25,7 @@ from shapiro12.realroots import (
     compare_roots,
     isolate_real_roots,
     order_roots,
+    rational_value,
     refine,
     root_count,
     separate_roots,
@@ -201,6 +202,15 @@ class TestRefine:
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["rejected", "rejected"]
+
+
+    def test_rational_value(self):
+        # (x^2 - 2)(6x - 5)(x - 3): 5/6 is rational but not dyadic, so no
+        # bisection lands on it, and the lc of the witness is 6.
+        p = P("-2,0,1") * P("-5,6") * P("-3,1")
+        values = [rational_value(r) for r in isolate_real_roots(p)]
+        assert values == [None, Fraction(5, 6), None, 3]
+        assert rational_value(isolate_real_roots(P("0,2"))[0]) == 0
 
 
 _REFINE_TO_NONPOSITIVE_WIDTH = textwrap.dedent("""
