@@ -327,6 +327,61 @@ def repeated_part(p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# Modular certificates: one-sided proofs from a gcd over GF(q).
+# ---------------------------------------------------------------------------
+
+#: The word-size prime of the certificates: 2^30 - 35, the largest prime
+#: below 2^30, so every residue is a one-digit Python integer.
+_PRIME = 2 ** 30 - 35
+
+
+def _gcd_degree_mod(a: Sequence[int], b: Sequence[int]) -> int:
+    """Degree of gcd(a, b) over GF(q), for a and b nonzero mod q."""
+    q = _PRIME
+    a = [c % q for c in a]
+    b = [c % q for c in b]
+    while b:
+        while b and b[-1] == 0:
+            b.pop()
+        if not b:
+            break
+        inv = pow(b[-1], -1, q)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a[-1] * inv % q
+            k = len(a) - 1 - db
+            a[k:] = [(x - f * y) % q for x, y in zip(a[k:], b)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def proves_squarefree(p: Polynomial) -> bool:
+    """True proves that p is squarefree over Q; False proves nothing.
+
+    When the prime does not divide lc(p), a square factor g^2 of p over Z
+    stays a square factor of the same degree mod the prime, so a constant
+    gcd(p, p') mod the prime rules it out.
+    """
+    if p.degree < 1 or p.prim[-1] % _PRIME == 0:
+        return False
+    return _gcd_degree_mod(p.prim, _int_derivative(p.prim)) == 0
+
+
+def proves_coprime(p: Polynomial, q: Polynomial) -> bool:
+    """True proves that p and q have no common root; False proves nothing.
+
+    When the prime divides neither leading coefficient, a common factor over
+    Z keeps its degree mod the prime, so a constant gcd mod the prime rules
+    it out.
+    """
+    if p.is_zero or q.is_zero or p.prim[-1] % _PRIME == 0 or q.prim[-1] % _PRIME == 0:
+        return False
+    return _gcd_degree_mod(p.prim, q.prim) == 0
+
+
+# ---------------------------------------------------------------------------
 # Text format: comma-separated ascending coefficients, integers or num/den.
 # ---------------------------------------------------------------------------
 

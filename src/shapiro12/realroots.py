@@ -4,6 +4,12 @@ Roots are pinned by rational isolating intervals together with a squarefree
 witness polynomial that changes sign across the interval, so every question
 about an algebraic number (its sign under another polynomial, its order
 relative to another root) reduces to integer sign computations.
+
+Counting reads Sturm sequences (``sturm_count``, ``root_count``). Isolation
+and the questions about isolated roots do not: a modular certificate proves
+the polynomial squarefree (or two polynomials coprime), and Descartes' rule
+of signs on dyadic intervals, reached by integer Taylor shifts, does the
+rest. Only when a certificate fails does the exact gcd take over.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from .polycore import (
     _horner,
     _sign,
     gcd,
+    monic,
+    proves_coprime,
+    proves_squarefree,
     repeated_part,
     sign_at,
     squarefree_part,
@@ -54,8 +63,10 @@ class IsolatingInterval:
 class IsolatedRoot:
     """One distinct real root of ``owner``.
 
-    ``witness`` is the squarefree part of ``owner``; it has exactly one
+    ``witness`` is the monic squarefree part of ``owner``; it has exactly one
     (simple) root inside the interval and nonzero values at the endpoints.
+    A point interval holds a rational root exactly. Isolation yields such
+    points or dyadic endpoints; the functions here accept any rational ones.
     """
 
     interval: IsolatingInterval
@@ -235,106 +246,142 @@ def isolates(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 # Isolation
 # ---------------------------------------------------------------------------
 
-def _root_bound(p: Polynomial) -> Fraction:
-    """Power of two B above the modulus of every root of p, so every real
-    root lies strictly inside (-B, B).
+def _bound_exponent(prim: Sequence[int]) -> int:
+    """e with every root of the integer polynomial strictly inside (-2^e, 2^e).
 
     Fujiwara's bound |z| <= 2 max |a_i/a_n|^(1/(n-i)), read from bit lengths:
     |a_i/a_n| < 2^(bits(a_i) - bits(a_n) + 1), so each term is below
     2^k_i with k_i = ceil((bits(a_i) - bits(a_n) + 1) / (n - i)).
     """
-    n = len(p.prim) - 1
-    top = p.prim[-1].bit_length()
+    n = len(prim) - 1
+    top = prim[-1].bit_length()
     k = max((-((top - a.bit_length() - 1) // (n - i))
-             for i, a in enumerate(p.prim[:-1]) if a), default=0)
-    return Fraction(2) ** (k + 1)
+             for i, a in enumerate(prim[:-1]) if a), default=0)
+    return k + 1
+
+
+def _node_count(node: Sequence[int]) -> int:
+    """Descartes bound for the roots in (0, 1) of a node polynomial P, P(0) != 0.
+
+    The plain sign variations of P bound its roots in (0, inf) and are read
+    first, before any Taylor shift: none means no root, and one means that
+    the single positive root lies in (0, 1) exactly when P(0)P(1) < 0.
+    """
+    v = _sign_changes(node)
+    if v <= 1:
+        return int(v == 1 and node[0] * sum(node) < 0)
+    return _unit_interval_count(node)
+
+
+def _isolate_half(coeffs: Sequence[int], e: int, side: int,
+                  zero_is_root: bool) -> list[IsolatingInterval]:
+    """Isolating intervals of the roots of f in (0, 2^e) (side 1) or (-2^e, 0)
+    (side -1), for a squarefree f with f(0) != 0, given by its coefficients.
+
+    Vincent-Collins-Akritas bisection. Node (c, j) stands for the interval
+    (c/2^j, (c+1)/2^j) of x = side * t / 2^e, and carries a positive multiple
+    P of f(side 2^e (c + x) / 2^j) in which x runs over (0, 1). Its halves
+    carry 2^n P(x/2) and the Taylor shift of that by 1. A node with Descartes
+    count 0 is dropped and one with count 1 is kept, unless f vanishes at one
+    of its ends (t = 0 or a dyadic point hit by a bisection): such a node is
+    bisected further, so every kept interval has a nonzero witness at both
+    ends. A dyadic root found at a midpoint is divided out of the right half.
+    """
+    n = len(coeffs) - 1
+    if e >= 0:
+        top = [a << (e * i) for i, a in enumerate(coeffs)]
+    else:
+        top = [a << (-e * (n - i)) for i, a in enumerate(coeffs)]
+    if side < 0:
+        top = [-a if i % 2 else a for i, a in enumerate(top)]
+    unit = Fraction(2) ** e
+
+    def point(c: int, j: int) -> Fraction:
+        return side * unit * Fraction(c, 2 ** j)
+
+    out: list[IsolatingInterval] = []
+    stack = [(0, 0, top, zero_is_root)]
+    while stack:
+        c, j, node, lo_is_root = stack.pop()
+        count = _node_count(node)
+        if not count:
+            continue
+        if count == 1 and not lo_is_root and sum(node):
+            ends = sorted((point(c, j), point(c + 1, j)))
+            out.append(IsolatingInterval(*ends))
+            continue
+        m = len(node) - 1
+        left = [a << (m - i) for i, a in enumerate(node)]
+        right = _taylor_shift(left[::-1])[::-1]
+        mid_is_root = right[0] == 0
+        if mid_is_root:
+            mid = point(2 * c + 1, j + 1)
+            out.append(IsolatingInterval(mid, mid))
+            right = right[1:]
+        stack.append((2 * c, j + 1, left, lo_is_root))
+        stack.append((2 * c + 1, j + 1, right, mid_is_root))
+    return out
+
+
+def _isolate_squarefree(f: Sequence[int]) -> list[IsolatingInterval]:
+    """Sorted isolating intervals of the real roots of a squarefree integer
+    polynomial of degree >= 1; its dyadic roots on the way come out as points."""
+    if len(f) == 2:
+        root = Fraction(-f[0], f[1])
+        return [IsolatingInterval(root, root)]
+    zero_is_root = f[0] == 0
+    out = [IsolatingInterval(Fraction(0), Fraction(0))] if zero_is_root else []
+    rest = f[1:] if zero_is_root else f
+    if len(rest) > 1:
+        e = _bound_exponent(f)
+        for side in (-1, 1):
+            out += _isolate_half(rest, e, side, zero_is_root)
+    out.sort(key=lambda iv: iv.lo)
+    return out
 
 
 def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
-    """Disjoint isolating intervals for every distinct real root, sorted."""
+    """Disjoint isolating intervals for every distinct real root, sorted.
+
+    A modular certificate first tries to prove p squarefree; p is then its
+    own witness and every multiplicity is 1. Otherwise the witness is the
+    exact squarefree part, and multiplicities come from the chain of
+    repeated parts.
+    """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    sf = squarefree_part(p)
-    if sf.degree < 1:
+    if p.degree < 1:
         return ()
-    # Variations are only read where sf, and so p, is nonzero, so the Sturm
-    # sequence of p counts the distinct roots of sf.
-    chain = sturm_sequence(p)
-    var_memo: dict[Fraction, int] = {}
-
-    def var(x: Fraction) -> int:
-        if x not in var_memo:
-            var_memo[x] = _variations_at(chain, x)
-        return var_memo[x]
-
-    bound = _root_bound(sf)
-    total = var(-bound) - var(bound)
-    if not total:
-        return ()
-    intervals: list[IsolatingInterval] = []
-    stack: list[tuple[Fraction, Fraction, int]] = [(-bound, bound, total)]
-    while stack:
-        lo, hi, count = stack.pop()
-        if count == 1:
-            # A few tightening steps, then snap: rational roots collapse to
-            # exact points, other intervals just get narrower.
-            iv = IsolatingInterval(lo, hi)
-            for _ in range(8):
-                if iv.is_point:
-                    break
-                iv = _bisect_interval(iv, sf)
-            intervals.append(_snap_rational(iv, sf))
-            continue
-        mid = (lo + hi) / 2
-        if sign_at(sf, mid) == 0:
-            # Rational root exactly at the midpoint: carve a gap around it.
-            w = (hi - lo) / 4
-            while True:
-                if sign_at(sf, mid - w) != 0 and sign_at(sf, mid + w) != 0 \
-                        and var(mid - w) - var(mid + w) == 1:
-                    break
-                w /= 2
-            intervals.append(IsolatingInterval(mid, mid))
-            left = var(lo) - var(mid - w)
-            right = var(mid + w) - var(hi)
-            if left:
-                stack.append((lo, mid - w, left))
-            if right:
-                stack.append((mid + w, hi, right))
-        else:
-            left = var(lo) - var(mid)
-            right = count - left
-            if left:
-                stack.append((lo, mid, left))
-            if right:
-                stack.append((mid, hi, right))
-    intervals.sort(key=lambda iv: (iv.lo, iv.hi))
-
-    # A root of gk need not change the sign of gk, but it does change the
-    # sign of its squarefree part hk, which divides sf.
+    certified = proves_squarefree(p)
+    sf = monic(p) if certified else squarefree_part(p)
+    intervals = [_snap_rational(iv, sf) for iv in _isolate_squarefree(sf.prim)]
     multiplicity = [1] * len(intervals)
-    for g in _repeated_parts(p):
-        h = squarefree_part(g)
-        for i, iv in enumerate(intervals):
-            if _vanishes_on(h, iv):
-                multiplicity[i] += 1
+    if not certified:
+        # A root of gk need not change the sign of gk, but it does change the
+        # sign of its squarefree part hk, which divides sf.
+        for g in _repeated_parts(p):
+            h = squarefree_part(g)
+            for i, iv in enumerate(intervals):
+                if _vanishes_on(h, iv):
+                    multiplicity[i] += 1
     return tuple(IsolatedRoot(iv, m, p, sf) for iv, m in zip(intervals, multiplicity))
 
 
-def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in the closed interval [lo, hi]."""
-    ceil_lo = -((-lo.numerator) // lo.denominator)
-    if ceil_lo <= hi:
-        return Fraction(ceil_lo)
-    floor_lo = lo.numerator // lo.denominator
-    return floor_lo + 1 / _simplest_in(1 / (hi - floor_lo), 1 / (lo - floor_lo))
+def _simplest_between(lo: Fraction, hi: Fraction | None) -> Fraction:
+    """Smallest-denominator rational in the open interval (lo, hi); None is +inf."""
+    above = math.floor(lo) + 1
+    if hi is None or above < hi:
+        return Fraction(above)
+    # (lo, hi) lies in [n, n + 1] for n = above - 1: x = n + 1/y, y > 1.
+    n = above - 1
+    return n + 1 / _simplest_between(1 / (hi - n), 1 / (lo - n) if lo != n else None)
 
 
 def _snap_rational(iv: IsolatingInterval, witness: Polynomial) -> IsolatingInterval:
     """Collapse to an exact point when the interval's simplest rational is the root."""
     if iv.is_point:
         return iv
-    candidate = _simplest_in(iv.lo, iv.hi)
+    candidate = _simplest_between(iv.lo, iv.hi)
     if sign_at(witness, candidate) == 0:
         return IsolatingInterval(candidate, candidate)
     return iv
@@ -402,6 +449,17 @@ def rational_value(root: IsolatedRoot) -> Fraction | None:
 # Signs and order of algebraic numbers
 # ---------------------------------------------------------------------------
 
+def _constant_sign(q: Polynomial, iv: IsolatingInterval) -> int:
+    """The sign of q on the closed interval when it is proved constant, else 0.
+
+    Equal nonzero signs at both ends and a Descartes count of 0 inside prove it.
+    """
+    s = sign_at(q, iv.lo)
+    if s and s == sign_at(q, iv.hi) and _descartes_count(q.prim, iv.lo, iv.hi) == 0:
+        return s
+    return 0
+
+
 def sign_at_root(q: Polynomial, root: IsolatedRoot) -> int:
     """Exact sign of q at the algebraic number pinned by root."""
     if q.is_zero:
@@ -409,18 +467,21 @@ def sign_at_root(q: Polynomial, root: IsolatedRoot) -> int:
     iv = root.interval
     if iv.is_point:
         return sign_at(q, iv.lo)
-    g = gcd(root.witness, q)
-    if g.degree >= 1 and _vanishes_on(g, iv):
-        return 0
+    s = _constant_sign(q, iv)
+    if s:
+        return s
+    if not proves_coprime(root.witness, q):
+        g = gcd(root.witness, q)
+        if g.degree >= 1 and _vanishes_on(g, iv):
+            return 0
     # q does not vanish there; shrink until q has constant sign on the closure.
     while True:
-        s_lo = sign_at(q, iv.lo)
-        s_hi = sign_at(q, iv.hi)
-        if s_lo != 0 and s_lo == s_hi and sturm_count(q, iv.lo, iv.hi) == 0:
-            return s_lo
         iv = _bisect_interval(iv, root.witness)
         if iv.is_point:
             return sign_at(q, iv.lo)
+        s = _constant_sign(q, iv)
+        if s:
+            return s
 
 
 _MAX_COMPARE_STEPS = 10_000
@@ -428,6 +489,7 @@ _MAX_COMPARE_STEPS = 10_000
 
 def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
     """-1, 0 or +1 ordering of two algebraic numbers; equality is exact."""
+    coprime = None
     for _ in range(_MAX_COMPARE_STEPS):
         ia, ib = a.interval, b.interval
         if ia.hi < ib.lo:
@@ -451,13 +513,21 @@ def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
                 return 0
             a = bisect_once(a)
             continue
-        g = gcd(a.witness, b.witness)
-        if g.degree >= 1:
-            lo = max(ia.lo, ib.lo)
-            hi = min(ia.hi, ib.hi)
-            if lo < hi and sign_at(g, lo) != 0 and sign_at(g, hi) != 0 \
-                    and sturm_count(g, lo, hi) >= 1:
+        lo = max(ia.lo, ib.lo)
+        hi = min(ia.hi, ib.hi)
+        if a.witness == b.witness:
+            # Each interval holds one root of the witness, so the numbers are
+            # equal exactly when the overlap holds a root.
+            if sign_at(a.witness, lo) != sign_at(a.witness, hi):
                 return 0
+        else:
+            if coprime is None:
+                coprime = proves_coprime(a.witness, b.witness)
+            if not coprime:
+                g = gcd(a.witness, b.witness)
+                if g.degree >= 1 and sign_at(g, lo) != 0 and sign_at(g, hi) != 0 \
+                        and sturm_count(g, lo, hi) >= 1:
+                    return 0
         a = bisect_once(a)
         b = bisect_once(b)
     raise RuntimeError("root comparison did not converge")
@@ -486,14 +556,17 @@ def order_roots(roots: Iterable[IsolatedRoot]) -> tuple[MergedRoot, ...]:
 
 
 def separate_roots(roots: Sequence[IsolatedRoot]) -> list[IsolatedRoot]:
-    """Refine a strictly increasing root list until interval closures are disjoint."""
+    """Refine a strictly increasing root list until interval closures are disjoint.
+
+    Raises ValueError when two neighbours are out of order or equal, where
+    refining could never end.
+    """
     rs = list(roots)
     for i in range(len(rs) - 1):
+        if compare_roots(rs[i], rs[i + 1]) >= 0:
+            raise ValueError("roots must be strictly increasing")
         while not rs[i].interval.hi < rs[i + 1].interval.lo:
             a, b = rs[i], rs[i + 1]
-            if b.interval.hi < a.interval.lo or a.interval.is_point and b.interval.is_point:
-                # Out of order, or one rational root twice: refining cannot end.
-                raise ValueError("roots must be strictly increasing")
             if a.interval.is_point:
                 rs[i + 1] = bisect_once(b)
             elif b.interval.is_point or a.interval.width >= b.interval.width:

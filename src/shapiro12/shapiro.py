@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .polycore import InvariantError, Polynomial, sign_at
+from .polycore import InvariantError, Polynomial, div_exact, repeated_part, sign_at
 from .realroots import (
     IsolatedRoot,
     RootCount,
@@ -235,9 +235,17 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     the real roots of odd multiplicity in B: the standard breakaways. Since
     K rises away from p0, the standard breakaways on each side are, outward
     from p0, a maximum, a minimum, a maximum, and so on.
+
+    A factor w^m of p with m >= 2 divides each term of B at least
+    3m - 4 >= 2(m - 1) times, so g^2 divides B for g = gcd(p, p'). Since p
+    has no real zero, neither has g, and B/g^2 has the real roots of B with
+    the same multiplicities; unlike B, it is usually squarefree.
     """
     p, p1, p2 = instance.p, instance.p1, instance.p2
     b = (p * p2 * p2).scale(2) - p1 * p1 * p2 - p * p1 * p2.derivative()
+    g = repeated_part(p)
+    if g.degree >= 1:
+        b = div_exact(b, g * g)
     left: list[IsolatedRoot] = []
     right: list[IsolatedRoot] = []
     for r in isolate_real_roots(b):

@@ -12,16 +12,22 @@ from hypothesis import strategies as st
 
 import shapiro12
 from shapiro12.polycore import (
+    _PRIME,
+    _sturm_sequence,
     constant,
     from_coefficients,
+    gcd,
     parse_polynomial,
+    proves_coprime,
+    proves_squarefree,
     repeated_part,
     sign_at,
     squarefree_part,
 )
 from shapiro12.realroots import (
     RootCount,
-    _root_bound,
+    _bound_exponent,
+    bisect_once,
     compare_roots,
     isolate_real_roots,
     order_roots,
@@ -149,25 +155,19 @@ def bound_cases(draw):
     return p, [r * r for r in reals] + [a * a + b for a, b in quads]
 
 
-def _is_power_of_two(x: Fraction) -> bool:
-    num, den = x.numerator, x.denominator
-    return (num == 1 or den == 1) and num & (num - 1) == 0 and den & (den - 1) == 0
-
-
 class TestRootBound:
     @given(bound_cases())
     @settings(max_examples=150, deadline=None)
     def test_power_of_two_strictly_above_every_root(self, case):
         p, squared_moduli = case
-        bound = _root_bound(p)
-        assert _is_power_of_two(bound)
+        bound = Fraction(2) ** _bound_exponent(p.prim)
         assert all(m < bound * bound for m in squared_moduli)
 
     def test_tight_when_coefficients_are_large(self):
         # (x - 1)(x + 1)(x^2 + 2^40): the largest modulus is 2^20, while the
         # Cauchy bound 1 + max |a_i / a_n| is about 2^40.
         p = P("-1,0,1") * from_coefficients([2 ** 40, 0, 1])
-        assert _root_bound(p) <= 2 ** 22
+        assert _bound_exponent(p.prim) <= 22
         assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 1]
 
 
@@ -302,6 +302,32 @@ class TestOrderAndCompare:
         assert result.stdout.split() == ["rejected"] * 3
 
 
+    def test_separate_roots_equal_irrational_rejected(self):
+        # One irrational root given twice: no refinement separates it from
+        # itself, so the order check must catch it. Run in a subprocess that
+        # a hang cannot stall.
+        src = str(Path(shapiro12.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run([sys.executable, "-c", _SEPARATE_EQUAL_IRRATIONAL],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["rejected"] * 2
+
+
+_SEPARATE_EQUAL_IRRATIONAL = textwrap.dedent("""
+    from shapiro12.polycore import parse_polynomial
+    from shapiro12.realroots import isolate_real_roots, separate_roots
+
+    sqrt2 = isolate_real_roots(parse_polynomial("-2,0,1"))[1]
+    fourth_root_4 = isolate_real_roots(parse_polynomial("-4,0,0,0,1"))[1]
+    for roots in ([sqrt2, sqrt2], [sqrt2, fourth_root_4]):
+        try:
+            separate_roots(roots)
+        except ValueError:
+            print("rejected")
+""")
+
+
 _SEPARATE_OUT_OF_ORDER = textwrap.dedent("""
     from shapiro12.polycore import parse_polynomial
     from shapiro12.realroots import isolate_real_roots, separate_roots
@@ -404,3 +430,85 @@ class TestInvariants:
         for q in [P("-1,0,1"), P("-3,0,1"), P("5,1"), P("1,2,3")]:
             tight = refine(sqrt2, Fraction(1, 10 ** 12))
             assert sign_at_root(q, sqrt2) == sign_at(q, tight.interval.midpoint)
+
+
+def _exact_sign(q, root):
+    """Sign of q at the root by the exact gcd and Sturm counts alone."""
+    iv = root.interval
+    if iv.is_point:
+        return sign_at(q, iv.lo)
+    g = gcd(root.witness, q)
+    if g.degree >= 1 and sign_at(g, iv.lo) * sign_at(g, iv.hi) < 0:
+        return 0
+    while True:
+        s = sign_at(q, iv.lo)
+        if s and s == sign_at(q, iv.hi) and sturm_count(q, iv.lo, iv.hi) == 0:
+            return s
+        root = bisect_once(root)
+        iv = root.interval
+        if iv.is_point:
+            return sign_at(q, iv.lo)
+
+
+class TestModularCertificatesAndDescartes:
+    """The isolation kernel: modular certificates, Descartes bisection."""
+
+    @given(st.integers(-9, 9).filter(bool), int_polys(4, 9), int_polys(3, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_square_factor_never_certified_squarefree(self, c, f, g):
+        assert not proves_squarefree(f * g * g * c)
+
+    @given(int_polys(4, 9), int_polys(4, 9), int_polys(3, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_common_factor_never_certified_coprime(self, f, g, h):
+        assert not proves_coprime(f * h, g * h)
+
+    def test_certificates_prove_the_generic_case(self):
+        assert proves_squarefree(P("-2,0,1") * P("-3,1"))
+        assert proves_coprime(P("-2,0,1"), P("-3,0,1"))
+        assert not proves_squarefree(P("-2,0,1") * P("-2,0,1"))
+        assert not proves_coprime(P("-2,0,1") * P("1,1"), P("1,1"))
+
+    @given(st.one_of(int_polys(8, 12), factored_polys().map(lambda case: case[0]),
+                     st.tuples(int_polys(4, 9), int_polys(3, 9), st.integers(1, 3))
+                     .map(lambda t: t[0] * t[1] ** t[2])))
+    @settings(max_examples=120, deadline=None)
+    def test_intervals_isolate_every_root(self, p):
+        roots = isolate_real_roots(p)
+        assert len(roots) == sturm_count(p)
+        for left, right in zip(roots, roots[1:]):
+            assert left.interval.hi <= right.interval.lo
+        for root in roots:
+            iv, w = root.interval, root.witness
+            if iv.is_point:
+                assert sign_at(w, iv.lo) == 0
+            else:
+                assert sign_at(w, iv.lo) != 0 and sign_at(w, iv.hi) != 0
+                assert sturm_count(w, iv.lo, iv.hi) == 1
+
+    def test_fallback_when_not_squarefree_mod_the_prime(self):
+        # x^2 - q is squarefree over Q but x^2 mod q: the certificate fails,
+        # and the exact squarefree part takes over.
+        p = from_coefficients([-_PRIME, 0, 1])
+        assert not proves_squarefree(p)
+        _sturm_sequence.cache_clear()
+        minus, plus = isolate_real_roots(p)
+        assert _sturm_sequence.cache_info().misses >= 1
+        assert minus.multiplicity == plus.multiplicity == 1
+        assert 0 <= plus.interval.lo and plus.interval.lo ** 2 < _PRIME < plus.interval.hi ** 2
+        assert minus.interval.hi <= 0 and minus.interval.hi ** 2 < _PRIME < minus.interval.lo ** 2
+
+    @given(factored_polys(), int_polys(6, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_sign_at_rational_roots(self, case, q):
+        p, roots, _, _ = case
+        for root, r in zip(isolate_real_roots(p), sorted(roots)):
+            assert sign_at_root(q, root) == sign_at(q, r)
+
+    @given(int_polys(5, 9), int_polys(4, 9), int_polys(3, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_sign_where_q_shares_a_factor_with_the_witness(self, f, g, k):
+        p, q = f * g, g * k
+        for root in isolate_real_roots(p):
+            assert sign_at_root(q, root) == _exact_sign(q, root)
+            assert sign_at_root(f + k, root) == _exact_sign(f + k, root)

@@ -11,7 +11,16 @@ import pytest
 import shapiro12
 
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
-from shapiro12.polycore import constant, from_coefficients, gcd, parse_polynomial
+from shapiro12.polycore import (
+    _sturm_sequence,
+    constant,
+    div_exact,
+    from_coefficients,
+    gcd,
+    parse_polynomial,
+    proves_squarefree,
+    repeated_part,
+)
 from shapiro12.realroots import compare_roots, isolate_real_roots, sturm_count
 from shapiro12.rootlocus import (
     Comparison,
@@ -287,6 +296,11 @@ def gamma2_instances(labelled_instances):
     return [inst for inst, label in labelled_instances if label in _GAMMA_2]
 
 
+def _breakaway_polynomial(inst):
+    p, p1, p2 = inst.p, inst.p1, inst.p2
+    return (p * p2 * p2).scale(2) - p1 * p1 * p2 - p * p1 * p2.derivative()
+
+
 class TestPaperAlgebraOnGamma1:
     def test_corpus_not_vacuous(self, gamma1_instances):
         assert len(gamma1_instances) >= 100
@@ -294,14 +308,42 @@ class TestPaperAlgebraOnGamma1:
     def test_breakaways_are_the_real_roots_of_b(self, gamma1_instances):
         # B = 2*p*p''^2 - p'^2*p'' - p*p'*p''' is pp's reduced critical polynomial.
         for inst in gamma1_instances:
-            p, p1, p2 = inst.p, inst.p1, inst.p2
-            b_poly = (p * p2 * p2).scale(2) - p1 * p1 * p2 - p * p1 * p2.derivative()
-            roots = isolate_real_roots(b_poly)
+            roots = isolate_real_roots(_breakaway_polynomial(inst))
             points = breakaway_points(inst.pp)
             assert len(points) == len(roots)
             for b, r in zip(points, roots):
                 assert compare_roots(b.location, r) == 0
                 assert b.standard == (r.multiplicity % 2 == 1)
+
+    def test_square_of_repeated_part_leaves_the_real_roots_of_b(self, gamma1_instances):
+        # classify isolates B/g^2, g = gcd(p, p'): g^2 divides B, and g has no
+        # real zero when p has none.
+        repeated = [inst for inst in gamma1_instances if repeated_part(inst.p).degree >= 1]
+        crafted = [build(P("1,0,1") ** 3 * P("2,1,1")), build(P("2,1,1") ** 4)]
+        assert len(repeated) >= 3
+        for inst in repeated + crafted:
+            b = _breakaway_polynomial(inst)
+            g = repeated_part(inst.p)
+            full, reduced = isolate_real_roots(b), isolate_real_roots(div_exact(b, g * g))
+            assert [r.multiplicity for r in full] == [r.multiplicity for r in reduced]
+            assert all(compare_roots(x, y) == 0 for x, y in zip(full, reduced))
+
+    def test_certified_cases_run_no_remainder_sequence_but_that_of_p(self, gamma1_instances):
+        # When B is certified squarefree mod the prime, classify isolates p',
+        # p'' and B by Descartes bisection and decides every order and sign
+        # with coprimality certificates: the Sturm sequence of p, for the
+        # Lambda1 test, is the only remainder sequence it builds.
+        fixtures = [P(FIXTURES[label]) for label in _GAMMA_1[1:]]
+        polys = fixtures + [inst.p for inst in gamma1_instances]
+        certified = [p for p in polys if proves_squarefree(_breakaway_polynomial(build(p)))]
+        assert fixtures == certified[:2] and len(certified) >= 100
+        for p in certified:
+            inst = build(p)
+            gcd.cache_clear()
+            _sturm_sequence.cache_clear()
+            assert classify(inst)[0] in _GAMMA_1
+            assert _sturm_sequence.cache_info().misses == 1
+            assert gcd.cache_info().misses == 0
 
     def test_delta_sign_equals_gain_comparison(self, gamma1_instances):
         # gain_compare_at never reads delta, so the two routes stay independent.
