@@ -94,8 +94,9 @@ def _printed_forms(evidence: Evidence) -> dict[IsolatedRoot, tuple[Fraction, Fra
     standard dyadic cell [m/2^k, (m+1)/2^k], with one k per report: the least
     k >= 20 at which distinct numbers get distinct cells, no rational root of
     the report lies in a cell, and each cell isolates its number among the
-    real roots of its witness. The forms depend only on the numbers, so
-    another isolator or root bound prints the same report.
+    real roots of its witness. The forms depend only on the numbers and
+    their witnesses, so another isolator or root bound prints the same
+    report.
     """
     roots = [evidence.p0] if evidence.p0 else []
     for f in evidence.interval_findings:

@@ -336,15 +336,11 @@ _PRIME = 2 ** 30 - 35
 
 
 def _gcd_degree_mod(a: Sequence[int], b: Sequence[int]) -> int:
-    """Degree of gcd(a, b) over GF(q), for a and b nonzero mod q."""
+    """Degree of gcd(a, b) over GF(q), for leading coefficients prime to q."""
     q = _PRIME
     a = [c % q for c in a]
     b = [c % q for c in b]
     while b:
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
         inv = pow(b[-1], -1, q)
         db = len(b) - 1
         while len(a) > db:
