@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 from .polycore import Polynomial, format_polynomial, from_coefficients, parse_polynomial
 from .shapiro import (
@@ -20,6 +21,11 @@ from .shapiro import (
 
 MAX_DEGREE = 32
 MAX_COEFF_BITS = 64
+#: Bit cap of the bound for the strategies that multiply quadratic factors.
+#: Drawing one irreducible quadratic retries about sqrt(bound)/2 times, and
+#: TARGETED scales the bound by up to 5, so past 32 bits generating a single
+#: case no longer ends in practice.
+MAX_FACTOR_BOUND_BITS = 32
 
 
 class Strategy(Enum):
@@ -48,6 +54,10 @@ class FuzzConfig:
             raise ValueError("coefficient bound must be positive")
         if self.coeff_bound.bit_length() > MAX_COEFF_BITS:
             raise ValueError(f"coefficient bound must have at most {MAX_COEFF_BITS} bits")
+        if self.strategy is not Strategy.UNIFORM \
+                and self.coeff_bound.bit_length() > MAX_FACTOR_BOUND_BITS:
+            raise ValueError(f"coefficient bound must have at most {MAX_FACTOR_BOUND_BITS} "
+                             f"bits for the {self.strategy.value} strategy")
 
 
 @dataclass(frozen=True)
@@ -188,12 +198,32 @@ FIXTURES: dict[ClassLabel, str] = {
 # the multiplicity counting convention and the search reports NOT_FOUND.
 
 
+#: Entries of the targeted-search memo: at least the largest budget in use
+#: (400, acceptance criterion 7), so that one label's scan keeps every
+#: candidate for the next label's scan.
+_SEARCH_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=_SEARCH_MEMO_SIZE)
+def _targeted_case(search_cfg: FuzzConfig, index: int) -> tuple[Polynomial, ClassLabel | None]:
+    """Candidate `index` of the targeted stream and its class, None when it is
+    out of the classifier's domain.  Any other exception is not cached."""
+    poly = random_polynomial(search_cfg, index)
+    try:
+        found, _ = classify(build(poly))
+    except ValueError:
+        return poly, None
+    return poly, found
+
+
 def find_class_example(label: ClassLabel, budget: int,
                        config: FuzzConfig) -> Polynomial | None:
     """First polynomial classifying to the label; None when the budget runs out.
 
     Seeded fixtures are consulted first and re-verified by classification,
-    never trusted blindly.
+    never trusted blindly.  Searches for different labels walk the same
+    targeted stream, so each candidate is classified once and then read from
+    a bounded memo.
     """
     text = FIXTURES.get(label)
     if text is not None:
@@ -203,11 +233,7 @@ def find_class_example(label: ClassLabel, budget: int,
             return poly
     search_cfg = replace(config, strategy=Strategy.TARGETED)
     for i in range(budget):
-        poly = random_polynomial(search_cfg, i)
-        try:
-            found, _ = classify(build(poly))
-        except ValueError:
-            continue
+        poly, found = _targeted_case(search_cfg, i)
         if found is label:
             return poly
     return None

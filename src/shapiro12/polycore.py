@@ -23,6 +23,12 @@ CoefficientLike = Union[Fraction, int, str]
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
+#: Entries of each package-level ``lru_cache`` in this module and in
+#: ``rootlocus``.  Repeats within one ``classify`` fit easily; repeats across
+#: searches are served by the harness's own memo, so memory stays flat on
+#: long runs.
+CACHE_SIZE = 256
+
 
 class InvariantError(AssertionError):
     """A mathematical invariant failed; raised explicitly so ``python -O`` keeps it."""
@@ -287,7 +293,7 @@ def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[i
     return tuple(seq)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor: the last element of the remainder sequence."""
     if p.is_zero and q.is_zero:
@@ -295,7 +301,7 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return monic(Polynomial(_remainder_sequence(p.prim, q.prim)[-1]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _sturm_sequence(f: Polynomial) -> tuple[tuple[int, ...], ...]:
     return _remainder_sequence(f.prim, _primitive(_int_derivative(f.prim))[0])
 
@@ -365,6 +371,7 @@ def proves_squarefree(p: Polynomial) -> bool:
     return _gcd_degree_mod(p.prim, _int_derivative(p.prim)) == 0
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def proves_coprime(p: Polynomial, q: Polynomial) -> bool:
     """True proves that p and q have no common root; False proves nothing.
 

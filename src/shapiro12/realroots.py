@@ -489,7 +489,6 @@ _MAX_COMPARE_STEPS = 10_000
 
 def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
     """-1, 0 or +1 ordering of two algebraic numbers; equality is exact."""
-    coprime = None
     for _ in range(_MAX_COMPARE_STEPS):
         ia, ib = a.interval, b.interval
         if ia.hi < ib.lo:
@@ -520,14 +519,11 @@ def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
             # equal exactly when the overlap holds a root.
             if sign_at(a.witness, lo) != sign_at(a.witness, hi):
                 return 0
-        else:
-            if coprime is None:
-                coprime = proves_coprime(a.witness, b.witness)
-            if not coprime:
-                g = gcd(a.witness, b.witness)
-                if g.degree >= 1 and sign_at(g, lo) != 0 and sign_at(g, hi) != 0 \
-                        and sturm_count(g, lo, hi) >= 1:
-                    return 0
+        elif not proves_coprime(a.witness, b.witness):
+            g = gcd(a.witness, b.witness)
+            if g.degree >= 1 and sign_at(g, lo) != 0 and sign_at(g, hi) != 0 \
+                    and sturm_count(g, lo, hi) >= 1:
+                return 0
         a = bisect_once(a)
         b = bisect_once(b)
     raise RuntimeError("root comparison did not converge")

@@ -15,7 +15,17 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .polycore import ONE, ZERO, InvariantError, Polynomial, div_exact, gcd, repeated_part, sign_at
+from .polycore import (
+    CACHE_SIZE,
+    ONE,
+    ZERO,
+    InvariantError,
+    Polynomial,
+    div_exact,
+    gcd,
+    repeated_part,
+    sign_at,
+)
 from .realroots import (
     IsolatedRoot,
     isolate_real_roots,
@@ -133,7 +143,7 @@ def _require_canceled(rf: RationalFunctionOnAxis) -> None:
         raise ValueError("rational function must be normalized first")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def axis_events(rf: RationalFunctionOnAxis) -> tuple[AxisEvent, ...]:
     """All real zeros and poles with multiplicity, sorted left to right.
 
@@ -161,7 +171,7 @@ def axis_events(rf: RationalFunctionOnAxis) -> tuple[AxisEvent, ...]:
     return tuple(AxisEvent(r, kinds[r.owner]) for r in picked)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def axis_segments(rf: RationalFunctionOnAxis) -> tuple[AxisSegment, ...]:
     """The open segments between consecutive events, tagged with parity.
 
@@ -216,7 +226,7 @@ def gain_derivative_numerator(rf: RationalFunctionOnAxis) -> Polynomial:
     return rf.numerator.derivative() * rf.denominator - rf.numerator * rf.denominator.derivative()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
     """All real breakaway points, sorted, with standard/extremum classification.
 

@@ -213,6 +213,19 @@ class TestFuzzCommand:
         assert out == ""
         assert "at most 64 bits" in err
 
+    @pytest.mark.parametrize("strategy", ["positive_only", "targeted"])
+    def test_factor_bound_past_32_bits_exit_3(self, capsys, monkeypatch, strategy):
+        # 2**32 has 33 bits, one past MAX_FACTOR_BOUND_BITS.
+        def run_called(config):
+            raise AssertionError("run_fuzz must not run past the factor bound cap")
+
+        monkeypatch.setattr(cli, "run_fuzz", run_called)
+        code, out, err = run_cli(capsys, "fuzz", "--bound", "4294967296", "--cases", "1",
+                                 "--strategy", strategy)
+        assert code == 3
+        assert out == ""
+        assert "at most 32 bits" in err
+
     def test_bound_at_bit_cap_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "fuzz", "--bound", "18446744073709551615", "--cases", "2")
         assert code == 0

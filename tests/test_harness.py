@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shapiro12 import harness
 from shapiro12.harness import (
     FIXTURES,
     FuzzConfig,
@@ -10,7 +11,7 @@ from shapiro12.harness import (
     random_polynomial,
     run_fuzz,
 )
-from shapiro12.polycore import parse_polynomial
+from shapiro12.polycore import InvariantError, parse_polynomial
 from shapiro12.realroots import sturm_count
 from shapiro12.shapiro import ClassLabel, build, classify
 
@@ -27,6 +28,12 @@ class TestConfig:
             FuzzConfig(seed=1, cases=-1)
         with pytest.raises(ValueError):
             FuzzConfig(seed=1, cases=1, coeff_bound=0)
+
+    @pytest.mark.parametrize("strategy", [Strategy.POSITIVE_ONLY, Strategy.TARGETED])
+    def test_factor_strategies_cap_the_bound_at_32_bits(self, strategy):
+        FuzzConfig(seed=1, cases=1, coeff_bound=2 ** 32 - 1, strategy=strategy)
+        with pytest.raises(ValueError, match="at most 32 bits"):
+            FuzzConfig(seed=1, cases=1, coeff_bound=2 ** 32, strategy=strategy)
 
 
 class TestRandomPolynomial:
@@ -116,3 +123,54 @@ class TestFindClassExample:
     def test_all_fixtures_classify_to_their_key(self):
         for label, text in FIXTURES.items():
             assert classify(build(P(text)))[0] is label
+
+
+class TestSearchMemo:
+    """find_class_example reads every targeted candidate through one memo."""
+
+    CONFIG = FuzzConfig(seed=29, cases=0, degree_range=(4, 8), coeff_bound=10)
+
+    def report(self, budget=100):
+        return {label: find_class_example(label, budget, self.CONFIG) for label in ClassLabel}
+
+    def test_each_candidate_is_classified_once(self, monkeypatch):
+        calls = []
+
+        def counting(instance):
+            calls.append(instance)
+            return classify(instance)
+
+        monkeypatch.setattr(harness, "classify", counting)
+        harness._targeted_case.cache_clear()
+        self.report()
+        # 9 fixtures and 100 candidates.  Without the memo each of the four
+        # empty labels classifies all 100 again: 409 calls.
+        assert len(calls) == 109
+        info = harness._targeted_case.cache_info()
+        assert (info.misses, info.hits) == (100, 300)
+        # Criterion 7 searches with budget 400: one scan must fit for the next.
+        assert harness._targeted_case.cache_parameters()["maxsize"] >= 400
+
+    def test_examples_equal_an_uncached_scan(self, monkeypatch):
+        # Without fixtures every label is searched, and some are found late.
+        monkeypatch.setattr(harness, "FIXTURES", {})
+        harness._targeted_case.cache_clear()
+        cached = self.report()
+        monkeypatch.setattr(harness, "_targeted_case", harness._targeted_case.__wrapped__)
+        assert cached == self.report()
+        assert sum(poly is not None for poly in cached.values()) >= 5
+
+    def test_other_errors_propagate_on_every_call(self, monkeypatch):
+        calls = []
+
+        def failing(instance):
+            calls.append(instance)
+            raise InvariantError("broken classifier")
+
+        monkeypatch.setattr(harness, "classify", failing)
+        harness._targeted_case.cache_clear()
+        for _ in range(2):
+            with pytest.raises(InvariantError):
+                find_class_example(ClassLabel.GAMMA_2122, budget=5, config=self.CONFIG)
+        assert len(calls) == 2
+        assert harness._targeted_case.cache_info().currsize == 0

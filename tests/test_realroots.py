@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shapiro12
+from shapiro12 import realroots
 from shapiro12.polycore import (
     _PRIME,
     _sturm_sequence,
@@ -468,6 +469,22 @@ class TestModularCertificatesAndDescartes:
         assert proves_coprime(P("-2,0,1"), P("-3,0,1"))
         assert not proves_squarefree(P("-2,0,1") * P("-2,0,1"))
         assert not proves_coprime(P("-2,0,1") * P("1,1"), P("1,1"))
+
+    def test_coprimality_certificate_computed_once_per_pair(self, monkeypatch):
+        # Classifying a Gamma122 polynomial compares B/g^2 with p' once per
+        # standard breakaway and again while separating the roots.
+        pairs = []
+
+        def recording(p, q):
+            pairs.append((p, q))
+            return proves_coprime(p, q)
+
+        monkeypatch.setattr(realroots, "proves_coprime", recording)
+        proves_coprime.cache_clear()
+        shapiro12.classify(shapiro12.build(P("6,-6,4,-3,1")))
+        info = proves_coprime.cache_info()
+        assert info.misses == len(set(pairs))
+        assert info.hits == len(pairs) - len(set(pairs)) > 0
 
     @given(st.one_of(int_polys(8, 12), factored_polys().map(lambda case: case[0]),
                      st.tuples(int_polys(4, 9), int_polys(3, 9), st.integers(1, 3))
