@@ -5,7 +5,7 @@ the CSV plot data renders decimals at 12 significant digits from the exact
 values.  Exit codes: 0 ok, 1 verdict mismatch (verify), 2 parse error,
 3 domain error (odd degree, degree < 2 or > MAX_DEGREE, a coefficient or
 plot range endpoint whose numerator or denominator is longer than
-MAX_COEFF_BITS bits).
+MAX_COEFF_BITS bits, more than MAX_SAMPLES plot samples).
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
+
+#: Largest ``plotdata --samples``: every sample is held in memory before the
+#: first row is printed.
+MAX_SAMPLES = 100_000
 
 
 class _CliError(Exception):
@@ -288,6 +292,8 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_DOMAIN, f"range endpoints must have at most {MAX_COEFF_BITS} bits")
     if lo >= hi or args.samples < 2:
         raise _CliError(EXIT_PARSE, "range must be increasing and samples >= 2")
+    if args.samples > MAX_SAMPLES:
+        raise _CliError(EXIT_DOMAIN, f"samples must be at most {MAX_SAMPLES}")
     instance = _build_instance(poly)
     pp, delta = instance.pp, instance.delta
 

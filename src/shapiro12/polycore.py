@@ -255,11 +255,22 @@ def _int_rem_positive(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Remainder of a by b up to a strictly positive rational factor.
 
     Each reduction step scales by abs(lc(b)) instead of lc(b), so the sign
-    of the true remainder is preserved.  Needed for Sturm chains.
+    of the true remainder is preserved.  Needed for Sturm chains.  The usual
+    step of a remainder sequence, deg a = deg b + 1, is one pass:
+    lc(b)^2 a - (q1 x + q0) b, with lc(b)^2 > 0.
     """
-    r = list(a)
     db = len(b) - 1
     lb = b[-1]
+    if len(a) == db + 2:
+        q1 = lb * a[-1]
+        q0 = lb * a[-2] - a[-1] * (b[-2] if db else 0)
+        l2 = lb * lb
+        # The top two coefficients cancel; b[i - 1] is 0 at i = 0.
+        r = [l2 * x - q0 * y - q1 * z for x, y, z in zip(a[:db], b, (0, *b))]
+        while r and r[-1] == 0:
+            r.pop()
+        return r
+    r = list(a)
     alb = abs(lb)
     slb = _sign(lb)
     while len(r) - 1 >= db and r:

@@ -6,10 +6,12 @@ about an algebraic number (its sign under another polynomial, its order
 relative to another root) reduces to integer sign computations.
 
 Counting reads Sturm sequences (``sturm_count``, ``root_count``). Isolation
-and the questions about isolated roots do not: a modular certificate proves
-the polynomial squarefree (or two polynomials coprime), and Descartes' rule
-of signs on dyadic intervals, reached by integer Taylor shifts, does the
-rest. Only when a certificate fails does the exact gcd take over.
+and the questions about isolated roots do not: Descartes' rule of signs on
+dyadic intervals, reached by integer Taylor shifts, finds the roots, and a
+modular certificate proves the polynomial squarefree (or two polynomials
+coprime). Isolation asks for the certificate only once bisection has found
+a root, since a search that ends with no root needs none. Only when a
+certificate fails does the exact gcd take over.
 """
 
 from __future__ import annotations
@@ -208,11 +210,29 @@ def _unit_interval_count(coeffs: Sequence[int]) -> int:
     """Descartes bound for the roots of a in (0, 1), from ascending coefficients.
 
     The sign variations of (x + 1)^n a(1/(x + 1)), whose positive roots are
-    the images of the roots of a in (0, 1). Zero or one variation is the
-    exact count; more only says that there may be more roots.
+    the images of the roots of a in (0, 1), capped at 2. Zero or one
+    variation is the exact count; 2 means two or more, which only says that
+    there may be more roots.
+
+    The ascending coefficients of a are the descending ones of x^n a(1/x),
+    and the Taylor shift by 1 fixes them from the bottom, one per Horner
+    pass, while the leading one never changes. A subsequence has no more
+    variations than the whole sequence, so the shift stops as soon as the
+    leading coefficient and the fixed ones show two.
     """
-    # The ascending coefficients of a are the descending ones of x^n a(1/x).
-    return _sign_changes(_taylor_shift(coeffs))
+    d = list(coeffs)
+    lead = d[0]
+    # Variations among the coefficients fixed so far, and the top one of them.
+    count = top = 0
+    for end in range(len(d), 1, -1):
+        d[:end] = accumulate(d[:end])
+        c = d[end - 1]
+        if c:
+            count += top != 0 and (c < 0) != (top < 0)
+            top = c
+            if count + (lead != 0 and (lead < 0) != (top < 0)) >= 2:
+                return 2
+    return count + (lead != 0 and top != 0 and (lead < 0) != (top < 0))
 
 
 def _descartes_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
@@ -273,10 +293,23 @@ def _node_count(node: Sequence[int]) -> int:
     return _unit_interval_count(node)
 
 
+#: Bisection depth below (0, 2^e) at which the first, uncertified isolation
+#: gives up on a node that still has Descartes count 2 or more. A real root
+#: of multiplicity >= 2 keeps the count of its nodes at 2 or more at every
+#: depth, so this is where one that is not dyadic is caught. A squarefree
+#: input that reaches it pays for one more bisection; the seeded fuzz corpora
+#: need at most 13 levels.
+_DEPTH_CAP = 32
+
+
+class _Inconclusive(Exception):
+    """A bisection met a repeated root, or a count >= 2 at the depth cap."""
+
+
 def _isolate_half(coeffs: Sequence[int], e: int, side: int,
-                  zero_is_root: bool) -> list[IsolatingInterval]:
+                  zero_is_root: bool, capped: bool) -> list[IsolatingInterval]:
     """Isolating intervals of the roots of f in (0, 2^e) (side 1) or (-2^e, 0)
-    (side -1), for a squarefree f with f(0) != 0, given by its coefficients.
+    (side -1), for an f with f(0) != 0 given by its coefficients.
 
     Vincent-Collins-Akritas bisection. Node (c, j) stands for the interval
     (c/2^j, (c+1)/2^j) of x = side * t / 2^e, and carries a positive multiple
@@ -286,6 +319,13 @@ def _isolate_half(coeffs: Sequence[int], e: int, side: int,
     of its ends (t = 0 or a dyadic point hit by a bisection): such a node is
     bisected further, so every kept interval has a nonzero witness at both
     ends. A dyadic root found at a midpoint is divided out of the right half.
+
+    f need not be squarefree. A count of 0 proves that a node holds no root
+    of any multiplicity, and a count of 1 a single simple root. A dyadic
+    multiple root is met at a midpoint, where _Inconclusive is raised; any
+    other keeps the count of its nodes at 2 or more, which raises
+    _Inconclusive at the depth cap when ``capped`` is set. A squarefree f
+    always finishes.
     """
     n = len(coeffs) - 1
     if e >= 0:
@@ -310,11 +350,15 @@ def _isolate_half(coeffs: Sequence[int], e: int, side: int,
             ends = sorted((point(c, j), point(c + 1, j)))
             out.append(IsolatingInterval(*ends))
             continue
+        if capped and count > 1 and j >= _DEPTH_CAP:
+            raise _Inconclusive
         m = len(node) - 1
         left = [a << (m - i) for i, a in enumerate(node)]
         right = _taylor_shift(left[::-1])[::-1]
         mid_is_root = right[0] == 0
         if mid_is_root:
+            if right[1] == 0:
+                raise _Inconclusive
             mid = point(2 * c + 1, j + 1)
             out.append(IsolatingInterval(mid, mid))
             right = right[1:]
@@ -323,19 +367,25 @@ def _isolate_half(coeffs: Sequence[int], e: int, side: int,
     return out
 
 
-def _isolate_squarefree(f: Sequence[int]) -> list[IsolatingInterval]:
-    """Sorted isolating intervals of the real roots of a squarefree integer
-    polynomial of degree >= 1; its dyadic roots on the way come out as points."""
+def _isolate(f: Sequence[int], capped: bool) -> list[IsolatingInterval]:
+    """Sorted isolating intervals of the real roots of an integer polynomial
+    of degree >= 1; its dyadic roots on the way come out as points.
+
+    Raises _Inconclusive on a multiple root at 0 or as _isolate_half does;
+    a squarefree f always finishes when ``capped`` is unset.
+    """
     if len(f) == 2:
         root = Fraction(-f[0], f[1])
         return [IsolatingInterval(root, root)]
     zero_is_root = f[0] == 0
+    if zero_is_root and f[1] == 0:
+        raise _Inconclusive
     out = [IsolatingInterval(Fraction(0), Fraction(0))] if zero_is_root else []
     rest = f[1:] if zero_is_root else f
     if len(rest) > 1:
         e = _bound_exponent(f)
         for side in (-1, 1):
-            out += _isolate_half(rest, e, side, zero_is_root)
+            out += _isolate_half(rest, e, side, zero_is_root, capped)
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -343,18 +393,30 @@ def _isolate_squarefree(f: Sequence[int]) -> list[IsolatingInterval]:
 def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     """Disjoint isolating intervals for every distinct real root, sorted.
 
-    A modular certificate first tries to prove p squarefree; p is then its
-    own witness and every multiplicity is 1. Otherwise the witness is the
-    exact squarefree part, and multiplicities come from the chain of
-    repeated parts.
+    Descartes bisection runs on p itself first, under a depth cap. When it
+    finishes without finding a root, p has no real root, whatever its
+    complex multiplicities, and no certificate is needed. Otherwise a
+    modular certificate tries to prove p squarefree; p is then its own
+    (monic) witness, the intervals already found are kept (bisecting -p
+    finds the same ones) and every multiplicity is 1. When the certificate
+    fails, the witness is the exact squarefree part, bisected again, and
+    multiplicities come from the chain of repeated parts.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree < 1:
         return ()
+    try:
+        found = _isolate(p.prim, capped=True)
+    except _Inconclusive:
+        found = None
+    if found == []:
+        return ()
     certified = proves_squarefree(p)
     sf = monic(p) if certified else squarefree_part(p)
-    intervals = [_snap_rational(iv, sf) for iv in _isolate_squarefree(sf.prim)]
+    if found is None or not certified:
+        found = _isolate(sf.prim, capped=False)
+    intervals = [_snap_rational(iv, sf) for iv in found]
     multiplicity = [1] * len(intervals)
     if not certified:
         # A root of gk need not change the sign of gk, but it does change the

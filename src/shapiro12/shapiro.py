@@ -111,8 +111,10 @@ class Evidence:
 class ShapiroInstance:
     """p, its derivatives, delta and K0 = n/(n-1).
 
-    ``pp = p''p/(p')^2`` is computed on first use: only ``plotdata`` and
-    ``delta_sign_shortcut`` read it.
+    ``p1_squared = (p')^2`` is computed once: ``build`` fills it while it
+    forms delta, and the breakaway polynomial and the double pole of pp
+    read it. ``pp = p''p/(p')^2`` is computed on first use: only
+    ``plotdata`` and ``delta_sign_shortcut`` read it.
     """
 
     p: Polynomial
@@ -123,8 +125,12 @@ class ShapiroInstance:
     k0: Fraction
 
     @cached_property
+    def p1_squared(self) -> Polynomial:
+        return self.p1 * self.p1
+
+    @cached_property
     def pp(self) -> RationalFunctionOnAxis:
-        return normalize(self.p2 * self.p, self.p1 * self.p1)
+        return normalize(self.p2 * self.p, self.p1_squared)
 
 
 @dataclass(frozen=True)
@@ -143,11 +149,14 @@ def build(p: Polynomial) -> ShapiroInstance:
         raise ValueError("polynomial degree must be even")
     p1 = p.derivative()
     p2 = p1.derivative()
-    delta = (p1 * p1).scale(n - 1) - (p * p2).scale(n)
+    p1_squared = p1 * p1
+    delta = p1_squared.scale(n - 1) - (p * p2).scale(n)
     # The top coefficient cancels exactly, so deg delta <= 2n - 3.
     if delta.coefficient(2 * n - 2) != 0:
         raise InvariantError("the x^(2n-2) coefficient of delta must cancel")
-    return ShapiroInstance(p, n, p1, p2, delta, Fraction(n, n - 1))
+    instance = ShapiroInstance(p, n, p1, p2, delta, Fraction(n, n - 1))
+    vars(instance)["p1_squared"] = p1_squared
+    return instance
 
 
 def predict_verdict(label: ClassLabel) -> Verdict:
@@ -222,7 +231,18 @@ def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
 
 def _double_pole(instance: ShapiroInstance, p0: IsolatedRoot) -> IsolatedRoot:
     """p0 as a root of (p')^2, the double pole of pp."""
-    return replace(p0, owner=instance.p1 * instance.p1, multiplicity=2)
+    return replace(p0, owner=instance.p1_squared, multiplicity=2)
+
+
+def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
+    """B = 2pp''^2 - p'^2p'' - pp'p''', the reduced critical polynomial of pp.
+
+    With delta = (n-1)p'^2 - npp'' and (p')^2 already built,
+    B = p''((n-2)p'^2 - 2 delta)/n - pp'p''' takes three products.
+    """
+    p, p1, p2, n = instance.p, instance.p1, instance.p2, instance.n
+    bracket = instance.p1_squared.scale(n - 2) - instance.delta.scale(2)
+    return p2 * bracket.scale(Fraction(1, n)) - p * p1 * p2.derivative()
 
 
 def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
@@ -241,9 +261,8 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     has no real zero, neither has g, and B/g^2 has the real roots of B with
     the same multiplicities; unlike B, it is usually squarefree.
     """
-    p, p1, p2 = instance.p, instance.p1, instance.p2
-    b = (p * p2 * p2).scale(2) - p1 * p1 * p2 - p * p1 * p2.derivative()
-    g = repeated_part(p)
+    b = _breakaway_polynomial(instance)
+    g = repeated_part(instance.p)
     if g.degree >= 1:
         b = div_exact(b, g * g)
     left: list[IsolatedRoot] = []

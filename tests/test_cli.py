@@ -309,6 +309,23 @@ class TestPlotdata:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 3  # two grid rows and the pole at 0
 
+    def test_samples_at_cap_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "plotdata", "1,0,1", "--range", "1:2",
+                               "--samples", str(cli.MAX_SAMPLES))
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + cli.MAX_SAMPLES
+
+    def test_samples_past_cap_exit_3(self, capsys, monkeypatch):
+        def build_called(poly):
+            raise AssertionError("build must not run past the samples cap")
+
+        monkeypatch.setattr(cli, "build", build_called)
+        code, out, err = run_cli(capsys, "plotdata", "1,0,1", "--range", "1:2",
+                                 "--samples", str(cli.MAX_SAMPLES + 1))
+        assert code == 3
+        assert out == ""
+        assert f"at most {cli.MAX_SAMPLES}" in err
+
 
 class TestExample:
     def test_seeded(self, capsys):

@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapiro12.polycore import (
     NEG_INFINITY,
     Polynomial,
+    _int_rem_positive,
     _sturm_sequence,
     constant,
     div_exact,
@@ -344,3 +345,49 @@ class TestKernelReference:
         got = repeated_part(from_coefficients(ref))
         _assert_canonical(got)
         assert got.coeffs == _ref_gcd(ref, _ref_derivative(ref))
+
+
+def _stepwise_rem_positive(a, b):
+    """One leading term of a per step, each step scaled by |lc(b)|: the
+    remainder loop that ``_int_rem_positive`` replaces for a one-degree drop."""
+    r = list(a)
+    db = len(b) - 1
+    alb, slb = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
+    while len(r) - 1 >= db and r:
+        lr = slb * r[-1]
+        k = len(r) - 1 - db
+        r = [alb * c for c in r]
+        for i, bc in enumerate(b):
+            r[i + k] -= lr * bc
+        del r[-1]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+_SPARSE_INTS = st.one_of(st.just(0), st.integers(-30, 30))
+
+
+@st.composite
+def one_degree_drop(draw):
+    """(a, b) with deg a = deg b + 1 >= 1, nonzero leading coefficients of
+    either sign and often zero coefficients below them."""
+    db = draw(st.integers(0, 7))
+    lead = st.integers(-30, 30).filter(bool)
+    b = draw(st.lists(_SPARSE_INTS, min_size=db, max_size=db)) + [draw(lead)]
+    a = draw(st.lists(_SPARSE_INTS, min_size=db + 1, max_size=db + 1)) + [draw(lead)]
+    return a, b
+
+
+class TestOnePassRemainder:
+    @given(one_degree_drop())
+    @example(([3, -5], [-7]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_stepwise_loop(self, case):
+        # The one pass is lc(b)^2 a - (q1 x + q0) b. The loop takes the same
+        # two steps, or stops after one when the x^deg(b) coefficient already
+        # cancels, and then lacks the positive factor |lc(b)| of the second.
+        a, b = case
+        got, want = _int_rem_positive(a, b), _stepwise_rem_positive(a, b)
+        assert got in (want, [abs(b[-1]) * c for c in want])
+        assert len(got) < len(b)

@@ -28,6 +28,9 @@ from shapiro12.polycore import (
 from shapiro12.realroots import (
     RootCount,
     _bound_exponent,
+    _sign_changes,
+    _taylor_shift,
+    _unit_interval_count,
     bisect_once,
     compare_roots,
     isolate_real_roots,
@@ -529,3 +532,105 @@ class TestModularCertificatesAndDescartes:
         for root in isolate_real_roots(p):
             assert sign_at_root(q, root) == _exact_sign(q, root)
             assert sign_at_root(f + k, root) == _exact_sign(f + k, root)
+
+
+@st.composite
+def roots_in_unit_interval(draw):
+    """A random vector times up to 5 factors den x - num with 0 < num < den:
+    with several roots in (0, 1), the full Taylor shift often shows three or
+    more variations."""
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any))
+    for _ in range(draw(st.integers(0, 5))):
+        den = draw(st.integers(2, 12))
+        num = draw(st.integers(1, den - 1))
+        coeffs = [den * d - num * c for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+class TestEarlyExitDescartes:
+    @given(st.one_of(st.lists(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)),
+                              min_size=1, max_size=14),
+                     roots_in_unit_interval()))
+    @settings(max_examples=300, deadline=None)
+    def test_capped_count_of_the_full_taylor_shift(self, coeffs):
+        # 2 means two or more: the shift stops once the fixed coefficients
+        # show two variations.
+        full = _sign_changes(_taylor_shift(coeffs))
+        assert _unit_interval_count(coeffs) == min(full, 2)
+
+
+def _recording_isolation(monkeypatch):
+    """Record each bisection run that isolate_real_roots starts, as (capped,
+    how it ended, nodes counted), and each squarefree certificate it asks for."""
+    runs, certificates, nodes = [], [], []
+    isolate, node_count = realroots._isolate, realroots._node_count
+
+    def recording_isolate(f, capped):
+        start = len(nodes)
+        try:
+            out = isolate(f, capped)
+        except realroots._Inconclusive:
+            runs.append((capped, "inconclusive", len(nodes) - start))
+            raise
+        runs.append((capped, "finished", len(nodes) - start))
+        return out
+
+    def recording_node_count(node):
+        nodes.append(node)
+        return node_count(node)
+
+    def recording_certificate(p):
+        certificates.append(p)
+        return proves_squarefree(p)
+
+    monkeypatch.setattr(realroots, "_isolate", recording_isolate)
+    monkeypatch.setattr(realroots, "_node_count", recording_node_count)
+    monkeypatch.setattr(realroots, "proves_squarefree", recording_certificate)
+    return runs, certificates
+
+
+class TestLazySquarefreeCertificate:
+    @pytest.mark.parametrize("text", ["1,0,1", "1,0,0,0,1", "5,-2,1"])
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_no_certificate_without_real_roots(self, monkeypatch, text, power):
+        # Descartes count 0 on every node proves that there is no real root,
+        # whatever the complex multiplicities.
+        runs, certificates = _recording_isolation(monkeypatch)
+        assert isolate_real_roots(P(text) ** power) == ()
+        assert [run[:2] for run in runs] == [(True, "finished")]
+        assert certificates == []
+
+    def test_certified_roots_reuse_the_first_bisection(self, monkeypatch):
+        runs, certificates = _recording_isolation(monkeypatch)
+        p = P("-2,0,1") * P("-3,1")
+        roots = isolate_real_roots(p)
+        assert [run[:2] for run in runs] == [(True, "finished")] and certificates == [p]
+        assert [r.multiplicity for r in roots] == [1, 1, 1]
+        assert all(r.witness == p for r in roots)
+
+    # (polynomial, why the squarefree part is isolated, real roots, multiplicities)
+    _FALLBACKS = [
+        (P("0,0,1") * P("1,0,1"), "double root at 0", [0], [2]),
+        (P("-1,2") ** 2 * P("1,0,1"), "dyadic double root", [Fraction(1, 2)], [2]),
+        (P("-2,0,1") ** 2 * P("3,1"), "depth cap", [-3, None, None], [1, 2, 2]),
+        (P("1,0,1") ** 2 * P("-1,1"), "certificate fails", [1], [1]),
+    ]
+
+    @pytest.mark.parametrize("p, reason, values, mults", _FALLBACKS)
+    def test_fallback_keeps_the_squarefree_part_as_witness(self, monkeypatch, p, reason,
+                                                           values, mults):
+        runs, certificates = _recording_isolation(monkeypatch)
+        roots = isolate_real_roots(p)
+        (capped, first, nodes), uncapped = runs
+        assert capped and uncapped[:2] == (False, "finished")
+        assert first == ("finished" if reason == "certificate fails" else "inconclusive")
+        # Only the depth cap lets the first run bisect that deep.
+        assert (nodes > realroots._DEPTH_CAP) == (reason == "depth cap")
+        assert certificates == [p]
+        assert [r.multiplicity for r in roots] == mults
+        assert [rational_value(r) for r in roots] == values
+        for r in roots:
+            assert r.witness == squarefree_part(p) and r.owner == p
+            iv = r.interval
+            if not iv.is_point:
+                assert sturm_count(r.witness, iv.lo, iv.hi) == 1

@@ -10,6 +10,7 @@ import pytest
 
 import shapiro12
 
+from shapiro12 import realroots, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     _sturm_sequence,
@@ -344,6 +345,31 @@ class TestPaperAlgebraOnGamma1:
             assert classify(inst)[0] in _GAMMA_1
             assert _sturm_sequence.cache_info().misses == 1
             assert gcd.cache_info().misses == 0
+
+    def test_breakaway_polynomial_from_the_square_of_p1_and_delta(self, gamma1_instances):
+        # On the Gamma1 fixtures and seeded cases, classify forms B as p''((n-2)p'^2 - 2 delta)/n - pp'p''' from the
+        # (p')^2 that build keeps.
+        for inst in gamma1_instances:
+            assert inst.p1_squared == inst.p1 * inst.p1
+            assert shapiro._breakaway_polynomial(inst) == _breakaway_polynomial(inst)
+
+    def test_no_squarefree_certificate_for_root_free_p2_or_b(self, labelled_instances,
+                                                              monkeypatch):
+        # In Gamma11 neither p'' nor B has a real root, so bisection alone
+        # settles both: the only certificate is that of p', which has p0.
+        gamma11 = [inst for inst, label in labelled_instances if label is ClassLabel.GAMMA_11]
+        assert len(gamma11) >= 50
+        certificates = []
+
+        def recording(p):
+            certificates.append(p)
+            return proves_squarefree(p)
+
+        monkeypatch.setattr(realroots, "proves_squarefree", recording)
+        for inst in gamma11:
+            certificates.clear()
+            assert classify(inst)[0] is ClassLabel.GAMMA_11
+            assert certificates == [inst.p1]
 
     def test_delta_sign_equals_gain_comparison(self, gamma1_instances):
         # gain_compare_at never reads delta, so the two routes stay independent.
