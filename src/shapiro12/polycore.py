@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 CoefficientLike = Union[Fraction, int, str]
 
@@ -26,7 +26,9 @@ NEG_INFINITY = float("-inf")
 #: Entries of each package-level ``lru_cache`` in this module and in
 #: ``rootlocus``.  Repeats within one ``classify`` fit easily; repeats across
 #: searches are served by the harness's own memo, so memory stays flat on
-#: long runs.
+#: long runs.  Here each value is a bool or a divisor of an argument (with a
+#: count), so entries are bounded in bytes too; no Sturm sequence is kept,
+#: whose middle elements can be fifty times wider than the polynomial.
 CACHE_SIZE = 256
 
 
@@ -290,18 +292,29 @@ def sign_at(p: Polynomial, x: Fraction | int) -> int:
     return _sign(_horner(p.prim, Fraction(x)))
 
 
-def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """a, b, -rem(a, b), ... as primitive integer vectors, up to the last nonzero one.
+def _sign_changes(values: Iterable[int]) -> int:
+    """Sign variations of a sequence of integers, zeros skipped."""
+    count = 0
+    prev = 0
+    for c in values:
+        if c:
+            if prev and (c < 0) != (prev < 0):
+                count += 1
+            prev = c
+    return count
+
+
+def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Yield a, b, -rem(a, b), ... as primitive integer vectors, up to the last nonzero one.
 
     Each remainder is negated and taken up to a positive factor, so for
     b = a' this is a Sturm sequence of a; the last element is gcd(a, b) up
-    to a constant.
+    to a constant.  A walk holds two elements at a time.
     """
-    seq = [a, b]
-    while seq[-1]:
-        seq.append(_primitive([-c for c in _int_rem_positive(seq[-2], seq[-1])])[0])
-    seq.pop()
-    return tuple(seq)
+    yield a
+    while b:
+        yield b
+        a, b = b, _primitive([-c for c in _int_rem_positive(a, b)])[0]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -309,21 +322,33 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor: the last element of the remainder sequence."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    return monic(Polynomial(_remainder_sequence(p.prim, q.prim)[-1]))
+    for last in _remainder_sequence(p.prim, q.prim):
+        pass
+    return monic(Polynomial(last))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _sturm_sequence(f: Polynomial) -> tuple[tuple[int, ...], ...]:
-    return _remainder_sequence(f.prim, _primitive(_int_derivative(f.prim))[0])
-
-
-def sturm_sequence(p: Polynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm sequence p, p', -rem, ... as primitive integer vectors, cached on monic p.
+def sturm_sequence(p: Polynomial) -> Iterator[tuple[int, ...]]:
+    """Sturm sequence p, p', -rem, ... as primitive integer vectors, uncached.
 
     Squarefree or not, its sign variations count distinct real roots at
     every x with p(x) != 0; its last element is gcd(p, p') up to a constant.
     """
-    return _sturm_sequence(monic(p))
+    return _remainder_sequence(p.prim, _primitive(_int_derivative(p.prim))[0])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _sturm_profile(f: Polynomial) -> tuple[int, tuple[int, ...]]:
+    """(distinct real roots, last element of the Sturm sequence) of a monic f.
+
+    One walk of the sequence, which is not kept: an element of degree d has
+    the sign of its leading coefficient at +inf, times (-1)^d at -inf.
+    """
+    at_minus, at_plus = [], []
+    for last in sturm_sequence(f):
+        s = _sign(last[-1])
+        at_plus.append(s)
+        at_minus.append(s if len(last) % 2 else -s)
+    return _sign_changes(at_minus) - _sign_changes(at_plus), last
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -338,9 +363,9 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 def repeated_part(p: Polynomial) -> Polynomial:
     """Monic gcd(p, p'): each root of p with its multiplicity lowered by one.
 
-    Read off the last element of the Sturm sequence of p.
+    Read off the last element of the Sturm sequence, kept in the profile.
     """
-    return monic(Polynomial(sturm_sequence(p)[-1]))
+    return monic(Polynomial(_sturm_profile(monic(p))[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ witness polynomial that changes sign across the interval, so every question
 about an algebraic number (its sign under another polynomial, its order
 relative to another root) reduces to integer sign computations.
 
-Counting reads Sturm sequences (``sturm_count``, ``root_count``). Isolation
-and the questions about isolated roots do not: Descartes' rule of signs on
-dyadic intervals, reached by integer Taylor shifts, finds the roots, and a
-modular certificate proves the polynomial squarefree (or two polynomials
-coprime). Isolation asks for the certificate only once bisection has found
-a root, since a search that ends with no root needs none. Only when a
-certificate fails does the exact gcd take over.
+Counting reads the cached Sturm profile (``sturm_count``, ``root_count``):
+the number of distinct real roots and the last element of the Sturm
+sequence, made in one walk that keeps no sequence. Isolation and the
+questions about isolated roots do not: Descartes' rule of signs on dyadic
+intervals, reached by integer Taylor shifts, finds the roots, and a modular
+certificate proves the polynomial squarefree (or two polynomials coprime).
+Isolation asks for the certificate only once bisection has found a root,
+since a search that ends with no root needs none. Only when a certificate
+fails does the exact gcd take over.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .polycore import (
+    ONE,
     Polynomial,
     _horner,
     _sign,
+    _sign_changes,
+    _sturm_profile,
     gcd,
     monic,
     proves_coprime,
@@ -98,39 +103,13 @@ class MergedRoot:
 # Sturm counting
 # ---------------------------------------------------------------------------
 
-def _variations(signs: Iterable[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    return _variations(_sign(_horner(c, x)) for c in chain)
-
-
-def _variations_at_infinity(chain: Sequence[Sequence[int]], positive: bool) -> int:
-    def inf_sign(c: Sequence[int]) -> int:
-        if not c:
-            return 0
-        s = _sign(c[-1])
-        if positive or len(c) % 2 == 1:
-            return s
-        return -s
-
-    return _variations(inf_sign(c) for c in chain)
-
-
 def sturm_count(p: Polynomial, lo: Fraction | int | None = None,
                 hi: Fraction | int | None = None) -> int:
     """Number of distinct real roots of p in (lo, hi); None means unbounded.
 
-    Reads the Sturm sequence of p itself, valid since no endpoint is a root.
+    The whole line reads the cached Sturm profile of p. A finite endpoint,
+    which the tests use as a reference count, walks the Sturm sequence of p
+    itself, valid since no endpoint is a root.
     """
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
@@ -138,14 +117,16 @@ def sturm_count(p: Polynomial, lo: Fraction | int | None = None,
         raise ValueError("empty interval")
     if p.degree == 0:
         return 0
-    if lo is not None and sign_at(p, lo) == 0:
+    if lo is None and hi is None:
+        return _sturm_profile(monic(p))[0]
+    if any(x is not None and sign_at(p, x) == 0 for x in (lo, hi)):
         raise ValueError("interval endpoint is a root")
-    if hi is not None and sign_at(p, hi) == 0:
-        raise ValueError("interval endpoint is a root")
-    chain = sturm_sequence(p)
-    v_lo = _variations_at(chain, Fraction(lo)) if lo is not None else _variations_at_infinity(chain, False)
-    v_hi = _variations_at(chain, Fraction(hi)) if hi is not None else _variations_at_infinity(chain, True)
-    return v_lo - v_hi
+    # Every root lies strictly inside (-2^e, 2^e), which stands in for an open end.
+    bound = Fraction(2) ** _bound_exponent(p.prim)
+    lo = -bound if lo is None else Fraction(lo)
+    hi = bound if hi is None else Fraction(hi)
+    values = [(_horner(c, lo), _horner(c, hi)) for c in sturm_sequence(p)]
+    return _sign_changes(v for v, _ in values) - _sign_changes(v for _, v in values)
 
 
 def _repeated_parts(p: Polynomial) -> Iterable[Polynomial]:
@@ -180,18 +161,6 @@ def root_count(p: Polynomial) -> RootCount:
 # ---------------------------------------------------------------------------
 # Descartes' rule of signs on intervals
 # ---------------------------------------------------------------------------
-
-def _sign_changes(coeffs: Iterable[int]) -> int:
-    """Sign variations of a coefficient sequence, zeros skipped."""
-    count = 0
-    prev = 0
-    for c in coeffs:
-        if c:
-            if prev and (c < 0) != (prev < 0):
-                count += 1
-            prev = c
-    return count
-
 
 def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
     """Descending coefficients of a(x + c), given those of a(x).
@@ -296,10 +265,10 @@ def _node_count(node: Sequence[int]) -> int:
 #: Bisection depth below (0, 2^e) at which the first, uncertified isolation
 #: gives up on a node that still has Descartes count 2 or more. A real root
 #: of multiplicity >= 2 keeps the count of its nodes at 2 or more at every
-#: depth, so this is where one that is not dyadic is caught. A squarefree
-#: input that reaches it pays for one more bisection; the seeded fuzz corpora
-#: need at most 13 levels.
-_DEPTH_CAP = 32
+#: depth, so one that is not dyadic is caught here, and every level costs it
+#: a node. The seeded fuzz corpora need at most 13 levels; a squarefree
+#: input that reaches the cap pays for one more bisection.
+_DEPTH_CAP = 16
 
 
 class _Inconclusive(Exception):
@@ -550,7 +519,13 @@ _MAX_COMPARE_STEPS = 10_000
 
 
 def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
-    """-1, 0 or +1 ordering of two algebraic numbers; equality is exact."""
+    """-1, 0 or +1 ordering of two algebraic numbers; equality is exact.
+
+    Once the interiors overlap, the numbers are equal exactly when the common
+    divisor of the witnesses changes sign across the overlap: it is nonzero
+    at all four endpoints and has at most one root there, a simple one.
+    """
+    common = None
     for _ in range(_MAX_COMPARE_STEPS):
         ia, ib = a.interval, b.interval
         if ia.hi < ib.lo:
@@ -574,18 +549,15 @@ def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
                 return 0
             a = bisect_once(a)
             continue
-        lo = max(ia.lo, ib.lo)
-        hi = min(ia.hi, ib.hi)
-        if a.witness == b.witness:
-            # Each interval holds one root of the witness, so the numbers are
-            # equal exactly when the overlap holds a root.
-            if sign_at(a.witness, lo) != sign_at(a.witness, hi):
-                return 0
-        elif not proves_coprime(a.witness, b.witness):
-            g = gcd(a.witness, b.witness)
-            if g.degree >= 1 and sign_at(g, lo) != 0 and sign_at(g, hi) != 0 \
-                    and sturm_count(g, lo, hi) >= 1:
-                return 0
+        if common is None:
+            if a.witness == b.witness:
+                common = a.witness
+            elif proves_coprime(a.witness, b.witness):
+                common = ONE
+            else:
+                common = gcd(a.witness, b.witness)
+        if sign_at(common, max(ia.lo, ib.lo)) != sign_at(common, min(ia.hi, ib.hi)):
+            return 0
         a = bisect_once(a)
         b = bisect_once(b)
     raise RuntimeError("root comparison did not converge")

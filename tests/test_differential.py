@@ -27,6 +27,14 @@ CORPORA = {
                                 strategy=Strategy.POSITIVE_ONLY),
 }
 
+#: Corpora of delta alone at degrees 24-32.
+HIGH_DEGREE_DELTA = {
+    "uniform": FuzzConfig(seed=17, cases=16, degree_range=(24, 32), coeff_bound=12,
+                          strategy=Strategy.UNIFORM),
+    "positive_only": FuzzConfig(seed=19, cases=8, degree_range=(24, 32), coeff_bound=12,
+                                strategy=Strategy.POSITIVE_ONLY),
+}
+
 
 def _rational(x: Fraction):
     return sympy.Rational(x.numerator, x.denominator)
@@ -46,6 +54,19 @@ def _intervals(q, rng):
     return out
 
 
+def _check_counts(q, rng, where, count_between):
+    """Root counts of q against sympy; count_between(ref, lo, hi) is sympy's
+    count of the roots of ref in [lo, hi], neither end a root."""
+    ref = _sympy_poly(q)
+    isolated = ref.intervals()
+    count = root_count(q)
+    assert count.distinct == len(isolated), where
+    assert count.with_multiplicity == sum(m for _, m in isolated), where
+    for lo, hi in _intervals(q, rng):
+        assert sturm_count(q, lo, hi) == count_between(ref, _rational(lo), _rational(hi)), \
+            (*where, lo, hi)
+
+
 @pytest.mark.parametrize("strategy", sorted(CORPORA))
 def test_counts_agree_with_sympy(strategy):
     config = CORPORA[strategy]
@@ -53,14 +74,22 @@ def test_counts_agree_with_sympy(strategy):
     for i in range(config.cases):
         instance = build(random_polynomial(config, i))
         for q in (instance.p, instance.p1, instance.p2, instance.delta):
-            if q.is_zero:
-                continue
-            where = (strategy, i, format_polynomial(q))
-            ref = _sympy_poly(q)
-            isolated = ref.intervals()
-            count = root_count(q)
-            assert count.distinct == len(isolated), where
-            assert count.with_multiplicity == sum(m for _, m in isolated), where
-            for lo, hi in _intervals(q, rng):
-                assert sturm_count(q, lo, hi) == ref.count_roots(_rational(lo), _rational(hi)), \
-                    (*where, lo, hi)
+            if not q.is_zero:
+                _check_counts(q, rng, (strategy, i, format_polynomial(q)),
+                              sympy.Poly.count_roots)
+
+
+@pytest.mark.parametrize("strategy", sorted(HIGH_DEGREE_DELTA))
+def test_high_degree_delta_counts_agree_with_sympy(strategy):
+    # Counting is most of the case time from degree 18 up. Whole-line counts
+    # read the cached Sturm profile and finite intervals walk the uncached
+    # sequence. At degrees up to 60, sympy's Sturm-based count_roots takes
+    # seconds per interval, so its root isolation restricted to the interval
+    # counts instead.
+    config = HIGH_DEGREE_DELTA[strategy]
+    rng = random.Random(config.seed)
+    for i in range(config.cases):
+        delta = build(random_polynomial(config, i)).delta
+        if not delta.is_zero:
+            _check_counts(delta, rng, (strategy, i, format_polynomial(delta)),
+                          lambda ref, lo, hi: len(ref.intervals(inf=lo, sup=hi)))

@@ -1,4 +1,5 @@
-"""Memory stays bounded on long runs: every package cache has a finite size."""
+"""Memory stays bounded on long runs: every package cache has a finite size,
+and no cache entry grows with the intermediate swell of a Sturm sequence."""
 
 import gc
 import importlib
@@ -6,7 +7,7 @@ import pkgutil
 import tracemalloc
 
 import shapiro12
-from shapiro12.harness import FuzzConfig, run_fuzz
+from shapiro12.harness import FuzzConfig, Strategy, run_fuzz
 
 
 def _package_caches():
@@ -25,7 +26,7 @@ def _package_caches():
 def test_every_cache_is_bounded():
     caches = _package_caches()
     names = {f"{c.__module__}.{c.__name__}" for c in caches}
-    assert {"shapiro12.polycore.gcd", "shapiro12.polycore._sturm_sequence",
+    assert {"shapiro12.polycore.gcd", "shapiro12.polycore._sturm_profile",
             "shapiro12.polycore.proves_coprime",
             "shapiro12.harness._targeted_case"} <= names
     for cache in caches:
@@ -48,3 +49,25 @@ def test_memory_flat_on_long_fuzz_run():
     finally:
         tracemalloc.stop()
     assert at_2000 - at_500 < 1 << 20
+
+
+def test_memory_per_case_small_at_high_degree():
+    # Counting caches the Sturm profile of p and delta, a count and the last
+    # element, not the sequence, whose middle elements are far wider than the
+    # polynomial at degrees 24-32. Caching the sequences grew the traced
+    # memory by about 195 KB per case here; the profiles grow it by about 3.5.
+    config = FuzzConfig(seed=103, cases=40, degree_range=(24, 32), coeff_bound=12,
+                        strategy=Strategy.UNIFORM)
+    for cache in _package_caches():
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = run_fuzz(config)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert summary.disagreements == []
+    assert growth / config.cases < 10 * 1024

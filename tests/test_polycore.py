@@ -9,7 +9,7 @@ from shapiro12.polycore import (
     NEG_INFINITY,
     Polynomial,
     _int_rem_positive,
-    _sturm_sequence,
+    _sturm_profile,
     constant,
     div_exact,
     format_polynomial,
@@ -157,16 +157,16 @@ class TestSquarefree:
 
     def test_multiplicities_read_only_the_repeated_part_chain(self):
         # p = (x-1)^3 (x+2) (x^2+1) (x^2-3)^2: the chain g0 = p,
-        # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three Sturm sequences, and
+        # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three Sturm profiles, and
         # counting, isolating and labelling multiplicities read only those.
         p = P("-1,1") ** 3 * P("2,1") * P("1,0,1") * P("-3,0,1") ** 2 * 5
-        for cached in (gcd, _sturm_sequence):
+        for cached in (gcd, _sturm_profile):
             cached.cache_clear()
         squarefree_part(p)
         sturm_count(p)
         assert root_count(p) == RootCount(4, 8)
         assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 2, 3, 2]
-        assert _sturm_sequence.cache_info().misses == 3
+        assert _sturm_profile.cache_info().misses == 3
         assert gcd.cache_info().misses == 0
 
 

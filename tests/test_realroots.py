@@ -14,7 +14,8 @@ import shapiro12
 from shapiro12 import realroots
 from shapiro12.polycore import (
     _PRIME,
-    _sturm_sequence,
+    _sign_changes,
+    _sturm_profile,
     constant,
     from_coefficients,
     gcd,
@@ -28,7 +29,6 @@ from shapiro12.polycore import (
 from shapiro12.realroots import (
     RootCount,
     _bound_exponent,
-    _sign_changes,
     _taylor_shift,
     _unit_interval_count,
     bisect_once,
@@ -288,6 +288,25 @@ class TestOrderAndCompare:
         b = [r for r in isolate_real_roots(P("-20001,0,10000")) if r.interval.hi > 0][0]
         assert compare_roots(a, b) == -1
 
+    @given(int_polys(4, 9), int_polys(4, 9), int_polys(3, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_order_merges_exactly_the_common_roots(self, f, g, h):
+        # Equality reads only the sign of the witnesses' common divisor at
+        # the ends of the overlap; Sturm counts check it from outside.
+        p, q = f * h, g * h
+        merged = order_roots(list(isolate_real_roots(p)) + list(isolate_real_roots(q)))
+        assert len(merged) == sturm_count(p * q)
+        assert sum(len(m.members) == 2 for m in merged) == sturm_count(gcd(p, q))
+        for m in merged:
+            assert all(compare_roots(m.primary, r) == 0 for r in m.members)
+        for left, right in zip(merged, merged[1:]):
+            a, b = left.primary, right.primary
+            for _ in range(200):
+                if a.interval.hi < b.interval.lo:
+                    break
+                a, b = bisect_once(a), bisect_once(b)
+            assert a.interval.hi < b.interval.lo
+
     def test_separate_roots(self):
         roots = [m.primary for m in order_roots(
             list(isolate_real_roots(P("-2,0,1"))) + list(isolate_real_roots(P("0,1"))))]
@@ -404,6 +423,15 @@ class TestNonSquarefreeGroundTruth:
         assume(lo < hi and lo not in roots and hi not in roots)
         assert sturm_count(p, lo, hi) == sum(1 for r in roots if lo < r < hi)
 
+    @given(factored_polys(), st.fractions(-6, 6, max_denominator=7))
+    @settings(max_examples=80, deadline=None)
+    def test_one_open_end(self, case, x):
+        # An open end stands for +-2^e from the root bound, which no root reaches.
+        p, roots, _, _ = case
+        assume(x not in roots)
+        assert sturm_count(p, None, x) == sum(1 for r in roots if r < x)
+        assert sturm_count(p, x, None) == sum(1 for r in roots if r > x)
+
 
 class TestInvariants:
     @given(int_polys())
@@ -511,9 +539,9 @@ class TestModularCertificatesAndDescartes:
         # and the exact squarefree part takes over.
         p = from_coefficients([-_PRIME, 0, 1])
         assert not proves_squarefree(p)
-        _sturm_sequence.cache_clear()
+        _sturm_profile.cache_clear()
         minus, plus = isolate_real_roots(p)
-        assert _sturm_sequence.cache_info().misses >= 1
+        assert _sturm_profile.cache_info().misses >= 1
         assert minus.multiplicity == plus.multiplicity == 1
         assert 0 <= plus.interval.lo and plus.interval.lo ** 2 < _PRIME < plus.interval.hi ** 2
         assert minus.interval.hi <= 0 and minus.interval.hi ** 2 < _PRIME < minus.interval.lo ** 2
@@ -634,3 +662,15 @@ class TestLazySquarefreeCertificate:
             iv = r.interval
             if not iv.is_point:
                 assert sturm_count(r.witness, iv.lo, iv.hi) == 1
+
+    def test_depth_cap_bounds_the_first_run_on_a_multiple_root(self, monkeypatch):
+        # (p')^2 for the Gamma121 fixture 11,-6,4,-3,1 has a double root that
+        # is not dyadic, so the capped first run bisects down to the cap
+        # before the squarefree part takes over: 53 Descartes nodes in all at
+        # a cap of 32, 32 at the cap of 16.
+        runs, _ = _recording_isolation(monkeypatch)
+        p1 = P("11,-6,4,-3,1").derivative()
+        (root,) = isolate_real_roots(p1 * p1)
+        assert [run[:2] for run in runs] == [(True, "inconclusive"), (False, "finished")]
+        assert root.multiplicity == 2 and (root.interval.lo, root.interval.hi) == (0, 2)
+        assert sum(run[2] for run in runs) < 40

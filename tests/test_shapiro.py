@@ -10,14 +10,15 @@ import pytest
 
 import shapiro12
 
-from shapiro12 import realroots, shapiro
+from shapiro12 import polycore, realroots, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
-    _sturm_sequence,
+    _sturm_profile,
     constant,
     div_exact,
     from_coefficients,
     gcd,
+    monic,
     parse_polynomial,
     proves_squarefree,
     repeated_part,
@@ -329,11 +330,21 @@ class TestPaperAlgebraOnGamma1:
             assert [r.multiplicity for r in full] == [r.multiplicity for r in reduced]
             assert all(compare_roots(x, y) == 0 for x, y in zip(full, reduced))
 
-    def test_certified_cases_run_no_remainder_sequence_but_that_of_p(self, gamma1_instances):
+    def test_certified_cases_run_no_remainder_sequence_but_that_of_p(self, gamma1_instances,
+                                                                     monkeypatch):
         # When B is certified squarefree mod the prime, classify isolates p',
         # p'' and B by Descartes bisection and decides every order and sign
-        # with coprimality certificates: the Sturm sequence of p, for the
-        # Lambda1 test, is the only remainder sequence it builds.
+        # with coprimality certificates: the Sturm sequence of p, walked once
+        # for the profile that the Lambda1 test reads, is the only remainder
+        # sequence it builds.
+        walks = []
+        remainder_sequence = polycore._remainder_sequence
+
+        def recording(a, b):
+            walks.append(a)
+            return remainder_sequence(a, b)
+
+        monkeypatch.setattr(polycore, "_remainder_sequence", recording)
         fixtures = [P(FIXTURES[label]) for label in _GAMMA_1[1:]]
         polys = fixtures + [inst.p for inst in gamma1_instances]
         certified = [p for p in polys if proves_squarefree(_breakaway_polynomial(build(p)))]
@@ -341,10 +352,12 @@ class TestPaperAlgebraOnGamma1:
         for p in certified:
             inst = build(p)
             gcd.cache_clear()
-            _sturm_sequence.cache_clear()
+            _sturm_profile.cache_clear()
+            walks.clear()
             assert classify(inst)[0] in _GAMMA_1
-            assert _sturm_sequence.cache_info().misses == 1
+            assert _sturm_profile.cache_info().misses == 1
             assert gcd.cache_info().misses == 0
+            assert walks == [monic(p).prim]
 
     def test_breakaway_polynomial_from_the_square_of_p1_and_delta(self, gamma1_instances):
         # On the Gamma1 fixtures and seeded cases, classify forms B as p''((n-2)p'^2 - 2 delta)/n - pp'p''' from the
