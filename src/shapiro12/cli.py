@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 
 from .harness import FIXTURES, MAX_COEFF_BITS, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
-from .polycore import _TOKEN, Polynomial, format_polynomial, parse_polynomial
+from .polycore import Polynomial, format_polynomial, parse_polynomial, parse_rational
 from .realroots import IsolatedRoot, bisect_once, isolates, order_roots, rational_value, refine
 from .rootlocus import EventKind, InfiniteGainError, axis_events, breakaway_points, gain_at
 from .shapiro import (
@@ -280,13 +280,11 @@ def _approx_position(root: IsolatedRoot) -> Fraction:
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     poly = _load_polynomial(args.polynomial, args.descending)
-    # Endpoints follow the coefficient token rule and bit cap.
-    texts = [t.strip() for t in args.range.split(":")]
-    if len(texts) != 2 or not all(_TOKEN.fullmatch(t) for t in texts):
-        raise _CliError(EXIT_PARSE, f"malformed range: {args.range!r}")
+    # Endpoints follow the coefficient token rule and bit cap; a count other
+    # than two fails the unpacking with ValueError as well.
     try:
-        lo, hi = Fraction(texts[0]), Fraction(texts[1])
-    except ZeroDivisionError as exc:
+        lo, hi = (parse_rational(t.strip()) for t in args.range.split(":"))
+    except ValueError as exc:
         raise _CliError(EXIT_PARSE, f"malformed range: {args.range!r}") from exc
     if _too_long(lo) or _too_long(hi):
         raise _CliError(EXIT_DOMAIN, f"range endpoints must have at most {MAX_COEFF_BITS} bits")

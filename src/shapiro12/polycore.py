@@ -23,12 +23,12 @@ CoefficientLike = Union[Fraction, int, str]
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
-#: Entries of each package-level ``lru_cache`` in this module and in
-#: ``rootlocus``.  Repeats within one ``classify`` fit easily; repeats across
-#: searches are served by the harness's own memo, so memory stays flat on
-#: long runs.  Here each value is a bool or a divisor of an argument (with a
-#: count), so entries are bounded in bytes too; no Sturm sequence is kept,
-#: whose middle elements can be fifty times wider than the polynomial.
+#: Entries of each package-level ``lru_cache`` in this module.  Repeats
+#: within one ``classify`` fit easily; repeats across searches are served by
+#: the harness's own memo, so memory stays flat on long runs.  Each value is
+#: a bool or a divisor of an argument (with a count), so entries are bounded
+#: in bytes too; no Sturm sequence is kept, whose middle elements can be
+#: fifty times wider than the polynomial.
 CACHE_SIZE = 256
 
 
@@ -427,14 +427,21 @@ def proves_coprime(p: Polynomial, q: Polynomial) -> bool:
 _TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def parse_rational(token: str) -> Fraction:
+    """One stripped token of the format: an integer or num/den, den nonzero."""
+    if not _TOKEN.fullmatch(token):
+        raise ValueError(f"malformed rational: {token!r}")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator: {token!r}") from exc
+
+
 def parse_polynomial(text: str, descending: bool = False) -> Polynomial:
     """Parse the comma-separated coefficient format, e.g. ``1,0,1`` for x^2+1."""
-    tokens = [t.strip() for t in text.split(",")]
-    if not all(_TOKEN.fullmatch(t) for t in tokens):
-        raise ValueError(f"malformed polynomial text: {text!r}")
     try:
-        values = [Fraction(t) for t in tokens]
-    except ZeroDivisionError as exc:
+        values = [parse_rational(t.strip()) for t in text.split(",")]
+    except ValueError as exc:
         raise ValueError(f"malformed polynomial text: {text!r}") from exc
     if descending:
         values.reverse()

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 from .polycore import (
     ONE,
+    InvariantError,
     Polynomial,
     _horner,
     _sign,
@@ -135,10 +136,12 @@ def _repeated_parts(p: Polynomial) -> Iterable[Polynomial]:
     A real root of p of multiplicity m is a root of g0 ... g(m-1) and of no
     later gk; each gk is read off the Sturm sequence of the one before it.
     """
-    g = repeated_part(p)
+    g, before = repeated_part(p), p
     while g.degree > 0:
+        if g.degree >= before.degree:
+            raise InvariantError("gcd(g, g') must have a lower degree than g")
         yield g
-        g = repeated_part(g)
+        g, before = repeated_part(g), g
 
 
 def root_count(p: Polynomial) -> RootCount:

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .polycore import (
-    CACHE_SIZE,
     ONE,
     ZERO,
     InvariantError,
@@ -143,7 +141,6 @@ def _require_canceled(rf: RationalFunctionOnAxis) -> None:
         raise ValueError("rational function must be normalized first")
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def axis_events(rf: RationalFunctionOnAxis) -> tuple[AxisEvent, ...]:
     """All real zeros and poles with multiplicity, sorted left to right.
 
@@ -171,7 +168,6 @@ def axis_events(rf: RationalFunctionOnAxis) -> tuple[AxisEvent, ...]:
     return tuple(AxisEvent(r, kinds[r.owner]) for r in picked)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def axis_segments(rf: RationalFunctionOnAxis) -> tuple[AxisSegment, ...]:
     """The open segments between consecutive events, tagged with parity.
 
@@ -226,7 +222,6 @@ def gain_derivative_numerator(rf: RationalFunctionOnAxis) -> Polynomial:
     return rf.numerator.derivative() * rf.denominator - rf.numerator * rf.denominator.derivative()
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
     """All real breakaway points, sorted, with standard/extremum classification.
 

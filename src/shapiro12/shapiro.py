@@ -23,7 +23,6 @@ from .realroots import (
     compare_roots,
     isolate_real_roots,
     root_count,
-    separate_roots,
     sign_at_root,
     sturm_count,
 )
@@ -90,7 +89,11 @@ class BreakawayFinding:
 
 @dataclass(frozen=True)
 class IntervalFinding:
-    """A segment of the +1 locus between two events; None is an infinity."""
+    """A segment of the +1 locus between two events; None is an infinity.
+
+    Each root keeps the isolating interval it was found in, so the intervals
+    of one report need not be disjoint; the printer canonicalises them.
+    """
 
     kind: IntervalKind
     lo: AxisEvent | None
@@ -109,24 +112,21 @@ class Evidence:
 
 @dataclass(frozen=True)
 class ShapiroInstance:
-    """p, its derivatives, delta and K0 = n/(n-1).
+    """p, its derivatives, (p')^2, delta and K0 = n/(n-1).
 
-    ``p1_squared = (p')^2`` is computed once: ``build`` fills it while it
-    forms delta, and the breakaway polynomial and the double pole of pp
-    read it. ``pp = p''p/(p')^2`` is computed on first use: only
-    ``plotdata`` and ``delta_sign_shortcut`` read it.
+    ``build`` forms ``p1_squared = (p')^2`` for delta; the breakaway
+    polynomial and the double pole of pp read it too. ``pp = p''p/(p')^2``
+    is computed on first use: only ``plotdata`` and ``delta_sign_shortcut``
+    read it.
     """
 
     p: Polynomial
     n: int
     p1: Polynomial
     p2: Polynomial
+    p1_squared: Polynomial
     delta: Polynomial
     k0: Fraction
-
-    @cached_property
-    def p1_squared(self) -> Polynomial:
-        return self.p1 * self.p1
 
     @cached_property
     def pp(self) -> RationalFunctionOnAxis:
@@ -154,9 +154,7 @@ def build(p: Polynomial) -> ShapiroInstance:
     # The top coefficient cancels exactly, so deg delta <= 2n - 3.
     if delta.coefficient(2 * n - 2) != 0:
         raise InvariantError("the x^(2n-2) coefficient of delta must cancel")
-    instance = ShapiroInstance(p, n, p1, p2, delta, Fraction(n, n - 1))
-    vars(instance)["p1_squared"] = p1_squared
-    return instance
+    return ShapiroInstance(p, n, p1, p2, p1_squared, delta, Fraction(n, n - 1))
 
 
 def predict_verdict(label: ClassLabel) -> Verdict:
@@ -216,15 +214,13 @@ def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
     # The segment between the pole p0 and its nearest zero of p'' lies on
     # the +1 locus, and its gain sweeps (0, +inf): on the right when p'' has
     # zeros there, else on the left.
-    pole = _double_pole(instance, p0)
+    pole = AxisEvent(_double_pole(instance, p0), EventKind.POLE)
     if right:
         label = ClassLabel.GAMMA_211 if not left else ClassLabel.GAMMA_231
-        pole, zero = separate_roots([pole, right[0]])
-        lo, hi = AxisEvent(pole, EventKind.POLE), AxisEvent(zero, EventKind.ZERO)
+        lo, hi = pole, AxisEvent(right[0], EventKind.ZERO)
     else:
         label = ClassLabel.GAMMA_22
-        zero, pole = separate_roots([left[-1], pole])
-        lo, hi = AxisEvent(zero, EventKind.ZERO), AxisEvent(pole, EventKind.POLE)
+        lo, hi = AxisEvent(left[-1], EventKind.ZERO), pole
     finding = IntervalFinding(IntervalKind.POLE_TO_ZERO, lo, hi, (), None)
     return label, Evidence(p0, n_left, n_right, (finding,))
 
@@ -277,20 +273,14 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     if not left and not right:
         return ClassLabel.GAMMA_11, Evidence(p0, 0, 0, ())
 
-    pole = _double_pole(instance, p0)
+    pole = AxisEvent(_double_pole(instance, p0), EventKind.POLE)
     findings = []
     all_below = True
     # The maxima are every other standard breakaway, starting next to p0.
-    for kind, maxima in ((IntervalKind.RIGHT_INFINITE, right[::2]),
-                         (IntervalKind.LEFT_INFINITE_EVEN, left[::-2][::-1])):
+    for kind, maxima, lo, hi in ((IntervalKind.RIGHT_INFINITE, right[::2], pole, None),
+                                 (IntervalKind.LEFT_INFINITE_EVEN, left[::-2][::-1], None, pole)):
         if not maxima:
             continue
-        if kind is IntervalKind.RIGHT_INFINITE:
-            pole_root, *maxima = separate_roots([pole, *maxima])
-            lo, hi = AxisEvent(pole_root, EventKind.POLE), None
-        else:
-            *maxima, pole_root = separate_roots([*maxima, pole])
-            lo, hi = None, AxisEvent(pole_root, EventKind.POLE)
         # On the +1 locus sign(K - K0) = sign(delta).
         here = tuple(BreakawayFinding(m, Comparison.from_sign(sign_at_root(instance.delta, m)))
                      for m in maxima)

@@ -17,6 +17,7 @@ from shapiro12.polycore import (
     gcd,
     monic,
     parse_polynomial,
+    parse_rational,
     repeated_part,
     sign_at,
     squarefree_part,
@@ -196,6 +197,13 @@ class TestTextFormat:
 
     def test_signs_and_spaces(self):
         assert parse_polynomial(" +1 , -2/3,4 ") == from_coefficients([1, Fraction(-2, 3), 4])
+
+    def test_rational_token(self):
+        # The one token parser of polynomial texts and plot ranges.
+        assert parse_rational("+6/4") == Fraction(3, 2)
+        for bad in ["-3/-4", "1/0", " 1"]:
+            with pytest.raises(ValueError):
+                parse_rational(bad)
 
 
 class TestRingProperties:

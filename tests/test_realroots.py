@@ -14,6 +14,7 @@ import shapiro12
 from shapiro12 import realroots
 from shapiro12.polycore import (
     _PRIME,
+    InvariantError,
     _sign_changes,
     _sturm_profile,
     constant,
@@ -374,6 +375,21 @@ class TestRootCount:
     def test_constant(self):
         rc = root_count(constant(7))
         assert rc.distinct == rc.with_multiplicity == 0
+
+    def test_repeated_part_that_keeps_the_degree_raises(self, monkeypatch):
+        # A kernel fault that fails to lower deg g must raise, not loop
+        # forever; the stub gives up after a few calls if nothing stops it.
+        calls = []
+
+        def stuck(g):
+            calls.append(g)
+            if len(calls) > 5:
+                raise RuntimeError("the degree check never fired")
+            return g
+
+        monkeypatch.setattr(realroots, "repeated_part", stuck)
+        with pytest.raises(InvariantError):
+            root_count(P("-1,0,1"))
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 
 import shapiro12
 
-from shapiro12 import polycore, realroots, shapiro
+from shapiro12 import polycore, realroots, rootlocus, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     _sturm_profile,
@@ -109,24 +109,37 @@ class TestBuild:
             den = inst.p2 * inst.p
             assert num.leading_coefficient() / den.leading_coefficient() == inst.k0
 
-    def test_pp_built_only_on_first_use(self):
+    def test_pp_built_only_on_first_use(self, monkeypatch):
+        # Every binding of each probed function in the package counts its
+        # calls, including names a module imported from another.
+        calls = {}
+        probed = (gcd, axis_events, axis_segments, breakaway_points, realroots.separate_roots)
+        for f in probed:
+            def counting(*args, _f=f, **kwargs):
+                calls[_f] += 1
+                return _f(*args, **kwargs)
+
+            calls[f] = 0
+            for module in (polycore, realroots, rootlocus, shapiro):
+                for name, value in list(vars(module).items()):
+                    if value is f:
+                        monkeypatch.setattr(module, name, counting)
         # Lambda1 is decided by one Sturm count of p: deciding it runs no gcd,
         # so pp = p''p/(p')^2 is never normalized.
-        gcd.cache_clear()
         inst = build(P(FIXTURES[ClassLabel.LAMBDA_1]))
         assert classify(inst)[0] is ClassLabel.LAMBDA_1
         assert actual_verdict(inst).verdict is Verdict.HOLDS
-        assert gcd.cache_info().misses == 0
+        assert calls[gcd] == 0
         assert "pp" not in vars(inst)
-        # No class reads pp or runs the generic root-locus analysis of it.
-        locus = (axis_events, axis_segments, breakaway_points)
+        # No class reads pp, runs the generic root-locus analysis of it or
+        # refines its evidence intervals apart: the printer canonicalises them.
+        never = probed[1:]
         for text in FIXTURES.values():
             inst = build(P(text))
-            calls = [f.cache_info()[:2] for f in locus]
             classify(inst)
             actual_verdict(inst)
             assert "pp" not in vars(inst), text
-            assert [f.cache_info()[:2] for f in locus] == calls, text
+            assert [calls[f] for f in never] == [0] * len(never), text
             assert inst.pp == normalize(inst.p2 * inst.p, inst.p1 * inst.p1)
 
 
