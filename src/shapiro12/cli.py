@@ -275,6 +275,10 @@ def _decimal12(x: Fraction) -> str:
 
 
 def _approx_position(root: IsolatedRoot) -> Fraction:
+    """The root itself when it is rational, else a point within 10^-24 of it."""
+    value = rational_value(root)
+    if value is not None:
+        return value
     return refine(root, Fraction(1, 10 ** 24)).interval.midpoint
 
 
@@ -301,13 +305,11 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     for i in range(args.samples):
         rows.setdefault(lo + step * i, None)
     for event in axis_events(pp):
-        x = event.root.interval.lo if event.root.interval.is_point \
-            else _approx_position(event.root)
+        x = _approx_position(event.root)
         if lo <= x <= hi:
             rows[x] = event.kind
     for b in breakaway_points(pp):
-        x = b.location.interval.lo if b.location.interval.is_point \
-            else _approx_position(b.location)
+        x = _approx_position(b.location)
         if lo <= x <= hi and rows.get(x) is None:
             rows[x] = "BREAKAWAY"
 

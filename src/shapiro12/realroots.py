@@ -69,17 +69,20 @@ class IsolatingInterval:
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    """One distinct real root of ``owner``.
+    """One distinct real root of a polynomial p: interval, multiplicity, witness.
 
-    ``witness`` is the monic squarefree part of ``owner``; it has exactly one
-    (simple) root inside the interval and nonzero values at the endpoints.
-    A point interval holds a rational root exactly. Isolation yields such
-    points or dyadic endpoints; the functions here accept any rational ones.
+    ``multiplicity`` is the root's multiplicity in p. ``witness`` is the monic
+    squarefree part of p; it has exactly one (simple) root inside the
+    interval and nonzero values at the endpoints. A point interval holds a
+    rational root exactly: isolation yields one for 0, for a dyadic root that
+    a bisection midpoint hits and for the root of a linear polynomial, and
+    every other interval has dyadic endpoints. Whether any other root is
+    rational is for ``rational_value`` to say. The functions here accept any
+    rational endpoints.
     """
 
     interval: IsolatingInterval
     multiplicity: int
-    owner: Polynomial
     witness: Polynomial
 
 
@@ -388,37 +391,16 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     sf = monic(p) if certified else squarefree_part(p)
     if found is None or not certified:
         found = _isolate(sf.prim, capped=False)
-    intervals = [_snap_rational(iv, sf) for iv in found]
-    multiplicity = [1] * len(intervals)
+    multiplicity = [1] * len(found)
     if not certified:
         # A root of gk need not change the sign of gk, but it does change the
         # sign of its squarefree part hk, which divides sf.
         for g in _repeated_parts(p):
             h = squarefree_part(g)
-            for i, iv in enumerate(intervals):
+            for i, iv in enumerate(found):
                 if _vanishes_on(h, iv):
                     multiplicity[i] += 1
-    return tuple(IsolatedRoot(iv, m, p, sf) for iv, m in zip(intervals, multiplicity))
-
-
-def _simplest_between(lo: Fraction, hi: Fraction | None) -> Fraction:
-    """Smallest-denominator rational in the open interval (lo, hi); None is +inf."""
-    above = math.floor(lo) + 1
-    if hi is None or above < hi:
-        return Fraction(above)
-    # (lo, hi) lies in [n, n + 1] for n = above - 1: x = n + 1/y, y > 1.
-    n = above - 1
-    return n + 1 / _simplest_between(1 / (hi - n), 1 / (lo - n) if lo != n else None)
-
-
-def _snap_rational(iv: IsolatingInterval, witness: Polynomial) -> IsolatingInterval:
-    """Collapse to an exact point when the interval's simplest rational is the root."""
-    if iv.is_point:
-        return iv
-    candidate = _simplest_between(iv.lo, iv.hi)
-    if sign_at(witness, candidate) == 0:
-        return IsolatingInterval(candidate, candidate)
-    return iv
+    return tuple(IsolatedRoot(iv, m, sf) for iv, m in zip(found, multiplicity))
 
 
 def _vanishes_on(q: Polynomial, iv: IsolatingInterval) -> bool:
@@ -454,10 +436,8 @@ def refine(root: IsolatedRoot, max_width: Fraction | int) -> IsolatedRoot:
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     iv = root.interval
-    if not iv.is_point and iv.width > max_width:
-        while not iv.is_point and iv.width > max_width:
-            iv = _bisect_interval(iv, root.witness)
-        iv = _snap_rational(iv, root.witness)
+    while not iv.is_point and iv.width > max_width:
+        iv = _bisect_interval(iv, root.witness)
     return replace(root, interval=iv)
 
 

@@ -148,24 +148,21 @@ def axis_events(rf: RationalFunctionOnAxis) -> tuple[AxisEvent, ...]:
     separated, so consecutive events admit rational points between them.
     """
     _require_canceled(rf)
-    kinds: dict[Polynomial, EventKind] = {}
-    roots: list[IsolatedRoot] = []
-    if rf.numerator.degree >= 1:
-        kinds[rf.numerator] = EventKind.ZERO
-        roots.extend(isolate_real_roots(rf.numerator))
-    if rf.denominator.degree >= 1:
-        kinds[rf.denominator] = EventKind.POLE
-        roots.extend(isolate_real_roots(rf.denominator))
-    if not roots:
+    # The coprime parts have different witnesses, so no root is in both.
+    kinds: dict[IsolatedRoot, EventKind] = {}
+    for part, kind in ((rf.numerator, EventKind.ZERO), (rf.denominator, EventKind.POLE)):
+        if part.degree >= 1:
+            kinds.update((r, kind) for r in isolate_real_roots(part))
+    if not kinds:
         return ()
-    merged = order_roots(roots)
     picked: list[IsolatedRoot] = []
-    for group in merged:
+    for group in order_roots(kinds):
         if len(group.members) != 1:
             raise InvariantError("coprime numerator and denominator share a root")
         picked.append(group.primary)
-    picked = separate_roots(picked)
-    return tuple(AxisEvent(r, kinds[r.owner]) for r in picked)
+    # separate_roots returns refined copies, so read the tags first.
+    tags = [kinds[r] for r in picked]
+    return tuple(AxisEvent(r, kind) for r, kind in zip(separate_roots(picked), tags))
 
 
 def axis_segments(rf: RationalFunctionOnAxis) -> tuple[AxisSegment, ...]:
@@ -241,8 +238,9 @@ def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
     candidates = isolate_real_roots(crit)
     if not candidates:
         return ()
-    events = axis_events(rf)
     segments = axis_segments(rf)
+    # Every segment but the last ends at an event.
+    events = [s.hi_event for s in segments[:-1]]
     event_roots = {e.root for e in events}
 
     merged = order_roots(list(candidates) + [e.root for e in events])

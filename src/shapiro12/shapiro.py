@@ -114,10 +114,11 @@ class Evidence:
 class ShapiroInstance:
     """p, its derivatives, (p')^2, delta and K0 = n/(n-1).
 
-    ``build`` forms ``p1_squared = (p')^2`` for delta; the breakaway
-    polynomial and the double pole of pp read it too. ``pp = p''p/(p')^2``
-    is computed on first use: only ``plotdata`` and ``delta_sign_shortcut``
-    read it.
+    ``build`` forms ``p1_squared = (p')^2`` for delta, and the breakaway
+    polynomial B reads it too; the double pole of pp is p0 itself with
+    multiplicity 2 and needs no polynomial of its own. ``pp = p''p/(p')^2``
+    also divides by it and is computed on first use: only ``plotdata`` and
+    ``delta_sign_shortcut`` read it.
     """
 
     p: Polynomial
@@ -214,7 +215,7 @@ def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
     # The segment between the pole p0 and its nearest zero of p'' lies on
     # the +1 locus, and its gain sweeps (0, +inf): on the right when p'' has
     # zeros there, else on the left.
-    pole = AxisEvent(_double_pole(instance, p0), EventKind.POLE)
+    pole = AxisEvent(_double_pole(p0), EventKind.POLE)
     if right:
         label = ClassLabel.GAMMA_211 if not left else ClassLabel.GAMMA_231
         lo, hi = pole, AxisEvent(right[0], EventKind.ZERO)
@@ -225,9 +226,9 @@ def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
     return label, Evidence(p0, n_left, n_right, (finding,))
 
 
-def _double_pole(instance: ShapiroInstance, p0: IsolatedRoot) -> IsolatedRoot:
-    """p0 as a root of (p')^2, the double pole of pp."""
-    return replace(p0, owner=instance.p1_squared, multiplicity=2)
+def _double_pole(p0: IsolatedRoot) -> IsolatedRoot:
+    """p0 as the double pole of pp: the same interval and witness, multiplicity 2."""
+    return replace(p0, multiplicity=2)
 
 
 def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
@@ -273,7 +274,7 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     if not left and not right:
         return ClassLabel.GAMMA_11, Evidence(p0, 0, 0, ())
 
-    pole = AxisEvent(_double_pole(instance, p0), EventKind.POLE)
+    pole = AxisEvent(_double_pole(p0), EventKind.POLE)
     findings = []
     all_below = True
     # The maxima are every other standard breakaway, starting next to p0.

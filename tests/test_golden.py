@@ -16,7 +16,10 @@ import sys
 from shapiro12.cli import main
 from shapiro12.harness import FIXTURES
 
-INPUTS = (*FIXTURES.values(), "1/2,-3/7,5/3,0,2/9", "16,32,24,8,1", "4,0,-4,0,1", "1,-4,6,-4,1")
+# (10x - 3)(3x + 1)(x^2 + 1) has an event at 3/10, on a -3:3/41 grid point;
+# 2,-6,9 is a Gamma11 case with p0 = 1/3. Neither rational is dyadic.
+INPUTS = (*FIXTURES.values(), "1/2,-3/7,5/3,0,2/9", "16,32,24,8,1", "4,0,-4,0,1", "1,-4,6,-4,1",
+          "-3,1,27,1,30", "2,-6,9")
 PLOT_ARGS = ("--range", "-3:3", "--samples", "41")
 FUZZ_COMMANDS = (
     ("fuzz", "--seed", "7", "--cases", "500"),
@@ -53,6 +56,10 @@ GOLDEN = {
     "plotdata 4,0,-4,0,1 --range -3:3 --samples 41": "e2bc79cd30cf536a1917af828e35eb1fd323cfdd468122521e8810fa50fac858",
     "classify 1,-4,6,-4,1": "2e782d19aed18238930e50d5b9bcfd46497107a72658b316997c102bcf5841db",
     "plotdata 1,-4,6,-4,1 --range -3:3 --samples 41": "e180e0dd98b0edfa6f3fa53c225878d9afa78395489e9f19837400235d40c28b",
+    "classify -3,1,27,1,30": "ceb87edc9db41b40a36ad4135c2793a3bd9d95993f1a3e2d2c57aadfcc31e2a7",
+    "plotdata -3,1,27,1,30 --range -3:3 --samples 41": "0f95ae9a9390b3f00191063d6a2314fce5194f99e7c3d614ff530c3d8dec0ea1",
+    "classify 2,-6,9": "dae60f252efcbf28917e80dcb1006e27c5c4e36dda8c0ab56dec801ade5c7508",
+    "plotdata 2,-6,9 --range -3:3 --samples 41": "2662d397e8e5fe5fae42ef0f787b553fb272168fc43837c728dba73c198c7520",
     "fuzz --seed 7 --cases 500": "7977bb2af8c0a0e72d102e778cf773710f3c919fdc15f415d5596d2d988e57b1",
     "fuzz --seed 7 --cases 500 --degrees 2:8 --bound 12 --strategy uniform": "7977bb2af8c0a0e72d102e778cf773710f3c919fdc15f415d5596d2d988e57b1",
     "fuzz --seed 7 --cases 300 --degrees 2:8 --bound 12 --strategy positive_only": "6df193e875523b87036beceff2e231f220a39a9617830612f64b1403b8c729cd",

@@ -674,7 +674,7 @@ class TestLazySquarefreeCertificate:
         assert [r.multiplicity for r in roots] == mults
         assert [rational_value(r) for r in roots] == values
         for r in roots:
-            assert r.witness == squarefree_part(p) and r.owner == p
+            assert r.witness == squarefree_part(p)
             iv = r.interval
             if not iv.is_point:
                 assert sturm_count(r.witness, iv.lo, iv.hi) == 1
