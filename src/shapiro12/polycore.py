@@ -369,10 +369,10 @@ def repeated_part(p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Modular certificates: one-sided proofs from a gcd over GF(q).
+# Modular certificate: a one-sided proof from a gcd over GF(q).
 # ---------------------------------------------------------------------------
 
-#: The word-size prime of the certificates: 2^30 - 35, the largest prime
+#: The word-size prime of the certificate: 2^30 - 35, the largest prime
 #: below 2^30, so every residue is a one-digit Python integer.
 _PRIME = 2 ** 30 - 35
 
@@ -393,18 +393,6 @@ def _gcd_degree_mod(a: Sequence[int], b: Sequence[int]) -> int:
                 a.pop()
         a, b = b, a
     return len(a) - 1
-
-
-def proves_squarefree(p: Polynomial) -> bool:
-    """True proves that p is squarefree over Q; False proves nothing.
-
-    When the prime does not divide lc(p), a square factor g^2 of p over Z
-    stays a square factor of the same degree mod the prime, so a constant
-    gcd(p, p') mod the prime rules it out.
-    """
-    if p.degree < 1 or p.prim[-1] % _PRIME == 0:
-        return False
-    return _gcd_degree_mod(p.prim, _int_derivative(p.prim)) == 0
 
 
 @lru_cache(maxsize=CACHE_SIZE)

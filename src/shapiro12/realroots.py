@@ -1,7 +1,7 @@
 """Exact real-root counting, isolation and sign determination.
 
-Roots are pinned by rational isolating intervals together with a squarefree
-witness polynomial that changes sign across the interval, so every question
+Roots are pinned by rational isolating intervals together with a witness
+polynomial that has one simple root in the interval, so every question
 about an algebraic number (its sign under another polynomial, its order
 relative to another root) reduces to integer sign computations.
 
@@ -9,11 +9,11 @@ Counting reads the cached Sturm profile (``sturm_count``, ``root_count``):
 the number of distinct real roots and the last element of the Sturm
 sequence, made in one walk that keeps no sequence. Isolation and the
 questions about isolated roots do not: Descartes' rule of signs on dyadic
-intervals, reached by integer Taylor shifts, finds the roots, and a modular
-certificate proves the polynomial squarefree (or two polynomials coprime).
-Isolation asks for the certificate only once bisection has found a root,
-since a search that ends with no root needs none. Only when a certificate
-fails does the exact gcd take over.
+intervals, reached by integer Taylor shifts, finds the roots. A bisection
+of p that finishes proves every real root simple, so p is its own witness;
+only one that gives up at a real multiple root (or at its depth cap) takes
+the exact squarefree part. Signs and order at isolated roots try a modular
+certificate that two polynomials are coprime before the exact gcd.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .polycore import (
     gcd,
     monic,
     proves_coprime,
-    proves_squarefree,
     repeated_part,
     sign_at,
     squarefree_part,
@@ -71,13 +70,15 @@ class IsolatingInterval:
 class IsolatedRoot:
     """One distinct real root of a polynomial p: interval, multiplicity, witness.
 
-    ``multiplicity`` is the root's multiplicity in p. ``witness`` is the monic
-    squarefree part of p; it has exactly one (simple) root inside the
-    interval and nonzero values at the endpoints. A point interval holds a
-    rational root exactly: isolation yields one for 0, for a dyadic root that
-    a bisection midpoint hits and for the root of a linear polynomial, and
-    every other interval has dyadic endpoints. Whether any other root is
-    rational is for ``rational_value`` to say. The functions here accept any
+    ``multiplicity`` is the root's multiplicity in p. ``witness`` is monic p
+    when every real root of p is simple, else the monic squarefree part of p
+    (which it also is when the first bisection of p reaches its depth cap);
+    it has exactly one (simple) root inside the interval and nonzero values
+    at the endpoints. A point interval holds a rational root exactly:
+    isolation yields one for 0, for a dyadic root that a bisection midpoint
+    hits and for the root of a linear polynomial, and every other interval
+    has dyadic endpoints. Whether any other root is rational is for
+    ``rational_value`` to say. The functions here accept any
     rational endpoints.
     """
 
@@ -268,12 +269,13 @@ def _node_count(node: Sequence[int]) -> int:
     return _unit_interval_count(node)
 
 
-#: Bisection depth below (0, 2^e) at which the first, uncertified isolation
+#: Bisection depth below (0, 2^e) at which the first isolation, on p itself,
 #: gives up on a node that still has Descartes count 2 or more. A real root
 #: of multiplicity >= 2 keeps the count of its nodes at 2 or more at every
 #: depth, so one that is not dyadic is caught here, and every level costs it
 #: a node. The seeded fuzz corpora need at most 13 levels; a squarefree
-#: input that reaches the cap pays for one more bisection.
+#: input that reaches the cap pays for its exact squarefree part (a Sturm
+#: walk) and one more, uncapped bisection.
 _DEPTH_CAP = 16
 
 
@@ -369,13 +371,12 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     """Disjoint isolating intervals for every distinct real root, sorted.
 
     Descartes bisection runs on p itself first, under a depth cap. When it
-    finishes without finding a root, p has no real root, whatever its
-    complex multiplicities, and no certificate is needed. Otherwise a
-    modular certificate tries to prove p squarefree; p is then its own
-    (monic) witness, the intervals already found are kept (bisecting -p
-    finds the same ones) and every multiplicity is 1. When the certificate
-    fails, the witness is the exact squarefree part, bisected again, and
-    multiplicities come from the chain of repeated parts.
+    finishes, every kept node had Descartes count 1 and every point root a
+    nonzero derivative, so each real root is simple, whatever the complex
+    multiplicities: p is its own (monic) witness and every multiplicity is
+    1. When it gives up, the witness is the exact squarefree part, bisected
+    again without the cap, and multiplicities come from the chain of
+    repeated parts.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -384,22 +385,20 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     try:
         found = _isolate(p.prim, capped=True)
     except _Inconclusive:
-        found = None
-    if found == []:
-        return ()
-    certified = proves_squarefree(p)
-    sf = monic(p) if certified else squarefree_part(p)
-    if found is None or not certified:
-        found = _isolate(sf.prim, capped=False)
+        pass
+    else:
+        witness = monic(p)
+        return tuple(IsolatedRoot(iv, 1, witness) for iv in found)
+    sf = squarefree_part(p)
+    found = _isolate(sf.prim, capped=False)
     multiplicity = [1] * len(found)
-    if not certified:
-        # A root of gk need not change the sign of gk, but it does change the
-        # sign of its squarefree part hk, which divides sf.
-        for g in _repeated_parts(p):
-            h = squarefree_part(g)
-            for i, iv in enumerate(found):
-                if _vanishes_on(h, iv):
-                    multiplicity[i] += 1
+    # A root of gk need not change the sign of gk, but it does change the
+    # sign of its squarefree part hk, which divides sf.
+    for g in _repeated_parts(p):
+        h = squarefree_part(g)
+        for i, iv in enumerate(found):
+            if _vanishes_on(h, iv):
+                multiplicity[i] += 1
     return tuple(IsolatedRoot(iv, m, sf) for iv, m in zip(found, multiplicity))
 
 

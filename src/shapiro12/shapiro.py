@@ -256,7 +256,7 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     A factor w^m of p with m >= 2 divides each term of B at least
     3m - 4 >= 2(m - 1) times, so g^2 divides B for g = gcd(p, p'). Since p
     has no real zero, neither has g, and B/g^2 has the real roots of B with
-    the same multiplicities; unlike B, it is usually squarefree.
+    the same multiplicities and a lower degree to bisect.
     """
     b = _breakaway_polynomial(instance)
     g = repeated_part(instance.p)

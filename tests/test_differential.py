@@ -1,9 +1,11 @@
-"""Differential check of the Sturm counting kernel against sympy.
+"""Differential check of the Sturm counting and Descartes isolation kernels
+against sympy.
 
 The classifier and the counted verdict share one gcd/Sturm kernel, so a fault
 there could make both wrong and still in agreement.  sympy isolates real
-roots with its own code, so it is an independent third counter.  Skipped when
-sympy is not installed.
+roots with its own code, so it is an independent third counter, and a
+reference for the intervals and multiplicities that isolation reports.
+Skipped when sympy is not installed.
 """
 
 import random
@@ -13,7 +15,7 @@ import pytest
 
 from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import format_polynomial, sign_at
-from shapiro12.realroots import root_count, sturm_count
+from shapiro12.realroots import isolate_real_roots, root_count, sturm_count
 from shapiro12.shapiro import build
 
 sympy = pytest.importorskip("sympy")
@@ -25,6 +27,11 @@ CORPORA = {
                           strategy=Strategy.UNIFORM),
     "positive_only": FuzzConfig(seed=13, cases=120, degree_range=(4, 10), coeff_bound=12,
                                 strategy=Strategy.POSITIVE_ONLY),
+    # Coefficients bounded by 3 give p a repeated, non-real factor in 42 of
+    # these cases, and delta with it: 14 isolations of such a p' or delta
+    # find real roots, and the first bisection finishes on q itself.
+    "positive_only_bound3": FuzzConfig(seed=23, cases=120, degree_range=(4, 12),
+                                       coeff_bound=3, strategy=Strategy.POSITIVE_ONLY),
 }
 
 #: Corpora of delta alone at degrees 24-32.
@@ -54,9 +61,11 @@ def _intervals(q, rng):
     return out
 
 
-def _check_counts(q, rng, where, count_between):
+def _check_counts(q, rng, where, count_between, isolation=False):
     """Root counts of q against sympy; count_between(ref, lo, hi) is sympy's
-    count of the roots of ref in [lo, hi], neither end a root."""
+    count of the roots of ref in [lo, hi], neither end a root. With
+    ``isolation``, also the roots that isolate_real_roots reports: their
+    multiplicities in order, and each interval holding exactly one root."""
     ref = _sympy_poly(q)
     isolated = ref.intervals()
     count = root_count(q)
@@ -65,6 +74,17 @@ def _check_counts(q, rng, where, count_between):
     for lo, hi in _intervals(q, rng):
         assert sturm_count(q, lo, hi) == count_between(ref, _rational(lo), _rational(hi)), \
             (*where, lo, hi)
+    if isolation:
+        roots = isolate_real_roots(q)
+        assert [r.multiplicity for r in roots] == [m for _, m in isolated], where
+        for r in roots:
+            lo, hi = _rational(r.interval.lo), _rational(r.interval.hi)
+            if r.interval.is_point:
+                assert ref.eval(lo) == 0, (*where, lo)
+            else:
+                # sympy's isolation restricted to the interval counts five
+                # times faster than its Sturm-based count_roots.
+                assert len(ref.intervals(inf=lo, sup=hi)) == 1, (*where, lo, hi)
 
 
 @pytest.mark.parametrize("strategy", sorted(CORPORA))
@@ -76,7 +96,7 @@ def test_counts_agree_with_sympy(strategy):
         for q in (instance.p, instance.p1, instance.p2, instance.delta):
             if not q.is_zero:
                 _check_counts(q, rng, (strategy, i, format_polynomial(q)),
-                              sympy.Poly.count_roots)
+                              sympy.Poly.count_roots, isolation=True)
 
 
 @pytest.mark.parametrize("strategy", sorted(HIGH_DEGREE_DELTA))

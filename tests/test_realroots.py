@@ -20,9 +20,9 @@ from shapiro12.polycore import (
     constant,
     from_coefficients,
     gcd,
+    monic,
     parse_polynomial,
     proves_coprime,
-    proves_squarefree,
     repeated_part,
     sign_at,
     squarefree_part,
@@ -428,7 +428,9 @@ class TestNonSquarefreeGroundTruth:
         assert repeated_part(p) == repeated
         isolated = isolate_real_roots(p)
         assert [r.multiplicity for r in isolated] == [m for _, m in sorted(zip(roots, mults))]
-        assert all(r.witness == squarefree_part(p) for r in isolated)
+        # Only a real multiple root makes isolation take the squarefree part.
+        witness = monic(p) if set(mults) <= {1} else squarefree_part(p)
+        assert all(r.witness == witness for r in isolated)
 
     @given(factored_polys(), st.fractions(-6, 6, max_denominator=7),
            st.fractions(-6, 6, max_denominator=7))
@@ -499,12 +501,7 @@ def _exact_sign(q, root):
 
 
 class TestModularCertificatesAndDescartes:
-    """The isolation kernel: modular certificates, Descartes bisection."""
-
-    @given(st.integers(-9, 9).filter(bool), int_polys(4, 9), int_polys(3, 9))
-    @settings(max_examples=80, deadline=None)
-    def test_square_factor_never_certified_squarefree(self, c, f, g):
-        assert not proves_squarefree(f * g * g * c)
+    """The isolation kernel: the coprimality certificate, Descartes bisection."""
 
     @given(int_polys(4, 9), int_polys(4, 9), int_polys(3, 9))
     @settings(max_examples=80, deadline=None)
@@ -512,9 +509,7 @@ class TestModularCertificatesAndDescartes:
         assert not proves_coprime(f * h, g * h)
 
     def test_certificates_prove_the_generic_case(self):
-        assert proves_squarefree(P("-2,0,1") * P("-3,1"))
         assert proves_coprime(P("-2,0,1"), P("-3,0,1"))
-        assert not proves_squarefree(P("-2,0,1") * P("-2,0,1"))
         assert not proves_coprime(P("-2,0,1") * P("1,1"), P("1,1"))
 
     def test_coprimality_certificate_computed_once_per_pair(self, monkeypatch):
@@ -551,13 +546,14 @@ class TestModularCertificatesAndDescartes:
                 assert sturm_count(w, iv.lo, iv.hi) == 1
 
     def test_fallback_when_not_squarefree_mod_the_prime(self):
-        # x^2 - q is squarefree over Q but x^2 mod q: the certificate fails,
-        # and the exact squarefree part takes over.
+        # x^2 - q is squarefree over Q but x^2 mod q. Isolation reads no
+        # residue: the first bisection finishes on p itself, with no Sturm
+        # walk, and p is the witness.
         p = from_coefficients([-_PRIME, 0, 1])
-        assert not proves_squarefree(p)
         _sturm_profile.cache_clear()
         minus, plus = isolate_real_roots(p)
-        assert _sturm_profile.cache_info().misses >= 1
+        assert _sturm_profile.cache_info().misses == 0
+        assert minus.witness == plus.witness == monic(p)
         assert minus.multiplicity == plus.multiplicity == 1
         assert 0 <= plus.interval.lo and plus.interval.lo ** 2 < _PRIME < plus.interval.hi ** 2
         assert minus.interval.hi <= 0 and minus.interval.hi ** 2 < _PRIME < minus.interval.lo ** 2
@@ -605,8 +601,8 @@ class TestEarlyExitDescartes:
 
 def _recording_isolation(monkeypatch):
     """Record each bisection run that isolate_real_roots starts, as (capped,
-    how it ended, nodes counted), and each squarefree certificate it asks for."""
-    runs, certificates, nodes = [], [], []
+    how it ended, nodes counted)."""
+    runs, nodes = [], []
     isolate, node_count = realroots._isolate, realroots._node_count
 
     def recording_isolate(f, capped):
@@ -623,14 +619,9 @@ def _recording_isolation(monkeypatch):
         nodes.append(node)
         return node_count(node)
 
-    def recording_certificate(p):
-        certificates.append(p)
-        return proves_squarefree(p)
-
     monkeypatch.setattr(realroots, "_isolate", recording_isolate)
     monkeypatch.setattr(realroots, "_node_count", recording_node_count)
-    monkeypatch.setattr(realroots, "proves_squarefree", recording_certificate)
-    return runs, certificates
+    return runs
 
 
 class TestLazySquarefreeCertificate:
@@ -639,42 +630,48 @@ class TestLazySquarefreeCertificate:
     def test_no_certificate_without_real_roots(self, monkeypatch, text, power):
         # Descartes count 0 on every node proves that there is no real root,
         # whatever the complex multiplicities.
-        runs, certificates = _recording_isolation(monkeypatch)
+        runs = _recording_isolation(monkeypatch)
         assert isolate_real_roots(P(text) ** power) == ()
         assert [run[:2] for run in runs] == [(True, "finished")]
-        assert certificates == []
 
     def test_certified_roots_reuse_the_first_bisection(self, monkeypatch):
-        runs, certificates = _recording_isolation(monkeypatch)
+        runs = _recording_isolation(monkeypatch)
         p = P("-2,0,1") * P("-3,1")
         roots = isolate_real_roots(p)
-        assert [run[:2] for run in runs] == [(True, "finished")] and certificates == [p]
+        assert [run[:2] for run in runs] == [(True, "finished")]
         assert [r.multiplicity for r in roots] == [1, 1, 1]
         assert all(r.witness == p for r in roots)
 
-    # (polynomial, why the squarefree part is isolated, real roots, multiplicities)
+    # (polynomial, how the first run ends, real roots, multiplicities)
     _FALLBACKS = [
         (P("0,0,1") * P("1,0,1"), "double root at 0", [0], [2]),
         (P("-1,2") ** 2 * P("1,0,1"), "dyadic double root", [Fraction(1, 2)], [2]),
         (P("-2,0,1") ** 2 * P("3,1"), "depth cap", [-3, None, None], [1, 2, 2]),
-        (P("1,0,1") ** 2 * P("-1,1"), "certificate fails", [1], [1]),
+        # Two simple roots 2^-21.6 apart.
+        (P("-1,3") * from_coefficients([-2 ** 20 - 1, 3 * 2 ** 20]), "depth cap, squarefree",
+         [Fraction(1, 3), Fraction(1048577, 3145728)], [1, 1]),
+        (P("1,0,1") ** 2 * P("-1,1"), "finished, non-real double factor", [1], [1]),
     ]
 
     @pytest.mark.parametrize("p, reason, values, mults", _FALLBACKS)
     def test_fallback_keeps_the_squarefree_part_as_witness(self, monkeypatch, p, reason,
                                                            values, mults):
-        runs, certificates = _recording_isolation(monkeypatch)
+        runs = _recording_isolation(monkeypatch)
         roots = isolate_real_roots(p)
-        (capped, first, nodes), uncapped = runs
-        assert capped and uncapped[:2] == (False, "finished")
-        assert first == ("finished" if reason == "certificate fails" else "inconclusive")
-        # Only the depth cap lets the first run bisect that deep.
-        assert (nodes > realroots._DEPTH_CAP) == (reason == "depth cap")
-        assert certificates == [p]
+        if reason.startswith("finished"):
+            # A finished first run proves every real root simple: p is the witness.
+            assert [run[:2] for run in runs] == [(True, "finished")]
+            witness = monic(p)
+        else:
+            (capped, first, nodes), uncapped = runs
+            assert capped and first == "inconclusive" and uncapped[:2] == (False, "finished")
+            # Only the depth cap lets the first run bisect that deep.
+            assert (nodes > realroots._DEPTH_CAP) == reason.startswith("depth cap")
+            witness = squarefree_part(p)
         assert [r.multiplicity for r in roots] == mults
         assert [rational_value(r) for r in roots] == values
         for r in roots:
-            assert r.witness == squarefree_part(p)
+            assert r.witness == witness
             iv = r.interval
             if not iv.is_point:
                 assert sturm_count(r.witness, iv.lo, iv.hi) == 1
@@ -684,7 +681,7 @@ class TestLazySquarefreeCertificate:
         # is not dyadic, so the capped first run bisects down to the cap
         # before the squarefree part takes over: 53 Descartes nodes in all at
         # a cap of 32, 32 at the cap of 16.
-        runs, _ = _recording_isolation(monkeypatch)
+        runs = _recording_isolation(monkeypatch)
         p1 = P("11,-6,4,-3,1").derivative()
         (root,) = isolate_real_roots(p1 * p1)
         assert [run[:2] for run in runs] == [(True, "inconclusive"), (False, "finished")]

@@ -20,7 +20,6 @@ from shapiro12.polycore import (
     gcd,
     monic,
     parse_polynomial,
-    proves_squarefree,
     repeated_part,
 )
 from shapiro12.realroots import compare_roots, isolate_real_roots, sturm_count
@@ -345,11 +344,11 @@ class TestPaperAlgebraOnGamma1:
 
     def test_certified_cases_run_no_remainder_sequence_but_that_of_p(self, gamma1_instances,
                                                                      monkeypatch):
-        # When B is certified squarefree mod the prime, classify isolates p',
-        # p'' and B by Descartes bisection and decides every order and sign
-        # with coprimality certificates: the Sturm sequence of p, walked once
-        # for the profile that the Lambda1 test reads, is the only remainder
-        # sequence it builds.
+        # When p is squarefree, classify isolates p', p'' and B by Descartes
+        # bisection alone and decides every order and sign with coprimality
+        # certificates: the Sturm sequence of p, walked once for the profile
+        # that the Lambda1 test reads, is the only remainder sequence it
+        # builds.
         walks = []
         remainder_sequence = polycore._remainder_sequence
 
@@ -360,7 +359,7 @@ class TestPaperAlgebraOnGamma1:
         monkeypatch.setattr(polycore, "_remainder_sequence", recording)
         fixtures = [P(FIXTURES[label]) for label in _GAMMA_1[1:]]
         polys = fixtures + [inst.p for inst in gamma1_instances]
-        certified = [p for p in polys if proves_squarefree(_breakaway_polynomial(build(p)))]
+        certified = [p for p in polys if repeated_part(p).degree == 0]
         assert fixtures == certified[:2] and len(certified) >= 100
         for p in certified:
             inst = build(p)
@@ -378,24 +377,6 @@ class TestPaperAlgebraOnGamma1:
         for inst in gamma1_instances:
             assert inst.p1_squared == inst.p1 * inst.p1
             assert shapiro._breakaway_polynomial(inst) == _breakaway_polynomial(inst)
-
-    def test_no_squarefree_certificate_for_root_free_p2_or_b(self, labelled_instances,
-                                                              monkeypatch):
-        # In Gamma11 neither p'' nor B has a real root, so bisection alone
-        # settles both: the only certificate is that of p', which has p0.
-        gamma11 = [inst for inst, label in labelled_instances if label is ClassLabel.GAMMA_11]
-        assert len(gamma11) >= 50
-        certificates = []
-
-        def recording(p):
-            certificates.append(p)
-            return proves_squarefree(p)
-
-        monkeypatch.setattr(realroots, "proves_squarefree", recording)
-        for inst in gamma11:
-            certificates.clear()
-            assert classify(inst)[0] is ClassLabel.GAMMA_11
-            assert certificates == [inst.p1]
 
     def test_delta_sign_equals_gain_comparison(self, gamma1_instances):
         # gain_compare_at never reads delta, so the two routes stay independent.
