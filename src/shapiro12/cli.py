@@ -23,7 +23,7 @@ from itertools import count
 from .harness import FIXTURES, MAX_COEFF_BITS, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
 from .polycore import Polynomial, format_polynomial, parse_polynomial, parse_rational
 from .realroots import IsolatedRoot, bisect_once, isolates, order_roots, rational_value, refine
-from .rootlocus import EventKind, InfiniteGainError, axis_events, breakaway_points, gain_at
+from .rootlocus import EventKind, InfiniteGainError, axis_segments, breakaway_points, gain_at
 from .shapiro import (
     ClassLabel,
     DeltaIdenticallyZeroError,
@@ -304,11 +304,13 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     step = (hi - lo) / (args.samples - 1)
     for i in range(args.samples):
         rows.setdefault(lo + step * i, None)
-    for event in axis_events(pp):
+    # One axis pass: the events are the ends of the segments.
+    segments = axis_segments(pp)
+    for event in (s.hi_event for s in segments[:-1]):
         x = _approx_position(event.root)
         if lo <= x <= hi:
             rows[x] = event.kind
-    for b in breakaway_points(pp):
+    for b in breakaway_points(pp, segments):
         x = _approx_position(b.location)
         if lo <= x <= hi and rows.get(x) is None:
             rows[x] = "BREAKAWAY"

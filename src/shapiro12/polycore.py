@@ -25,10 +25,11 @@ NEG_INFINITY = float("-inf")
 
 #: Entries of each package-level ``lru_cache`` in this module.  Repeats
 #: within one ``classify`` fit easily; repeats across searches are served by
-#: the harness's own memo, so memory stays flat on long runs.  Each value is
-#: a bool or a divisor of an argument (with a count), so entries are bounded
-#: in bytes too; no Sturm sequence is kept, whose middle elements can be
-#: fifty times wider than the polynomial.
+#: the harness's own memo, so memory stays flat on long runs.  Each key is a
+#: polynomial or, for the Sturm profile, its sign-normalised primitive
+#: vector; each value is a bool or a divisor of an argument (with a count),
+#: so entries are bounded in bytes too.  No Sturm sequence is kept, whose
+#: middle elements can be fifty times wider than the polynomial.
 CACHE_SIZE = 256
 
 
@@ -53,14 +54,24 @@ def _primitive(coeffs: list[int]) -> tuple[tuple[int, ...], int]:
 def _from_ints(ints: list[int], content: Fraction) -> "Polynomial":
     """Canonical form of content * ints, for content > 0."""
     prim, g = _primitive(ints)
-    return Polynomial(prim, content * g) if prim else ZERO
+    return Polynomial(prim, content * g if g > 1 else content) if prim else ZERO
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient vectors, of length len(a) + len(b) - 1."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _int_derivative(coeffs: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _horner(coeffs: Sequence[int], x: Fraction) -> int:
+def _horner(coeffs: Sequence[int], x: Fraction | int) -> int:
     """b**d * P(a/b) for x = a/b and d = deg P: homogenised integer Horner."""
     if not coeffs:
         return 0
@@ -83,7 +94,8 @@ class Polynomial:
     def __post_init__(self) -> None:
         if self.prim and self.prim[-1] == 0:
             raise ValueError("trailing zero coefficient; use from_coefficients")
-        if math.gcd(*self.prim) > 1 or self.content <= 0 or (not self.prim and self.content != 1):
+        num, den = self.content.numerator, self.content.denominator
+        if math.gcd(*self.prim) > 1 or num <= 0 or (not self.prim and num != den):
             raise ValueError("prim must be primitive and content positive; use from_coefficients")
 
     @property
@@ -103,12 +115,6 @@ class Polynomial:
         if not self.prim:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.content * self.prim[-1]
-
-    def coefficient(self, power: int) -> Fraction:
-        """Coefficient of x**power (zero beyond the degree)."""
-        if 0 <= power < len(self.prim):
-            return self.content * self.prim[power]
-        return Fraction(0)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not other.prim:
@@ -140,24 +146,10 @@ class Polynomial:
         if not self.prim or not other.prim:
             return ZERO
         # Gauss's lemma: the product of primitive vectors is primitive.
-        out = [0] * (len(self.prim) + len(other.prim) - 1)
-        for i, a in enumerate(self.prim):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.prim):
-                out[i + j] += a * b
-        return Polynomial(tuple(out), self.content * other.content)
+        return Polynomial(tuple(_int_mul(self.prim, other.prim)), self.content * other.content)
 
     def __rmul__(self, other: "Fraction | int") -> "Polynomial":
         return self.scale(other)
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def scale(self, c: Fraction | int) -> "Polynomial":
         c = Fraction(c)
@@ -208,10 +200,6 @@ def from_coefficients(coeffs: Sequence[CoefficientLike]) -> Polynomial:
     values = [Fraction(c) for c in coeffs]
     den = math.lcm(*(v.denominator for v in values))
     return _from_ints([v.numerator * (den // v.denominator) for v in values], Fraction(1, den))
-
-
-def constant(c: CoefficientLike) -> Polynomial:
-    return from_coefficients([c])
 
 
 def monic(p: Polynomial) -> Polynomial:
@@ -289,7 +277,7 @@ def _int_rem_positive(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def sign_at(p: Polynomial, x: Fraction | int) -> int:
     """Exact sign of p(x), computed with integer arithmetic only."""
-    return _sign(_horner(p.prim, Fraction(x)))
+    return _sign(_horner(p.prim, x))
 
 
 def _sign_changes(values: Iterable[int]) -> int:
@@ -336,15 +324,23 @@ def sturm_sequence(p: Polynomial) -> Iterator[tuple[int, ...]]:
     return _remainder_sequence(p.prim, _primitive(_int_derivative(p.prim))[0])
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _sturm_profile(f: Polynomial) -> tuple[int, tuple[int, ...]]:
-    """(distinct real roots, last element of the Sturm sequence) of a monic f.
+def _positive(prim: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive vector with a positive leading coefficient: that of monic p."""
+    return prim if prim[-1] > 0 else tuple(-c for c in prim)
 
-    One walk of the sequence, which is not kept: an element of degree d has
-    the sign of its leading coefficient at +inf, times (-1)^d at -inf.
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _sturm_profile(f: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(distinct real roots, last element of the Sturm sequence) of the
+    primitive vector f, with a positive leading coefficient.
+
+    Every nonzero rational multiple of one polynomial has this key, so p,
+    -p, (3/7)p and monic p share one entry. One walk of the sequence, which
+    is not kept: an element of degree d has the sign of its leading
+    coefficient at +inf, times (-1)^d at -inf.
     """
     at_minus, at_plus = [], []
-    for last in sturm_sequence(f):
+    for last in _remainder_sequence(f, _primitive(_int_derivative(f))[0]):
         s = _sign(last[-1])
         at_plus.append(s)
         at_minus.append(s if len(last) % 2 else -s)
@@ -365,7 +361,7 @@ def repeated_part(p: Polynomial) -> Polynomial:
 
     Read off the last element of the Sturm sequence, kept in the profile.
     """
-    return monic(Polynomial(_sturm_profile(monic(p))[1]))
+    return monic(Polynomial(_sturm_profile(_positive(p.prim))[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .polycore import (
     InvariantError,
     Polynomial,
     _horner,
+    _positive,
     _sign,
     _sign_changes,
     _sturm_profile,
@@ -123,7 +124,7 @@ def sturm_count(p: Polynomial, lo: Fraction | int | None = None,
     if p.degree == 0:
         return 0
     if lo is None and hi is None:
-        return _sturm_profile(monic(p))[0]
+        return _sturm_profile(_positive(p.prim))[0]
     if any(x is not None and sign_at(p, x) == 0 for x in (lo, hi)):
         raise ValueError("interval endpoint is a root")
     # Every root lies strictly inside (-2^e, 2^e), which stands in for an open end.
@@ -311,10 +312,10 @@ def _isolate_half(coeffs: Sequence[int], e: int, side: int,
         top = [a << (-e * (n - i)) for i, a in enumerate(coeffs)]
     if side < 0:
         top = [-a if i % 2 else a for i, a in enumerate(top)]
-    unit = Fraction(2) ** e
 
     def point(c: int, j: int) -> Fraction:
-        return side * unit * Fraction(c, 2 ** j)
+        k = e - j
+        return Fraction(side * c << k) if k >= 0 else Fraction(side * c, 1 << -k)
 
     out: list[IsolatingInterval] = []
     stack = [(0, 0, top, zero_is_root)]

@@ -219,7 +219,8 @@ def gain_derivative_numerator(rf: RationalFunctionOnAxis) -> Polynomial:
     return rf.numerator.derivative() * rf.denominator - rf.numerator * rf.denominator.derivative()
 
 
-def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
+def breakaway_points(rf: RationalFunctionOnAxis,
+                     segments: tuple[AxisSegment, ...] | None = None) -> tuple[BreakawayPoint, ...]:
     """All real breakaway points, sorted, with standard/extremum classification.
 
     A zero or pole of multiplicity m is a root of multiplicity exactly m - 1
@@ -229,6 +230,7 @@ def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
     constant, B = 2*p*p''^2 - p'^2*p'' - p*p'*p'''.  A candidate is standard
     exactly when N changes sign across it, tested at rational points inside
     the same segment with no other critical point or event in between.
+    ``segments``, when given, are ``axis_segments(rf)`` already made.
     """
     _require_canceled(rf)
     n_poly = gain_derivative_numerator(rf)
@@ -238,7 +240,8 @@ def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
     candidates = isolate_real_roots(crit)
     if not candidates:
         return ()
-    segments = axis_segments(rf)
+    if segments is None:
+        segments = axis_segments(rf)
     # Every segment but the last ends at an event.
     events = [s.hi_event for s in segments[:-1]]
     event_roots = {e.root for e in events}

@@ -16,7 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .polycore import InvariantError, Polynomial, div_exact, repeated_part, sign_at
+from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, _int_mul,
+                       div_exact, repeated_part, sign_at)
 from .realroots import (
     IsolatedRoot,
     RootCount,
@@ -114,11 +115,13 @@ class Evidence:
 class ShapiroInstance:
     """p, its derivatives, (p')^2, delta and K0 = n/(n-1).
 
-    ``build`` forms ``p1_squared = (p')^2`` for delta, and the breakaway
-    polynomial B reads it too; the double pole of pp is p0 itself with
-    multiplicity 2 and needs no polynomial of its own. ``pp = p''p/(p')^2``
-    also divides by it and is computed on first use: only ``plotdata`` and
-    ``delta_sign_shortcut`` read it.
+    For p = cP with P primitive, ``build`` forms P', P'', (P')^2 and
+    Delta = (n-1)(P')^2 - nPP'' as integer vectors, so p1 and p2 have
+    content c times an integer and ``p1_squared`` and ``delta`` c^2 times
+    one. The breakaway polynomial B reads (P')^2 and Delta back; the double
+    pole of pp is p0 itself with multiplicity 2 and needs no polynomial of
+    its own. ``pp = p''p/(p')^2`` is computed on first use: only
+    ``plotdata`` and ``delta_sign_shortcut`` read it.
     """
 
     p: Polynomial
@@ -142,20 +145,23 @@ class ActualVerdict:
 
 
 def build(p: Polynomial) -> ShapiroInstance:
-    """Derive all exact data the classifier needs from p."""
+    """Derive all exact data the classifier needs from p, in one integer pass."""
     if p.is_zero or p.degree < 2:
         raise ValueError("polynomial degree must be at least 2")
     n = int(p.degree)
     if n % 2 != 0:
         raise ValueError("polynomial degree must be even")
-    p1 = p.derivative()
-    p2 = p1.derivative()
-    p1_squared = p1 * p1
-    delta = p1_squared.scale(n - 1) - (p * p2).scale(n)
-    # The top coefficient cancels exactly, so deg delta <= 2n - 3.
-    if delta.coefficient(2 * n - 2) != 0:
+    p1_ints = _int_derivative(p.prim)
+    p2_ints = _int_derivative(p1_ints)
+    square = _int_mul(p1_ints, p1_ints)
+    # (P')^2 and PP'' both have degree 2n - 2, and the top coefficient of
+    # Delta cancels exactly, so deg delta <= 2n - 3.
+    delta_ints = [(n - 1) * a - n * b for a, b in zip(square, _int_mul(p.prim, p2_ints))]
+    if delta_ints[-1] != 0:
         raise InvariantError("the x^(2n-2) coefficient of delta must cancel")
-    return ShapiroInstance(p, n, p1, p2, p1_squared, delta, Fraction(n, n - 1))
+    c, c2 = p.content, p.content * p.content
+    return ShapiroInstance(p, n, _from_ints(p1_ints, c), _from_ints(p2_ints, c),
+                           _from_ints(square, c2), _from_ints(delta_ints, c2), Fraction(n, n - 1))
 
 
 def predict_verdict(label: ClassLabel) -> Verdict:
@@ -234,12 +240,25 @@ def _double_pole(p0: IsolatedRoot) -> IsolatedRoot:
 def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
     """B = 2pp''^2 - p'^2p'' - pp'p''', the reduced critical polynomial of pp.
 
-    With delta = (n-1)p'^2 - npp'' and (p')^2 already built,
-    B = p''((n-2)p'^2 - 2 delta)/n - pp'p''' takes three products.
+    For p = cP, B = c^3 (P''(2PP'' - (P')^2) - PP'P'''), and
+    n(2PP'' - (P')^2) = (n-2)(P')^2 - 2 Delta reads back the (P')^2 and
+    Delta that ``build`` formed, so B takes three integer products.
     """
-    p, p1, p2, n = instance.p, instance.p1, instance.p2, instance.n
-    bracket = instance.p1_squared.scale(n - 2) - instance.delta.scale(2)
-    return p2 * bracket.scale(Fraction(1, n)) - p * p1 * p2.derivative()
+    p, n = instance.p, instance.n
+    c2 = p.content * p.content
+    p1_ints = _int_derivative(p.prim)
+    p2_ints = _int_derivative(p1_ints)
+    # p1_squared and delta are c^2 times integer vectors: unscale them.
+    k_square = int(instance.p1_squared.content / c2)
+    k_delta = int(instance.delta.content / c2)  # unused when delta is 0
+    bracket = [(n - 2) * k_square * a for a in instance.p1_squared.prim]
+    for i, d in enumerate(instance.delta.prim):
+        bracket[i] -= 2 * k_delta * d
+    # Both products have 3n - 3 coefficients, also at n = 2, where P''' is 0.
+    minuend = _int_mul(p2_ints, [v // n for v in bracket])
+    subtrahend = _int_mul(_int_mul(p.prim, p1_ints), _int_derivative(p2_ints))
+    b = [x - y for x, y in zip(minuend, subtrahend, strict=True)]
+    return _from_ints(b, c2 * p.content)
 
 
 def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from shapiro12 import cli
+from shapiro12 import cli, harness, polycore, realroots, rootlocus, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import parse_polynomial, sign_at
 from shapiro12.realroots import refine, sturm_count
-from shapiro12.shapiro import Verdict, build, classify
+from shapiro12.shapiro import ClassLabel, Verdict, build, classify
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +279,28 @@ class TestPlotdata:
             exact_d = inst.delta.eval_at(x)
             if exact_d:
                 assert abs(Fraction(str(d_s)) - exact_d) <= abs(exact_d) * Fraction(1, 10 ** 10)
+
+    def test_one_axis_pass(self, capsys, monkeypatch):
+        # The events are read off the segments that breakaway_points reuses,
+        # so the zeros and poles of pp are isolated once. Every binding of
+        # axis_events in the package counts its calls.
+        calls = []
+        original = rootlocus.axis_events
+
+        def counting(rf):
+            calls.append(rf)
+            return original(rf)
+
+        for module in (cli, harness, polycore, realroots, rootlocus, shapiro):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+        text = FIXTURES[ClassLabel.GAMMA_121]
+        assert rootlocus.breakaway_points(build(parse_polynomial(text)).pp)  # B has real roots
+        calls.clear()
+        code, out, _ = run_cli(capsys, "plotdata", text, "--range", "-3:3", "--samples", "5")
+        assert code == 0 and "true" in out
+        assert len(calls) == 1
 
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "plotdata", "1,0,1", "--range", "5:1")

@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of CLI output on fixed inputs.
 
 Pins the ``classify`` JSON (without its ``timings``), the ``plotdata`` CSV
-and the ``fuzz`` summaries, so a change that must leave the output alone is
-checked byte for byte.  The module does not need pytest:
+and the ``fuzz`` summaries, plus one digest over the ``classify`` JSON of a
+seeded corpus, so a change that must leave the output alone is checked byte
+for byte.  The module does not need pytest:
 ``PYTHONPATH=src python tests/test_golden.py`` exits 1 and names every
 output whose digest changed.
 """
@@ -14,7 +15,8 @@ import json
 import sys
 
 from shapiro12.cli import main
-from shapiro12.harness import FIXTURES
+from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
+from shapiro12.polycore import format_polynomial
 
 # (10x - 3)(3x + 1)(x^2 + 1) has an event at 3/10, on a -3:3/41 grid point;
 # 2,-6,9 is a Gamma11 case with p0 = 1/3. Neither rational is dyadic.
@@ -28,6 +30,19 @@ FUZZ_COMMANDS = (
     ("fuzz", "--seed", "7", "--cases", "300", "--degrees", "2:8", "--bound", "12",
      "--strategy", "positive_only"),
 )
+
+# A seeded corpus pinned by one digest over its classify reports. The
+# targeted stream is read at every seventh index, so its tiers reach degree
+# 8; the rational inputs are non-monic, some with repeated real or complex
+# factors.
+CORPUS_STREAMS = (
+    (Strategy.POSITIVE_ONLY, (4, 12), range(50)),
+    (Strategy.UNIFORM, (2, 16), range(50)),
+    (Strategy.TARGETED, (4, 8), range(0, 280, 7)),
+)
+CORPUS_RATIONAL = ("3/4,0,1/3", "-5/2,1/7,3,2/5,-1/9,0,-4/3", "7/3,-2,5/6,-1/4,1/2",
+                   "3/7,-6/7,3/7", "5/3,0,10/3,0,5/3", "-2/9,4/9,-8/9,4/9,-2/9,0,-1/9",
+                   "1/6,1/3,1/2,1/3,1/6", "9/5,-12/5,22/5,-12/5,9/5")
 
 GOLDEN = {
     "classify -1,0,1": "c399fb5ca72e911fb7372c877a34acc62b5d1d05f5ec2f079b3df89cdab800aa",
@@ -65,6 +80,8 @@ GOLDEN = {
     "fuzz --seed 7 --cases 300 --degrees 2:8 --bound 12 --strategy positive_only": "6df193e875523b87036beceff2e231f220a39a9617830612f64b1403b8c729cd",
 }
 
+CORPUS_GOLDEN = "9f11ae29b8e5753a4b43728b5eafdc97fc9f6aed23925d6fde62d42e40a64531"
+
 
 def _run(argv: tuple[str, ...]) -> str:
     out = io.StringIO()
@@ -90,8 +107,30 @@ def digests() -> dict[str, str]:
     return {key: hashlib.sha256(text.encode()).hexdigest() for key, text in _outputs()}
 
 
+def corpus_texts() -> list[str]:
+    texts = []
+    for strategy, degrees, indices in CORPUS_STREAMS:
+        config = FuzzConfig(seed=5, cases=0, degree_range=degrees, coeff_bound=12,
+                            strategy=strategy)
+        texts += [format_polynomial(random_polynomial(config, i)) for i in indices]
+    return texts + list(CORPUS_RATIONAL)
+
+
+def corpus_digest() -> str:
+    digest = hashlib.sha256()
+    for text in corpus_texts():
+        report = json.loads(_run(("classify", text)))
+        del report["timings"]
+        digest.update(json.dumps(report, indent=2).encode())
+    return digest.hexdigest()
+
+
 def test_cli_outputs_match_golden_digests():
     assert digests() == GOLDEN
+
+
+def test_corpus_classify_reports_match_golden_digest():
+    assert corpus_digest() == CORPUS_GOLDEN
 
 
 if __name__ == "__main__":
@@ -100,4 +139,6 @@ if __name__ == "__main__":
     for key in sorted(changed):
         print(f"changed: {key}")
     print(f"{len(got) - len(changed)} of {len(GOLDEN)} golden outputs match")
-    sys.exit(1 if changed else 0)
+    corpus_changed = corpus_digest() != CORPUS_GOLDEN
+    print(f"corpus digest {'changed' if corpus_changed else 'matches'}")
+    sys.exit(1 if changed or corpus_changed else 0)

@@ -10,7 +10,6 @@ from shapiro12.polycore import (
     Polynomial,
     _int_rem_positive,
     _sturm_profile,
-    constant,
     div_exact,
     format_polynomial,
     from_coefficients,
@@ -83,12 +82,12 @@ class TestArithmetic:
     def test_derivative_power_rule(self):
         assert P("1,0,1").derivative() == P("0,2")
         assert P("1,0,0,0,1").derivative() == P("0,0,0,4")
-        assert constant(5).derivative().is_zero
+        assert P("5").derivative().is_zero
 
     def test_eval(self):
         assert P("1,0,1").eval_at(0) == 1
-        delta = (P("0,2") ** 2) - (P("1,0,1") * constant(2)).scale(2)
-        assert delta == constant(-4)
+        delta = P("0,2") * P("0,2") - (P("1,0,1") * P("2")).scale(2)
+        assert delta == P("-4")
         assert delta.eval_at(7) == -4
         assert P("32,0,-80,0,16").eval_at(1) == -32
 
@@ -122,7 +121,7 @@ class TestGcd:
 class TestDivExact:
     def test_exact(self):
         assert div_exact(P("-1,0,1"), P("1,1")) == P("-1,1")
-        assert div_exact(P("1/2,0,1/2"), P("3,0,3")) == constant(Fraction(1, 6))
+        assert div_exact(P("1/2,0,1/2"), P("3,0,3")) == P("1/6")
 
     def test_inexact_step(self):
         with pytest.raises(ValueError):
@@ -160,7 +159,7 @@ class TestSquarefree:
         # p = (x-1)^3 (x+2) (x^2+1) (x^2-3)^2: the chain g0 = p,
         # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three Sturm profiles, and
         # counting, isolating and labelling multiplicities read only those.
-        p = P("-1,1") ** 3 * P("2,1") * P("1,0,1") * P("-3,0,1") ** 2 * 5
+        p = math.prod([P("-1,1")] * 3 + [P("-3,0,1")] * 2, start=P("2,1") * P("1,0,1") * 5)
         for cached in (gcd, _sturm_profile):
             cached.cache_clear()
         squarefree_part(p)
@@ -169,6 +168,18 @@ class TestSquarefree:
         assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 2, 3, 2]
         assert _sturm_profile.cache_info().misses == 3
         assert gcd.cache_info().misses == 0
+
+    def test_every_rational_multiple_shares_one_profile(self):
+        # The profile is keyed on the primitive vector with a positive
+        # leading coefficient, which p, -p, (3/7)p and monic p all have.
+        p = P("1/2,-3/7,5/3,0,-2/9") * P("-1,3") * P("-1,3")
+        multiples = (p, -p, p * Fraction(3, 7), monic(p))
+        _sturm_profile.cache_clear()
+        assert {sturm_count(q) for q in multiples} == {3}
+        info = _sturm_profile.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert {repeated_part(q) for q in multiples} == {P("-1/3,1")}
+        assert _sturm_profile.cache_info().misses == 1
 
 
 class TestTextFormat:

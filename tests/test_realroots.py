@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -17,7 +18,6 @@ from shapiro12.polycore import (
     InvariantError,
     _sign_changes,
     _sturm_profile,
-    constant,
     from_coefficients,
     gcd,
     monic,
@@ -96,7 +96,7 @@ class TestSturmCount:
             sturm_count(P("1,0,1"), 2, 2)
 
     def test_constant(self):
-        assert sturm_count(constant(5)) == 0
+        assert sturm_count(P("5")) == 0
 
 
 class TestIsolation:
@@ -131,7 +131,7 @@ class TestIsolation:
         assert [r.multiplicity for r in roots] == [2, 1, 2]
         # A root of odd multiplicity m >= 3 is a root of even multiplicity of
         # g1 = gcd(p, p'), where g1 does not change sign.
-        p = P("-2,0,1") ** 3 * P("-3,0,1") ** 5 * P("-5,0,1") ** 4
+        p = math.prod([P("-2,0,1")] * 3 + [P("-3,0,1")] * 5 + [P("-5,0,1")] * 4)
         assert [r.multiplicity for r in isolate_real_roots(p)] == [4, 5, 3, 3, 5, 4]
         assert root_count(p) == RootCount(6, 24)
 
@@ -150,7 +150,7 @@ def bound_cases(draw):
     quads = draw(st.lists(st.tuples(st.fractions(-9, 9, max_denominator=4),
                                     st.fractions(Fraction(1, 64), 2 ** 12, max_denominator=64)),
                           max_size=3))
-    p = constant(draw(st.fractions(-9, 9, max_denominator=5).filter(bool)))
+    p = from_coefficients([draw(st.fractions(-9, 9, max_denominator=5).filter(bool))])
     for r in reals:
         p = p * from_coefficients([-r, 1])
     for a, b in quads:
@@ -234,7 +234,7 @@ _REFINE_TO_NONPOSITIVE_WIDTH = textwrap.dedent("""
 class TestSignAtRoot:
     def test_constant(self):
         root = isolate_real_roots(P("-2,0,1"))[0]
-        assert sign_at_root(constant(-4), root) == -1
+        assert sign_at_root(P("-4"), root) == -1
 
     def test_same_root_detected(self):
         root = [r for r in isolate_real_roots(P("-2,0,1")) if r.interval.hi > 0][0]
@@ -373,7 +373,7 @@ class TestRootCount:
         assert rc.distinct == 1 and rc.with_multiplicity == 3
 
     def test_constant(self):
-        rc = root_count(constant(7))
+        rc = root_count(P("7"))
         assert rc.distinct == rc.with_multiplicity == 0
 
     def test_repeated_part_that_keeps_the_degree_raises(self, monkeypatch):
@@ -405,14 +405,16 @@ def factored_polys(draw):
                                     st.fractions(Fraction(1, 8), 4, max_denominator=8)),
                           max_size=2, unique=True))
     powers = draw(st.lists(st.integers(1, 3), min_size=len(quads), max_size=len(quads)))
-    p = constant(draw(st.fractions(-9, 9, max_denominator=5).filter(bool)))
-    repeated = constant(1)
+    p = from_coefficients([draw(st.fractions(-9, 9, max_denominator=5).filter(bool))])
+    repeated = P("1")
     for r, m in zip(roots, mults):
         linear = from_coefficients([-r, 1])
-        p, repeated = p * linear ** m, repeated * linear ** (m - 1)
+        p = math.prod([linear] * m, start=p)
+        repeated = math.prod([linear] * (m - 1), start=repeated)
     for (a, b), k in zip(quads, powers):
         quadratic = from_coefficients([a * a + b, -2 * a, 1])
-        p, repeated = p * quadratic ** k, repeated * quadratic ** (k - 1)
+        p = math.prod([quadratic] * k, start=p)
+        repeated = math.prod([quadratic] * (k - 1), start=repeated)
     return p, roots, mults, repeated
 
 
@@ -530,7 +532,7 @@ class TestModularCertificatesAndDescartes:
 
     @given(st.one_of(int_polys(8, 12), factored_polys().map(lambda case: case[0]),
                      st.tuples(int_polys(4, 9), int_polys(3, 9), st.integers(1, 3))
-                     .map(lambda t: t[0] * t[1] ** t[2])))
+                     .map(lambda t: math.prod([t[1]] * t[2], start=t[0]))))
     @settings(max_examples=120, deadline=None)
     def test_intervals_isolate_every_root(self, p):
         roots = isolate_real_roots(p)
@@ -631,7 +633,7 @@ class TestLazySquarefreeCertificate:
         # Descartes count 0 on every node proves that there is no real root,
         # whatever the complex multiplicities.
         runs = _recording_isolation(monkeypatch)
-        assert isolate_real_roots(P(text) ** power) == ()
+        assert isolate_real_roots(math.prod([P(text)] * power, start=P("1"))) == ()
         assert [run[:2] for run in runs] == [(True, "finished")]
 
     def test_certified_roots_reuse_the_first_bisection(self, monkeypatch):
@@ -645,12 +647,12 @@ class TestLazySquarefreeCertificate:
     # (polynomial, how the first run ends, real roots, multiplicities)
     _FALLBACKS = [
         (P("0,0,1") * P("1,0,1"), "double root at 0", [0], [2]),
-        (P("-1,2") ** 2 * P("1,0,1"), "dyadic double root", [Fraction(1, 2)], [2]),
-        (P("-2,0,1") ** 2 * P("3,1"), "depth cap", [-3, None, None], [1, 2, 2]),
+        (P("-1,2") * P("-1,2") * P("1,0,1"), "dyadic double root", [Fraction(1, 2)], [2]),
+        (P("-2,0,1") * P("-2,0,1") * P("3,1"), "depth cap", [-3, None, None], [1, 2, 2]),
         # Two simple roots 2^-21.6 apart.
         (P("-1,3") * from_coefficients([-2 ** 20 - 1, 3 * 2 ** 20]), "depth cap, squarefree",
          [Fraction(1, 3), Fraction(1048577, 3145728)], [1, 1]),
-        (P("1,0,1") ** 2 * P("-1,1"), "finished, non-real double factor", [1], [1]),
+        (P("1,0,1") * P("1,0,1") * P("-1,1"), "finished, non-real double factor", [1], [1]),
     ]
 
     @pytest.mark.parametrize("p, reason, values, mults", _FALLBACKS)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapiro12 import cli, harness, polycore, realroots, rootlocus, shapiro
-from shapiro12.polycore import constant, from_coefficients, gcd, parse_polynomial, sign_at
+from shapiro12.polycore import from_coefficients, gcd, parse_polynomial, sign_at
 from shapiro12.realroots import (
     compare_roots,
     isolate_real_roots,
@@ -162,7 +162,7 @@ class TestBreakaway:
         assert breakaway_points(PP_X2P1) == ()
 
     def test_min_between_poles(self):
-        rf = normalize(P("1"), P("0,-3,0,1") * constant(1))  # 1/(x^3-3x): poles at -sqrt3, 0, sqrt3
+        rf = normalize(P("1"), P("0,-3,0,1"))  # 1/(x^3-3x): poles at -sqrt3, 0, sqrt3
         points = breakaway_points(rf)
         kinds = [(b.standard, b.extremum) for b in points]
         assert len(points) == 2
@@ -329,19 +329,20 @@ class TestStructuralInvariants:
 
 def _linear_power(args):
     a, e = args
-    return from_coefficients([-a, 1]) ** e
+    return math.prod([from_coefficients([-a, 1])] * e)
 
 
 def _quadratic_power(args):
     b, extra, e = args
-    return from_coefficients([b * b // 4 + extra, b, 1]) ** e  # no real root
+    return math.prod([from_coefficients([b * b // 4 + extra, b, 1])] * e)  # no real root
 
 
 def factored_poly():
     """Nonzero constant times powers of real linear and complex quadratic factors."""
     linear = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(_linear_power)
     quadratic = st.tuples(st.integers(-2, 2), st.integers(1, 3), st.integers(1, 2)).map(_quadratic_power)
-    lead = st.integers(1, 3).flatmap(lambda c: st.sampled_from([c, -c])).map(constant)
+    lead = st.integers(1, 3).flatmap(lambda c: st.sampled_from([c, -c])).map(
+        lambda c: from_coefficients([c]))
     factors = st.lists(st.one_of(linear, quadratic), max_size=3)
     return st.tuples(lead, factors).map(lambda t: math.prod(t[1], start=t[0]))
 

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -7,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapiro12
 
@@ -14,8 +17,8 @@ from shapiro12 import polycore, realroots, rootlocus, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     _sturm_profile,
-    constant,
     div_exact,
+    format_polynomial,
     from_coefficients,
     gcd,
     monic,
@@ -70,7 +73,7 @@ class TestBuild:
     def test_x2_plus_1(self):
         inst = build(P("1,0,1"))
         assert inst.n == 2
-        assert inst.delta == constant(-4)
+        assert inst.delta == P("-4")
         assert inst.k0 == 2
         assert inst.pp.numerator == P("1,0,1")
         assert inst.pp.denominator == P("0,0,2")
@@ -95,7 +98,7 @@ class TestBuild:
             deg = rng.choice([2, 4, 6, 8])
             coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, 2, -3])]
             inst = build(from_coefficients(coeffs))
-            assert inst.delta.coefficient(2 * inst.n - 2) == 0
+            assert inst.delta.prim[2 * inst.n - 2:] == ()
             assert inst.delta.degree < 2 * inst.n - 2
 
     def test_gain_limit_is_k0(self):
@@ -140,6 +143,63 @@ class TestBuild:
             assert "pp" not in vars(inst), text
             assert [calls[f] for f in never] == [0] * len(never), text
             assert inst.pp == normalize(inst.p2 * inst.p, inst.p1 * inst.p1)
+
+
+@st.composite
+def factored_even_polys(draw):
+    """A rational constant times powers of rational linear and non-real
+    quadratic factors, one more factor making the degree even and >= 2."""
+    fractions = st.fractions(-4, 4, max_denominator=7)
+    p = from_coefficients([draw(fractions.filter(bool))])
+    for _ in range(draw(st.integers(0, 3))):
+        p *= math.prod([from_coefficients([-draw(fractions), draw(st.integers(1, 3))])]
+                       * draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(fractions), draw(st.fractions(Fraction(1, 5), 3, max_denominator=5))
+        p *= math.prod([from_coefficients([a * a + b, -2 * a, 1])] * draw(st.integers(1, 2)))
+    if p.degree < 2:
+        p *= from_coefficients([1, draw(fractions), 1])
+    if p.degree % 2:
+        p *= from_coefficients([draw(fractions), draw(fractions.filter(bool))])
+    return p
+
+
+class TestIntegerDerivation:
+    """build and B form their integer vectors from p.prim; the Polynomial
+    arithmetic they replace is kept here as the reference."""
+
+    @staticmethod
+    def reference(p):
+        n = int(p.degree)
+        p1 = p.derivative()
+        p2 = p1.derivative()
+        p1_squared = p1 * p1
+        delta = p1_squared.scale(n - 1) - (p * p2).scale(n)
+        bracket = p1_squared.scale(n - 2) - delta.scale(2)
+        b = p2 * bracket.scale(Fraction(1, n)) - p * p1 * p2.derivative()
+        return p1, p2, p1_squared, delta, Fraction(n, n - 1), b
+
+    @given(factored_even_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_fields_and_breakaway_match_polynomial_arithmetic(self, p):
+        inst = build(p)
+        got = (inst.p1, inst.p2, inst.p1_squared, inst.delta, inst.k0,
+               shapiro._breakaway_polynomial(inst))
+        assert got == self.reference(p)
+        assert inst.p == p and inst.n == p.degree
+
+    def test_corpus_and_rational_inputs(self):
+        inputs = [P(text) for text in FIXTURES.values()]
+        inputs += [P("1/2,-3/7,5/3,0,2/9"), P("-3,1,27,1,30"), P("3/7,-6/7,3/7")]
+        for strategy in (Strategy.UNIFORM, Strategy.POSITIVE_ONLY):
+            config = FuzzConfig(seed=23, cases=100, degree_range=(2, 16), coeff_bound=12,
+                                strategy=strategy)
+            inputs += [random_polynomial(config, i) for i in range(config.cases)]
+        for p in inputs:
+            inst = build(p)
+            got = (inst.p1, inst.p2, inst.p1_squared, inst.delta, inst.k0,
+                   shapiro._breakaway_polynomial(inst))
+            assert got == self.reference(p), format_polynomial(p)
 
 
 class TestClassifyFixtures:
@@ -333,7 +393,8 @@ class TestPaperAlgebraOnGamma1:
         # classify isolates B/g^2, g = gcd(p, p'): g^2 divides B, and g has no
         # real zero when p has none.
         repeated = [inst for inst in gamma1_instances if repeated_part(inst.p).degree >= 1]
-        crafted = [build(P("1,0,1") ** 3 * P("2,1,1")), build(P("2,1,1") ** 4)]
+        crafted = [build(math.prod([P("1,0,1")] * 3, start=P("2,1,1"))),
+                   build(math.prod([P("2,1,1")] * 4))]
         assert len(repeated) >= 3
         for inst in repeated + crafted:
             b = _breakaway_polynomial(inst)
