@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
-from .polycore import Polynomial, format_polynomial, from_coefficients, parse_polynomial
+from .polycore import Polynomial, _int_mul, format_polynomial, from_coefficients, parse_polynomial
 from .shapiro import (
     ClassLabel,
     DeltaIdenticallyZeroError,
@@ -112,8 +112,11 @@ def _uniform_poly(rng: random.Random, degree: int, bound: int) -> Polynomial:
 
 
 def _positive_only_poly(rng: random.Random, degree: int, bound: int) -> Polynomial:
-    """Product of irreducible monic quadratics: guaranteed no real roots."""
-    p = from_coefficients([1])
+    """Product of irreducible monic quadratics: guaranteed no real roots.
+
+    A product of monic integer polynomials is monic, hence primitive.
+    """
+    coeffs = [1]
     for _ in range(degree // 2):
         while True:
             b = rng.randint(-bound, bound)
@@ -121,8 +124,8 @@ def _positive_only_poly(rng: random.Random, degree: int, bound: int) -> Polynomi
             if c_min <= bound:
                 break
         c = rng.randint(c_min, bound)
-        p = p * from_coefficients([c, b, 1])
-    return p
+        coeffs = _int_mul(coeffs, [c, b, 1])
+    return Polynomial(tuple(coeffs))
 
 
 def random_polynomial(config: FuzzConfig, case_index: int) -> Polynomial:

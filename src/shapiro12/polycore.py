@@ -315,15 +315,6 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return monic(Polynomial(last))
 
 
-def sturm_sequence(p: Polynomial) -> Iterator[tuple[int, ...]]:
-    """Sturm sequence p, p', -rem, ... as primitive integer vectors, uncached.
-
-    Squarefree or not, its sign variations count distinct real roots at
-    every x with p(x) != 0; its last element is gcd(p, p') up to a constant.
-    """
-    return _remainder_sequence(p.prim, _primitive(_int_derivative(p.prim))[0])
-
-
 def _positive(prim: tuple[int, ...]) -> tuple[int, ...]:
     """The primitive vector with a positive leading coefficient: that of monic p."""
     return prim if prim[-1] > 0 else tuple(-c for c in prim)

@@ -8,12 +8,14 @@ relative to another root) reduces to integer sign computations.
 Counting reads the cached Sturm profile (``sturm_count``, ``root_count``):
 the number of distinct real roots and the last element of the Sturm
 sequence, made in one walk that keeps no sequence. Isolation and the
-questions about isolated roots do not: Descartes' rule of signs on dyadic
-intervals, reached by integer Taylor shifts, finds the roots. A bisection
-of p that finishes proves every real root simple, so p is its own witness;
-only one that gives up at a real multiple root (or at its depth cap) takes
-the exact squarefree part. Signs and order at isolated roots try a modular
-certificate that two polynomials are coprime before the exact gcd.
+questions about isolated roots do not: continued fractions find the roots,
+each node an integer Mobius image of p whose Descartes count is the sign
+variations of its coefficients. An isolation of p that finishes proves
+every real root simple, so p is its own witness; only one that gives up at
+a real multiple root (or at its step cap) takes the exact squarefree part.
+Signs and order at isolated roots settle by Descartes counts on intervals
+and try a modular certificate that two polynomials are coprime before the
+exact gcd.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .polycore import (
     ONE,
     InvariantError,
     Polynomial,
-    _horner,
     _positive,
     _sign,
     _sign_changes,
@@ -39,7 +40,6 @@ from .polycore import (
     repeated_part,
     sign_at,
     squarefree_part,
-    sturm_sequence,
 )
 
 
@@ -73,14 +73,15 @@ class IsolatedRoot:
 
     ``multiplicity`` is the root's multiplicity in p. ``witness`` is monic p
     when every real root of p is simple, else the monic squarefree part of p
-    (which it also is when the first bisection of p reaches its depth cap);
+    (which it also is when the first isolation of p reaches its step cap);
     it has exactly one (simple) root inside the interval and nonzero values
     at the endpoints. A point interval holds a rational root exactly:
-    isolation yields one for 0, for a dyadic root that a bisection midpoint
-    hits and for the root of a linear polynomial, and every other interval
-    has dyadic endpoints. Whether any other root is rational is for
-    ``rational_value`` to say. The functions here accept any
-    rational endpoints.
+    isolation yields one for 0, for a rational root that a continued
+    fraction meets at a split and for the root of a linear polynomial. Every
+    other interval has as endpoints rational Mobius images of 0 and inf, or
+    the power-of-two root bound for inf. Whether any other root is rational
+    is for ``rational_value`` to say. The functions here accept any rational
+    endpoints.
     """
 
     interval: IsolatingInterval
@@ -109,30 +110,13 @@ class MergedRoot:
 # Sturm counting
 # ---------------------------------------------------------------------------
 
-def sturm_count(p: Polynomial, lo: Fraction | int | None = None,
-                hi: Fraction | int | None = None) -> int:
-    """Number of distinct real roots of p in (lo, hi); None means unbounded.
-
-    The whole line reads the cached Sturm profile of p. A finite endpoint,
-    which the tests use as a reference count, walks the Sturm sequence of p
-    itself, valid since no endpoint is a root.
-    """
+def sturm_count(p: Polynomial) -> int:
+    """Number of distinct real roots of p, read from its cached Sturm profile."""
     if p.is_zero:
         raise ValueError("cannot count roots of the zero polynomial")
-    if lo is not None and hi is not None and Fraction(lo) >= Fraction(hi):
-        raise ValueError("empty interval")
     if p.degree == 0:
         return 0
-    if lo is None and hi is None:
-        return _sturm_profile(_positive(p.prim))[0]
-    if any(x is not None and sign_at(p, x) == 0 for x in (lo, hi)):
-        raise ValueError("interval endpoint is a root")
-    # Every root lies strictly inside (-2^e, 2^e), which stands in for an open end.
-    bound = Fraction(2) ** _bound_exponent(p.prim)
-    lo = -bound if lo is None else Fraction(lo)
-    hi = bound if hi is None else Fraction(hi)
-    values = [(_horner(c, lo), _horner(c, hi)) for c in sturm_sequence(p)]
-    return _sign_changes(v for v, _ in values) - _sign_changes(v for _, v in values)
+    return _sturm_profile(_positive(p.prim))[0]
 
 
 def _repeated_parts(p: Polynomial) -> Iterable[Polynomial]:
@@ -257,100 +241,103 @@ def _bound_exponent(prim: Sequence[int]) -> int:
     return k + 1
 
 
-def _node_count(node: Sequence[int]) -> int:
-    """Descartes bound for the roots in (0, 1) of a node polynomial P, P(0) != 0.
+def _lower_bound_exponent(desc: Sequence[int]) -> int:
+    """s with every positive root strictly above 2^s, for an integer
+    polynomial with a sign variation, from descending coefficients.
 
-    The plain sign variations of P bound its roots in (0, inf) and are read
-    first, before any Taylor shift: none means no root, and one means that
-    the single positive root lies in (0, 1) exactly when P(0)P(1) < 0.
+    Kioustelidis' bound 2 max |a_k/a_0|^(1/k), over the a_k of the other
+    sign than a_0, on the positive roots of the reversed polynomial, read
+    from bit lengths as in _bound_exponent and inverted.
     """
-    v = _sign_changes(node)
-    if v <= 1:
-        return int(v == 1 and node[0] * sum(node) < 0)
-    return _unit_interval_count(node)
+    a0 = desc[-1]
+    top = a0.bit_length()
+    t = max(-((top - a.bit_length() - 1) // k)
+            for k, a in enumerate(reversed(desc)) if a and (a < 0) != (a0 < 0))
+    return -t - 1
 
 
-#: Bisection depth below (0, 2^e) at which the first isolation, on p itself,
-#: gives up on a node that still has Descartes count 2 or more. A real root
-#: of multiplicity >= 2 keeps the count of its nodes at 2 or more at every
-#: depth, so one that is not dyadic is caught here, and every level costs it
-#: a node. The seeded fuzz corpora need at most 13 levels; a squarefree
-#: input that reaches the cap pays for its exact squarefree part (a Sturm
-#: walk) and one more, uncapped bisection.
-_DEPTH_CAP = 16
+#: Splits at 1 along one path of the first isolation, on p itself, after
+#: which a node that still shows two or more sign variations gives up. Such
+#: a node surrounds a real multiple root at every depth unless that root is
+#: rational, and then it is met at a split; every level costs it one or two
+#: Taylor shifts. Of about 55,000 squarefree p, p', p'', delta and B from
+#: seeded fuzz corpora at bounds 2, 3 and 12 (nine seeds), one B needs 19
+#: splits and every other at most 15; a squarefree input that reaches the
+#: cap pays for its exact squarefree part (a Sturm walk) and one more,
+#: uncapped isolation.
+_STEP_CAP = 22
 
 
 class _Inconclusive(Exception):
-    """A bisection met a repeated root, or a count >= 2 at the depth cap."""
+    """An isolation met a repeated rational root, or two or more sign
+    variations at the step cap."""
 
 
-def _isolate_half(coeffs: Sequence[int], e: int, side: int,
-                  zero_is_root: bool, capped: bool) -> list[IsolatingInterval]:
-    """Isolating intervals of the roots of f in (0, 2^e) (side 1) or (-2^e, 0)
-    (side -1), for an f with f(0) != 0 given by its coefficients.
+def _isolate_positive(desc: list[int], bound: Fraction, zero_is_root: bool,
+                      capped: bool) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi) of the roots of f in (0, inf), all below
+    ``bound``, for an f with f(0) != 0 given by its descending coefficients.
 
-    Vincent-Collins-Akritas bisection. Node (c, j) stands for the interval
-    (c/2^j, (c+1)/2^j) of x = side * t / 2^e, and carries a positive multiple
-    P of f(side 2^e (c + x) / 2^j) in which x runs over (0, 1). Its halves
-    carry 2^n P(x/2) and the Taylor shift of that by 1. A node with Descartes
-    count 0 is dropped and one with count 1 is kept, unless f vanishes at one
-    of its ends (t = 0 or a dyadic point hit by a bisection): such a node is
-    bisected further, so every kept interval has a nonzero witness at both
-    ends. A dyadic root found at a midpoint is divided out of the right half.
+    Vincent-Akritas-Strzebonski continued fractions. A node is an integer
+    Mobius map M(x) = (ax + b)/(cx + d) with a positive multiple Q of
+    (cx + d)^n f(M(x)), Q(0) != 0, so the sign variations of Q bound the
+    roots of f between M(0) and M(inf). None drops the node and one keeps
+    it, unless f vanishes at one of its ends (flagged): such a node is split
+    further, so every kept interval has a nonzero witness at both ends. An
+    end M(inf) = inf stands for ``bound``. A node to split is first shifted
+    by 2^s, the Kioustelidis lower bound of its positive roots, when that
+    is >= 1, then split at 1 into Q(x + 1) and (x + 1)^n Q(1/(x + 1)); the
+    second is built only when Budan's theorem leaves it a root. A rational
+    root met at M(1) becomes a point and is divided out of both halves.
 
-    f need not be squarefree. A count of 0 proves that a node holds no root
-    of any multiplicity, and a count of 1 a single simple root. A dyadic
-    multiple root is met at a midpoint, where _Inconclusive is raised; any
-    other keeps the count of its nodes at 2 or more, which raises
-    _Inconclusive at the depth cap when ``capped`` is set. A squarefree f
-    always finishes.
+    f need not be squarefree. No variation proves that a node holds no root
+    of any multiplicity, and one variation a single simple root. A repeated
+    root met at M(1) raises _Inconclusive; any other keeps two or more
+    variations on its nodes, which raises _Inconclusive at the step cap when
+    ``capped`` is set. A squarefree f always finishes.
     """
-    n = len(coeffs) - 1
-    if e >= 0:
-        top = [a << (e * i) for i, a in enumerate(coeffs)]
-    else:
-        top = [a << (-e * (n - i)) for i, a in enumerate(coeffs)]
-    if side < 0:
-        top = [-a if i % 2 else a for i, a in enumerate(top)]
-
-    def point(c: int, j: int) -> Fraction:
-        k = e - j
-        return Fraction(side * c << k) if k >= 0 else Fraction(side * c, 1 << -k)
-
-    out: list[IsolatingInterval] = []
-    stack = [(0, 0, top, zero_is_root)]
+    out: list[tuple[Fraction, Fraction]] = []
+    # (Q descending, its variations, a, b, c, d, f(M(0)) == 0, f(M(inf)) == 0, steps)
+    stack = [(desc, _sign_changes(desc), 1, 0, 0, 1, zero_is_root, False, 0)]
     while stack:
-        c, j, node, lo_is_root = stack.pop()
-        count = _node_count(node)
-        if not count:
+        q, v, a, b, c, d, at_zero, at_inf, steps = stack.pop()
+        if not v:
             continue
-        if count == 1 and not lo_is_root and sum(node):
-            ends = sorted((point(c, j), point(c + 1, j)))
-            out.append(IsolatingInterval(*ends))
+        if v == 1 and not (at_zero or at_inf):
+            ends = Fraction(b, d), Fraction(a, c) if c else bound
+            out.append((min(ends), max(ends)))
             continue
-        if capped and count > 1 and j >= _DEPTH_CAP:
+        if capped and v > 1 and steps >= _STEP_CAP:
             raise _Inconclusive
-        m = len(node) - 1
-        left = [a << (m - i) for i, a in enumerate(node)]
-        right = _taylor_shift(left[::-1])[::-1]
-        mid_is_root = right[0] == 0
-        if mid_is_root:
-            if right[1] == 0:
+        s = _lower_bound_exponent(q)
+        if s >= 0:
+            q = _taylor_shift(q, 1 << s)
+            v = _sign_changes(q)
+            b, d, at_zero = b + (a << s), d + (c << s), False
+        left = _taylor_shift(q)
+        at_one = left[-1] == 0
+        if at_one:
+            if left[-2] == 0:
                 raise _Inconclusive
-            mid = point(2 * c + 1, j + 1)
-            out.append(IsolatingInterval(mid, mid))
-            right = right[1:]
-        stack.append((2 * c, j + 1, left, lo_is_root))
-        stack.append((2 * c + 1, j + 1, right, mid_is_root))
+            out.append((Fraction(a + b, c + d),) * 2)
+            left.pop()
+        v_left = _sign_changes(left)
+        if v - v_left > at_one:
+            right = _taylor_shift(q[::-1])
+            if at_one:
+                right.pop()
+            stack.append((right, _sign_changes(right), b, a + b, d, c + d, at_one, at_zero,
+                          steps + 1))
+        stack.append((left, v_left, a, a + b, c, c + d, at_one, at_inf, steps + 1))
     return out
 
 
 def _isolate(f: Sequence[int], capped: bool) -> list[IsolatingInterval]:
     """Sorted isolating intervals of the real roots of an integer polynomial
-    of degree >= 1; its dyadic roots on the way come out as points.
+    of degree >= 1; its rational roots met on the way come out as points.
 
-    Raises _Inconclusive on a multiple root at 0 or as _isolate_half does;
-    a squarefree f always finishes when ``capped`` is unset.
+    Raises _Inconclusive on a multiple root at 0 or as _isolate_positive
+    does; a squarefree f always finishes when ``capped`` is unset.
     """
     if len(f) == 2:
         root = Fraction(-f[0], f[1])
@@ -361,9 +348,15 @@ def _isolate(f: Sequence[int], capped: bool) -> list[IsolatingInterval]:
     out = [IsolatingInterval(Fraction(0), Fraction(0))] if zero_is_root else []
     rest = f[1:] if zero_is_root else f
     if len(rest) > 1:
-        e = _bound_exponent(f)
-        for side in (-1, 1):
-            out += _isolate_half(rest, e, side, zero_is_root, capped)
+        bound = Fraction(2) ** _bound_exponent(f)
+        desc = list(rest[::-1])
+        out += [IsolatingInterval(lo, hi)
+                for lo, hi in _isolate_positive(desc, bound, zero_is_root, capped)]
+        # The roots of f(-x), mirrored.
+        n = len(desc) - 1
+        desc = [-a if (n - i) % 2 else a for i, a in enumerate(desc)]
+        out += [IsolatingInterval(-hi, -lo)
+                for lo, hi in _isolate_positive(desc, bound, zero_is_root, capped)]
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -371,13 +364,13 @@ def _isolate(f: Sequence[int], capped: bool) -> list[IsolatingInterval]:
 def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     """Disjoint isolating intervals for every distinct real root, sorted.
 
-    Descartes bisection runs on p itself first, under a depth cap. When it
-    finishes, every kept node had Descartes count 1 and every point root a
-    nonzero derivative, so each real root is simple, whatever the complex
-    multiplicities: p is its own (monic) witness and every multiplicity is
-    1. When it gives up, the witness is the exact squarefree part, bisected
-    again without the cap, and multiplicities come from the chain of
-    repeated parts.
+    Continued-fraction isolation runs on p itself first, under a step cap.
+    When it finishes, every kept node had one sign variation and every point
+    root a nonzero derivative, so each real root is simple, whatever the
+    complex multiplicities: p is its own (monic) witness and every
+    multiplicity is 1. When it gives up, the witness is the exact squarefree
+    part, isolated again without the cap, and multiplicities come from the
+    chain of repeated parts.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")

@@ -272,15 +272,17 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     K rises away from p0, the standard breakaways on each side are, outward
     from p0, a maximum, a minimum, a maximum, and so on.
 
-    A factor w^m of p with m >= 2 divides each term of B at least
-    3m - 4 >= 2(m - 1) times, so g^2 divides B for g = gcd(p, p'). Since p
-    has no real zero, neither has g, and B/g^2 has the real roots of B with
-    the same multiplicities and a lower degree to bisect.
+    A factor w^m of p with m >= 2 divides each term of B 3m - 4 times. Near
+    a root of w, where p = t^m (a + bt + ...), the t^(3m - 4) terms cancel
+    and B = -2m a^2 b t^(3m - 3) + ..., so g^3 divides B for g = gcd(p, p'),
+    which holds w^(m - 1), and B/g^3 keeps no factor of g unless b = 0.
+    Since p has no real zero, neither has g, and B/g^3 has the real roots of
+    B with the same multiplicities and a lower degree to isolate.
     """
     b = _breakaway_polynomial(instance)
     g = repeated_part(instance.p)
     if g.degree >= 1:
-        b = div_exact(b, g * g)
+        b = div_exact(b, g * g * g)
     left: list[IsolatedRoot] = []
     right: list[IsolatedRoot] = []
     for r in isolate_real_roots(b):

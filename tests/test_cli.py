@@ -7,8 +7,9 @@ import pytest
 from shapiro12 import cli, harness, polycore, realroots, rootlocus, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import parse_polynomial, sign_at
-from shapiro12.realroots import refine, sturm_count
+from shapiro12.realroots import refine
 from shapiro12.shapiro import ClassLabel, Verdict, build, classify
+from sturm_helper import sturm_count
 
 
 def run_cli(capsys, *argv):

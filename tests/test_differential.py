@@ -15,8 +15,9 @@ import pytest
 
 from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import format_polynomial, sign_at
-from shapiro12.realroots import isolate_real_roots, root_count, sturm_count
+from shapiro12.realroots import isolate_real_roots, root_count
 from shapiro12.shapiro import build
+from sturm_helper import sturm_count
 
 sympy = pytest.importorskip("sympy")
 
@@ -29,7 +30,7 @@ CORPORA = {
                                 strategy=Strategy.POSITIVE_ONLY),
     # Coefficients bounded by 3 give p a repeated, non-real factor in 42 of
     # these cases, and delta with it: 14 isolations of such a p' or delta
-    # find real roots, and the first bisection finishes on q itself.
+    # find real roots, and the first isolation finishes on q itself.
     "positive_only_bound3": FuzzConfig(seed=23, cases=120, degree_range=(4, 12),
                                        coeff_bound=3, strategy=Strategy.POSITIVE_ONLY),
 }

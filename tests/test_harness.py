@@ -11,7 +11,7 @@ from shapiro12.harness import (
     random_polynomial,
     run_fuzz,
 )
-from shapiro12.polycore import InvariantError, parse_polynomial
+from shapiro12.polycore import InvariantError, from_coefficients, parse_polynomial
 from shapiro12.realroots import sturm_count
 from shapiro12.shapiro import ClassLabel, build, classify
 
@@ -56,6 +56,28 @@ class TestRandomPolynomial:
             assert p.degree % 2 == 0
             assert sturm_count(p) == 0
             assert p.leading_coefficient() == 1
+
+    def test_integer_products_match_polynomial_products(self, monkeypatch):
+        # The positive-only generator multiplies integer vectors; the
+        # Polynomial product it replaced is the reference, on the same draws.
+        def reference(rng, degree, bound):
+            p = from_coefficients([1])
+            for _ in range(degree // 2):
+                while True:
+                    b = rng.randint(-bound, bound)
+                    c_min = b * b // 4 + 1
+                    if c_min <= bound:
+                        break
+                c = rng.randint(c_min, bound)
+                p = p * from_coefficients([c, b, 1])
+            return p
+
+        configs = [FuzzConfig(seed=seed, cases=300, degree_range=(2, 16), coeff_bound=12,
+                              strategy=strategy)
+                   for seed in range(5) for strategy in Strategy]
+        fast = [[random_polynomial(c, i) for i in range(c.cases)] for c in configs]
+        monkeypatch.setattr(harness, "_positive_only_poly", reference)
+        assert fast == [[random_polynomial(c, i) for i in range(c.cases)] for c in configs]
 
     def test_degrees_stay_in_range(self):
         config = FuzzConfig(seed=4, cases=40, degree_range=(4, 6),

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shapiro12
-from shapiro12 import realroots
+from shapiro12 import realroots, shapiro
+from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     _PRIME,
     InvariantError,
@@ -41,8 +42,8 @@ from shapiro12.realroots import (
     root_count,
     separate_roots,
     sign_at_root,
-    sturm_count,
 )
+from sturm_helper import sturm_count
 
 P = parse_polynomial
 
@@ -210,8 +211,8 @@ class TestRefine:
 
 
     def test_rational_value(self):
-        # (x^2 - 2)(6x - 5)(x - 3): 5/6 is rational but not dyadic, so no
-        # bisection lands on it, and the lc of the witness is 6.
+        # (x^2 - 2)(6x - 5)(x - 3): isolation meets neither 5/6 nor 3 and
+        # keeps them in (0, 1) and (2, 16), and the lc of the witness is 6.
         p = P("-2,0,1") * P("-5,6") * P("-3,1")
         values = [rational_value(r) for r in isolate_real_roots(p)]
         assert values == [None, Fraction(5, 6), None, 3]
@@ -502,8 +503,28 @@ def _exact_sign(q, root):
             return sign_at(q, iv.lo)
 
 
+def _assert_interval_contract(p):
+    """Sorted, disjoint intervals; a point is a root of its witness, any
+    other interval holds exactly one (by a Sturm count) and has a nonzero
+    witness at both ends; counts and multiplicities agree with root_count."""
+    roots = isolate_real_roots(p)
+    count = root_count(p)
+    assert len(roots) == count.distinct, p
+    assert sum(r.multiplicity for r in roots) == count.with_multiplicity, p
+    for left, right in zip(roots, roots[1:]):
+        a, b = left.interval, right.interval
+        assert a.hi < b.lo or (a.hi == b.lo and not (a.is_point and b.is_point)), p
+    for root in roots:
+        iv, w = root.interval, root.witness
+        if iv.is_point:
+            assert sign_at(w, iv.lo) == 0, p
+        else:
+            assert sign_at(w, iv.lo) != 0 and sign_at(w, iv.hi) != 0, (p, iv)
+            assert sturm_count(w, iv.lo, iv.hi) == 1, (p, iv)
+
+
 class TestModularCertificatesAndDescartes:
-    """The isolation kernel: the coprimality certificate, Descartes bisection."""
+    """The isolation kernel: the coprimality certificate, continued fractions."""
 
     @given(int_polys(4, 9), int_polys(4, 9), int_polys(3, 9))
     @settings(max_examples=80, deadline=None)
@@ -535,21 +556,30 @@ class TestModularCertificatesAndDescartes:
                      .map(lambda t: math.prod([t[1]] * t[2], start=t[0]))))
     @settings(max_examples=120, deadline=None)
     def test_intervals_isolate_every_root(self, p):
-        roots = isolate_real_roots(p)
-        assert len(roots) == sturm_count(p)
-        for left, right in zip(roots, roots[1:]):
-            assert left.interval.hi <= right.interval.lo
-        for root in roots:
-            iv, w = root.interval, root.witness
-            if iv.is_point:
-                assert sign_at(w, iv.lo) == 0
-            else:
-                assert sign_at(w, iv.lo) != 0 and sign_at(w, iv.hi) != 0
-                assert sturm_count(w, iv.lo, iv.hi) == 1
+        _assert_interval_contract(p)
+
+    def test_intervals_isolate_every_root_of_derived_polynomials(self):
+        # p, p', p'', delta and B of seeded corpora, where small coefficients
+        # give many rational roots and continued-fraction nodes that end at
+        # one of them.
+        polys = []
+        for bound in (2, 3, 12):
+            for strategy, degrees in ((Strategy.UNIFORM, (2, 12)),
+                                      (Strategy.POSITIVE_ONLY, (4, 12))):
+                config = FuzzConfig(seed=5, cases=40, degree_range=degrees, coeff_bound=bound,
+                                    strategy=strategy)
+                for i in range(config.cases):
+                    inst = shapiro.build(random_polynomial(config, i))
+                    polys += [inst.p, inst.p1, inst.p2, inst.delta,
+                              shapiro._breakaway_polynomial(inst)]
+        polys = [q for q in polys if q.degree >= 1]
+        assert len(polys) >= 1000
+        for q in polys:
+            _assert_interval_contract(q)
 
     def test_fallback_when_not_squarefree_mod_the_prime(self):
         # x^2 - q is squarefree over Q but x^2 mod q. Isolation reads no
-        # residue: the first bisection finishes on p itself, with no Sturm
+        # residue: the first isolation finishes on p itself, with no Sturm
         # walk, and p is the witness.
         p = from_coefficients([-_PRIME, 0, 1])
         _sturm_profile.cache_clear()
@@ -602,10 +632,11 @@ class TestEarlyExitDescartes:
 
 
 def _recording_isolation(monkeypatch):
-    """Record each bisection run that isolate_real_roots starts, as (capped,
-    how it ended, nodes counted)."""
+    """Record each isolation run that isolate_real_roots starts, as (capped,
+    how it ended, nodes counted): every node's sign variations are counted
+    once."""
     runs, nodes = [], []
-    isolate, node_count = realroots._isolate, realroots._node_count
+    isolate, sign_changes = realroots._isolate, realroots._sign_changes
 
     def recording_isolate(f, capped):
         start = len(nodes)
@@ -617,12 +648,12 @@ def _recording_isolation(monkeypatch):
         runs.append((capped, "finished", len(nodes) - start))
         return out
 
-    def recording_node_count(node):
+    def recording_sign_changes(node):
         nodes.append(node)
-        return node_count(node)
+        return sign_changes(node)
 
     monkeypatch.setattr(realroots, "_isolate", recording_isolate)
-    monkeypatch.setattr(realroots, "_node_count", recording_node_count)
+    monkeypatch.setattr(realroots, "_sign_changes", recording_sign_changes)
     return runs
 
 
@@ -648,10 +679,15 @@ class TestLazySquarefreeCertificate:
     _FALLBACKS = [
         (P("0,0,1") * P("1,0,1"), "double root at 0", [0], [2]),
         (P("-1,2") * P("-1,2") * P("1,0,1"), "dyadic double root", [Fraction(1, 2)], [2]),
-        (P("-2,0,1") * P("-2,0,1") * P("3,1"), "depth cap", [-3, None, None], [1, 2, 2]),
-        # Two simple roots 2^-21.6 apart.
-        (P("-1,3") * from_coefficients([-2 ** 20 - 1, 3 * 2 ** 20]), "depth cap, squarefree",
+        (P("-1,3") * P("-1,3") * P("1,0,1"), "rational double root", [Fraction(1, 3)], [2]),
+        (P("-2,0,1") * P("-2,0,1") * P("3,1"), "step cap", [-3, None, None], [1, 2, 2]),
+        # Two simple roots 2^-21.6 apart: 1/3 is met exactly at a split.
+        (P("-1,3") * from_coefficients([-2 ** 20 - 1, 3 * 2 ** 20]), "finished, squarefree",
          [Fraction(1, 3), Fraction(1048577, 3145728)], [1, 1]),
+        # Fibonacci ratios F(k+1)/F(k) for k = 26, 27: their continued
+        # fractions agree in more terms than the step cap allows.
+        (from_coefficients([-196418, 121393]) * from_coefficients([-317811, 196418]),
+         "step cap, squarefree", [Fraction(317811, 196418), Fraction(196418, 121393)], [1, 1]),
         (P("1,0,1") * P("1,0,1") * P("-1,1"), "finished, non-real double factor", [1], [1]),
     ]
 
@@ -667,8 +703,8 @@ class TestLazySquarefreeCertificate:
         else:
             (capped, first, nodes), uncapped = runs
             assert capped and first == "inconclusive" and uncapped[:2] == (False, "finished")
-            # Only the depth cap lets the first run bisect that deep.
-            assert (nodes > realroots._DEPTH_CAP) == reason.startswith("depth cap")
+            # Only the step cap lets the first run go that deep.
+            assert (nodes > realroots._STEP_CAP) == reason.startswith("step cap")
             witness = squarefree_part(p)
         assert [r.multiplicity for r in roots] == mults
         assert [rational_value(r) for r in roots] == values
@@ -679,13 +715,13 @@ class TestLazySquarefreeCertificate:
                 assert sturm_count(r.witness, iv.lo, iv.hi) == 1
 
     def test_depth_cap_bounds_the_first_run_on_a_multiple_root(self, monkeypatch):
-        # (p')^2 for the Gamma121 fixture 11,-6,4,-3,1 has a double root that
-        # is not dyadic, so the capped first run bisects down to the cap
-        # before the squarefree part takes over: 53 Descartes nodes in all at
-        # a cap of 32, 32 at the cap of 16.
+        # (p')^2 for the Gamma121 fixture 11,-6,4,-3,1 has an irrational
+        # double root, so the capped first run splits down to the cap before
+        # the squarefree part takes over: 38 nodes in all at the step cap of
+        # 22, 40 at a cap of 24.
         runs = _recording_isolation(monkeypatch)
         p1 = P("11,-6,4,-3,1").derivative()
         (root,) = isolate_real_roots(p1 * p1)
         assert [run[:2] for run in runs] == [(True, "inconclusive"), (False, "finished")]
-        assert root.multiplicity == 2 and (root.interval.lo, root.interval.hi) == (0, 2)
+        assert root.multiplicity == 2 and (root.interval.lo, root.interval.hi) == (1, 8)
         assert sum(run[2] for run in runs) < 40

@@ -390,11 +390,14 @@ class TestPaperAlgebraOnGamma1:
                 assert b.standard == (r.multiplicity % 2 == 1)
 
     def test_square_of_repeated_part_leaves_the_real_roots_of_b(self, gamma1_instances):
-        # classify isolates B/g^2, g = gcd(p, p'): g^2 divides B, and g has no
-        # real zero when p has none.
+        # g = gcd(p, p'): g^2 divides B, and g has no real zero when p has
+        # none. classify divides out g^3, which leaves no factor of g here
+        # but in (x^2 + 1)^2 (x^2 + 3): there H = (x + i)^2 (x^2 + 3) has
+        # H'(i) = 0 (see the next test), and B/g^3 keeps x^2 + 1.
         repeated = [inst for inst in gamma1_instances if repeated_part(inst.p).degree >= 1]
+        special = build(math.prod([P("1,0,1")] * 2, start=P("3,0,1")))
         crafted = [build(math.prod([P("1,0,1")] * 3, start=P("2,1,1"))),
-                   build(math.prod([P("2,1,1")] * 4))]
+                   build(math.prod([P("2,1,1")] * 4)), special]
         assert len(repeated) >= 3
         for inst in repeated + crafted:
             b = _breakaway_polynomial(inst)
@@ -402,11 +405,55 @@ class TestPaperAlgebraOnGamma1:
             full, reduced = isolate_real_roots(b), isolate_real_roots(div_exact(b, g * g))
             assert [r.multiplicity for r in full] == [r.multiplicity for r in reduced]
             assert all(compare_roots(x, y) == 0 for x, y in zip(full, reduced))
+            assert gcd(div_exact(b, g * g * g), g) == (g if inst is special else P("1"))
+
+    @given(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
+                              st.fractions(Fraction(1, 8), 4, max_denominator=8),
+                              st.integers(1, 4)),
+                    min_size=1, max_size=3, unique_by=lambda t: t[:2])
+           .filter(lambda factors: any(m >= 2 for _, _, m in factors)),
+           st.fractions(-9, 9, max_denominator=5).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_cube_of_repeated_part_divides_b(self, factors, scale):
+        # p = c * prod w^m with w = (x - a)^2 + b non-real. Near a root r of
+        # w, p = t^m (H + H't + ...) with H = p/(x - r)^m, and
+        # B = -2m H^2 H' t^(3m-3) + ..., so w^(3m-3) divides B. With
+        # k = p/w^m, H'(r) = 0 exactly when m k + w' k' vanishes at r, since
+        # w'(r) = r - conj(r); only then does B/g^3 share w with g.
+        ws = [(from_coefficients([a * a + b, -2 * a, 1]), m) for a, b, m in factors]
+        p = math.prod((w for w, m in ws for _ in range(m)), start=from_coefficients([scale]))
+        g = repeated_part(p)
+        reduced = div_exact(_breakaway_polynomial(build(p)), g * g * g)
+        for w, m in ws:
+            if m >= 2:
+                k = div_exact(p, math.prod([w] * m))
+                critical = k.scale(m) + w.derivative() * k.derivative()
+                assert (gcd(reduced, w).degree == 0) == (gcd(w, critical).degree == 0)
+
+    def test_no_exact_gcd_at_high_degree(self, monkeypatch):
+        # With B/g^2, the witness of B kept w^(m-1) of every repeated factor
+        # w^m of p, which delta shares, so the coprimality certificate failed
+        # and sign_at_root took an exact gcd: 11 calls on this corpus.
+        calls = []
+        exact_gcd = realroots.gcd
+
+        def recording(p, q):
+            calls.append((p, q))
+            return exact_gcd(p, q)
+
+        monkeypatch.setattr(realroots, "gcd", recording)
+        config = FuzzConfig(seed=11, cases=24, degree_range=(22, 32), coeff_bound=12,
+                            strategy=Strategy.POSITIVE_ONLY)
+        polys = [random_polynomial(config, i) for i in range(config.cases)]
+        assert sum(repeated_part(p).degree >= 1 for p in polys) >= 10
+        for p in polys:
+            classify(build(p))
+        assert calls == []
 
     def test_certified_cases_run_no_remainder_sequence_but_that_of_p(self, gamma1_instances,
                                                                      monkeypatch):
-        # When p is squarefree, classify isolates p', p'' and B by Descartes
-        # bisection alone and decides every order and sign with coprimality
+        # When p is squarefree, classify isolates p', p'' and B by continued
+        # fractions alone and decides every order and sign with coprimality
         # certificates: the Sturm sequence of p, walked once for the profile
         # that the Lambda1 test reads, is the only remainder sequence it
         # builds.
