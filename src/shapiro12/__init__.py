@@ -5,8 +5,9 @@ real-axis root-locus analysis of p''*p/(p')^2, predicts from the class alone
 whether delta and p have a real zero between them, and verifies the
 prediction by exact Sturm counting.
 
-The lower layers (``polycore``, ``realroots``, ``rootlocus``, ``harness``)
-are imported from their own modules.
+The other layers (``polycore``, ``realroots``, ``harness``, ``cli``) are
+imported from their own modules; ``shapiro`` also holds the axis analysis of
+pp that ``plotdata`` reads.
 """
 
 from .polycore import Polynomial, format_polynomial, parse_polynomial

@@ -23,14 +23,17 @@ from itertools import count
 from .harness import FIXTURES, MAX_COEFF_BITS, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
 from .polycore import Polynomial, format_polynomial, parse_polynomial, parse_rational
 from .realroots import IsolatedRoot, bisect_once, isolates, order_roots, rational_value, refine
-from .rootlocus import EventKind, InfiniteGainError, axis_segments, breakaway_points, gain_at
 from .shapiro import (
     ClassLabel,
     DeltaIdenticallyZeroError,
+    EventKind,
     Evidence,
     actual_verdict,
     build,
     classify,
+    pp_breakaways,
+    pp_events,
+    pp_gain_and_sign,
     predict_verdict,
 )
 
@@ -297,40 +300,35 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     if args.samples > MAX_SAMPLES:
         raise _CliError(EXIT_DOMAIN, f"samples must be at most {MAX_SAMPLES}")
     instance = _build_instance(poly)
-    pp, delta = instance.pp, instance.delta
 
     # x -> event kind tag; None marks a plain grid sample.
     rows: dict[Fraction, EventKind | str | None] = {}
     step = (hi - lo) / (args.samples - 1)
     for i in range(args.samples):
         rows.setdefault(lo + step * i, None)
-    # One axis pass: the events are the ends of the segments.
-    segments = axis_segments(pp)
-    for event in (s.hi_event for s in segments[:-1]):
+    events = pp_events(instance)
+    for event in events:
         x = _approx_position(event.root)
         if lo <= x <= hi:
             rows[x] = event.kind
-    for b in breakaway_points(pp, segments):
-        x = _approx_position(b.location)
+    for b in pp_breakaways(instance, events):
+        x = _approx_position(b)
         if lo <= x <= hi and rows.get(x) is None:
             rows[x] = "BREAKAWAY"
 
     print("x,K,delta,parity,is_event")
     for x in sorted(rows):
         tag = rows[x]
+        gain, sgn = pp_gain_and_sign(instance, x)
         if tag is EventKind.ZERO:
             k_text = ""       # gain is +infinity at a zero of pp
         elif tag is EventKind.POLE:
             k_text = "0"
         else:
-            try:
-                k_text = _decimal12(gain_at(pp, x))
-            except InfiniteGainError:
-                k_text = ""
-        sgn = pp.sign_of_value_at(x)
+            k_text = "" if gain is None else _decimal12(gain)
         is_event = tag is not None or sgn == 0
         parity = "" if is_event else ("EVEN" if sgn > 0 else "ODD")
-        delta_text = _decimal12(Fraction(delta.eval_at(x)))
+        delta_text = _decimal12(instance.delta.eval_at(x))
         print(f"{_decimal12(x)},{k_text},{delta_text},{parity},{'true' if is_event else 'false'}")
     return EXIT_OK
 

