@@ -5,14 +5,14 @@ polynomial that has one simple root in the interval, so every question
 about an algebraic number (its sign under another polynomial, its order
 relative to another root) reduces to integer sign computations.
 
-Counting reads the cached Sturm profile (``sturm_count``, ``root_count``):
-the number of distinct real roots and the last element of the Sturm
-sequence, made in one walk that keeps no sequence. Isolation and the
-questions about isolated roots do not: continued fractions find the roots,
-each node an integer Mobius image of p whose Descartes count is the sign
-variations of its coefficients. An isolation of p that finishes proves
-every real root simple, so p is its own witness; only one that gives up at
-a real multiple root (or at its step cap) takes the exact squarefree part.
+``sturm_count`` and ``root_count`` read the cached Sturm profile: the number
+of distinct real roots and the last element of the Sturm sequence, made in
+one walk that keeps no sequence. Isolation, which also counts delta, does
+not: continued fractions find the roots, each node an integer Mobius image
+of p whose Descartes count is the sign variations of its coefficients. An
+isolation of p that finishes proves every real root simple, so p is its own
+witness; only one that gives up at a real multiple root (or at its step
+cap) takes the exact squarefree part and the chain of repeated parts.
 Signs and order at isolated roots settle by Descartes counts on intervals
 and try a modular certificate that two polynomials are coprime before the
 exact gcd.
@@ -155,16 +155,25 @@ def root_count(p: Polynomial) -> RootCount:
 # ---------------------------------------------------------------------------
 
 def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
-    """Descending coefficients of a(x + c), given those of a(x).
+    """Descending coefficients of a(x + c), given those of a(x), for c != 0.
 
-    Repeated synthetic division by x - c: each pass is one Horner run, and
-    its last value is the next coefficient from the bottom.
+    a(x + c) = b(x/c + 1) with b(y) = a(cy): coefficient k is scaled by c^k
+    (a bit shift when c = 2^s), shifted by 1 and divided back exactly. The
+    shift by 1 is repeated synthetic division by x - 1: each pass is one
+    Horner run, and its last value is the next coefficient from the bottom.
     """
-    d = list(desc)
-    step = None if c == 1 else (lambda acc, x: acc * c + x)
-    for end in range(len(d), 1, -1):
-        d[:end] = accumulate(d[:end], step)
-    return d
+    n = len(desc) - 1
+    s = c.bit_length() - 1 if c > 0 and not c & (c - 1) else -1
+    if s < 0:
+        powers = [c ** (n - i) for i in range(n + 1)]
+        d = [a * w for a, w in zip(desc, powers)]
+    else:
+        d = [a << s * (n - i) for i, a in enumerate(desc)] if s else list(desc)
+    for end in range(n + 1, 1, -1):
+        d[:end] = accumulate(d[:end])
+    if s < 0:
+        return [a // w for a, w in zip(d, powers)]
+    return [a >> s * (n - i) for i, a in enumerate(d)] if s else d
 
 
 def _unit_interval_count(coeffs: Sequence[int]) -> int:

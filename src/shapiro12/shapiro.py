@@ -200,11 +200,14 @@ def predict_verdict(label: ClassLabel) -> Verdict:
 
 
 def actual_verdict(instance: ShapiroInstance) -> ActualVerdict:
-    """Ground truth by direct exact root counting of delta and p."""
+    """Ground truth by exact root counting: p by the Sturm profile that the
+    Lambda1 test of ``classify`` has walked, delta by its isolation.
+    """
     nr_p = root_count(instance.p)
     if instance.delta.is_zero:
         raise DeltaIdenticallyZeroError(nr_p)
-    nr_delta = root_count(instance.delta)
+    roots = isolate_real_roots(instance.delta)
+    nr_delta = RootCount(len(roots), sum(r.multiplicity for r in roots))
     verdict = Verdict.HOLDS if nr_delta.distinct + nr_p.distinct > 0 else Verdict.FAILS
     return ActualVerdict(verdict, nr_delta, nr_p)
 
@@ -419,14 +422,15 @@ def delta_sign_shortcut(instance: ShapiroInstance,
     On segments where pp > 0, sign(K(x) - K0) equals sign(delta(x)); points
     on the -1 locus (pp < 0) are rejected because the sign relation flips.
     The sign of pp follows the rule of ``pp_gain_and_sign``, read with
-    ``sign_at`` at a rational point and ``sign_at_root`` at an isolated root.
+    ``sign_at`` at a rational point and ``sign_at_root`` at an isolated root,
+    and so does the gain at a real multiple root of p, where delta vanishes.
     """
     sign = (partial(sign_at_root, root=point) if isinstance(point, IsolatedRoot)
             else partial(sign_at, x=Fraction(point)))
-    if sign(instance.p1):
-        s_pp = sign(instance.p2) * sign(instance.p)
-    else:
-        s_pp = 0 if sign(instance.p) else 1
+    s_p, s_p1 = sign(instance.p), sign(instance.p1)
+    if not s_p and not s_p1:  # K = m/(m - 1) > K0, since m < n unless delta is 0
+        return Comparison.EQ if instance.delta.is_zero else Comparison.GT
+    s_pp = sign(instance.p2) * s_p if s_p1 else 0
     if s_pp == 0:
         raise ValueError("point is a zero or pole of pp")
     if s_pp < 0:

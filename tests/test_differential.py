@@ -1,11 +1,12 @@
-"""Differential check of the Sturm counting and Descartes isolation kernels
-against sympy.
+"""Differential check of the Sturm counting and continued-fraction isolation
+kernels against sympy.
 
-The classifier and the counted verdict share one gcd/Sturm kernel, so a fault
-there could make both wrong and still in agreement.  sympy isolates real
-roots with its own code, so it is an independent third counter, and a
-reference for the intervals and multiplicities that isolation reports.
-Skipped when sympy is not installed.
+The classifier and the counted verdict share both kernels: each route reads
+the Sturm profile of p, and the isolation that classify runs on p', p'' and
+B also counts delta.  A fault in either could make both routes wrong and
+still in agreement.  sympy isolates real roots with its own code, so it is
+an independent third counter, and a reference for the intervals and
+multiplicities that isolation reports.  Skipped when sympy is not installed.
 """
 
 import random
@@ -14,9 +15,9 @@ from fractions import Fraction
 import pytest
 
 from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
-from shapiro12.polycore import format_polynomial, sign_at
-from shapiro12.realroots import isolate_real_roots, root_count
-from shapiro12.shapiro import build
+from shapiro12.polycore import format_polynomial, repeated_part, sign_at
+from shapiro12.realroots import RootCount, _Inconclusive, _isolate, isolate_real_roots, root_count
+from shapiro12.shapiro import actual_verdict, build
 from sturm_helper import sturm_count
 
 sympy = pytest.importorskip("sympy")
@@ -41,6 +42,21 @@ HIGH_DEGREE_DELTA = {
                           strategy=Strategy.UNIFORM),
     "positive_only": FuzzConfig(seed=19, cases=8, degree_range=(24, 32), coeff_bound=12,
                                 strategy=Strategy.POSITIVE_ONLY),
+}
+
+#: Corpora whose verdict counts, both from ``actual_verdict``, are checked,
+#: each with the least number of cases whose first isolation of delta gives up.
+VERDICT_CORPORA = {
+    # Coefficients in [-2, 2] give delta a repeated factor in 10 of these
+    # cases, each with a real root: in 9 a real multiple root of p, in one a
+    # real double root of delta alone. The first isolation of delta gives up
+    # there, and the count comes from the squarefree part and the chain of
+    # repeated parts. Only these cases are checked.
+    "uniform_bound2": (FuzzConfig(seed=29, cases=300, degree_range=(8, 16), coeff_bound=2,
+                                  strategy=Strategy.UNIFORM), 10),
+    # The largest bound that uniform accepts: delta has 140-bit coefficients.
+    "uniform_bound64": (FuzzConfig(seed=31, cases=8, degree_range=(16, 16),
+                                   coeff_bound=2 ** 64 - 1, strategy=Strategy.UNIFORM), 0),
 }
 
 
@@ -69,9 +85,8 @@ def _check_counts(q, rng, where, count_between, isolation=False):
     multiplicities in order, and each interval holding exactly one root."""
     ref = _sympy_poly(q)
     isolated = ref.intervals()
-    count = root_count(q)
-    assert count.distinct == len(isolated), where
-    assert count.with_multiplicity == sum(m for _, m in isolated), where
+    expected = RootCount(len(isolated), sum(m for _, m in isolated))
+    assert root_count(q) == expected, where
     for lo, hi in _intervals(q, rng):
         assert sturm_count(q, lo, hi) == count_between(ref, _rational(lo), _rational(hi)), \
             (*where, lo, hi)
@@ -86,6 +101,12 @@ def _check_counts(q, rng, where, count_between, isolation=False):
                 # sympy's isolation restricted to the interval counts five
                 # times faster than its Sturm-based count_roots.
                 assert len(ref.intervals(inf=lo, sup=hi)) == 1, (*where, lo, hi)
+    return expected
+
+
+def _count_in(ref, lo, hi):
+    """sympy's count of the roots of ref in [lo, hi], from its isolation."""
+    return len(ref.intervals(inf=lo, sup=hi))
 
 
 @pytest.mark.parametrize("strategy", sorted(CORPORA))
@@ -112,5 +133,29 @@ def test_high_degree_delta_counts_agree_with_sympy(strategy):
     for i in range(config.cases):
         delta = build(random_polynomial(config, i)).delta
         if not delta.is_zero:
-            _check_counts(delta, rng, (strategy, i, format_polynomial(delta)),
-                          lambda ref, lo, hi: len(ref.intervals(inf=lo, sup=hi)))
+            _check_counts(delta, rng, (strategy, i, format_polynomial(delta)), _count_in)
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CORPORA))
+def test_verdict_counts_agree_with_sympy(name):
+    # actual_verdict counts p by its Sturm profile and delta by its
+    # isolation; both counts must match sympy's.
+    config, least_gave_up = VERDICT_CORPORA[name]
+    rng = random.Random(config.seed)
+    polys = [random_polynomial(config, i) for i in range(config.cases)]
+    if least_gave_up:
+        polys = [p for p in polys if repeated_part(build(p).delta).degree >= 1]
+    gave_up = 0
+    for i, p in enumerate(polys):
+        instance = build(p)
+        if instance.delta.degree < 1:
+            continue
+        actual = actual_verdict(instance)
+        for q, count in ((instance.p, actual.nr_p), (instance.delta, actual.nr_delta)):
+            where = (name, i, format_polynomial(q))
+            assert count == _check_counts(q, rng, where, _count_in, isolation=True), where
+        try:
+            _isolate(instance.delta.prim, capped=True)
+        except _Inconclusive:
+            gave_up += 1
+    assert gave_up >= least_gave_up, len(polys)

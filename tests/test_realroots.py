@@ -619,6 +619,24 @@ def roots_in_unit_interval(draw):
     return coeffs
 
 
+def _binomial_shift(desc, c):
+    """a(x + c) by the binomial theorem, in descending coefficients."""
+    a = desc[::-1]
+    return [sum(a[k] * math.comb(k, j) * c ** (k - j) for k in range(j, len(a)))
+            for j in range(len(a))][::-1]
+
+
+class TestTaylorShift:
+    # Isolation shifts by powers of two, and _descartes_count by the
+    # integer numerator of an interval's lower end, which may be negative.
+    @given(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=16),
+           st.one_of(st.integers(0, 40).map(lambda s: 1 << s),
+                     st.integers(-10 ** 6, 10 ** 6).filter(bool)))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_binomial_expansion(self, desc, c):
+        assert _taylor_shift(desc, c) == _binomial_shift(desc, c)
+
+
 class TestEarlyExitDescartes:
     @given(st.one_of(st.lists(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)),
                               min_size=1, max_size=14),

@@ -38,6 +38,7 @@ from shapiro12.shapiro import (
     build,
     classify,
     delta_sign_shortcut,
+    pp_gain_and_sign,
     predict_verdict,
 )
 from oracle_rootlocus import (
@@ -302,6 +303,39 @@ class TestActualVerdict:
             # Such polynomials always carry a real zero, so the conjecture holds.
             assert classify(build(P(text)))[0] is ClassLabel.LAMBDA_1
 
+    def test_delta_counted_without_its_sturm_walk(self, monkeypatch):
+        # delta is counted from its isolation. A first run that finishes
+        # proves every real root simple, so no Sturm profile of delta is
+        # walked; only a run that gives up (x^4 + 1, whose delta is -48x^2)
+        # takes the squarefree part from it.
+        walks = []
+        remainder_sequence = polycore._remainder_sequence
+
+        def recording(a, b):
+            walks.append(a)
+            return remainder_sequence(a, b)
+
+        monkeypatch.setattr(polycore, "_remainder_sequence", recording)
+        config = FuzzConfig(seed=7, cases=100, degree_range=(10, 16), coeff_bound=12)
+        polys = [P(text) for text in FIXTURES.values()]
+        polys += [random_polynomial(config, i) for i in range(config.cases)]
+        finished = 0
+        for p in polys:
+            inst = build(p)
+            delta = inst.delta
+            if delta.degree < 1:  # counted without any walk
+                continue
+            try:
+                realroots._isolate(delta.prim, capped=True)
+            except realroots._Inconclusive:
+                continue
+            finished += 1
+            _sturm_profile.cache_clear()
+            walks.clear()
+            actual_verdict(inst)
+            assert walks and polycore._positive(delta.prim) not in walks, format_polynomial(p)
+        assert finished >= 100
+
 
 class TestDeltaSignShortcut:
     def test_x2_plus_1_at_1(self):
@@ -322,12 +356,21 @@ class TestDeltaSignShortcut:
 
     def test_cancelled_multiple_root(self):
         # 0 is a double root of x^2(x^2 + 1), and sqrt(2) one of
-        # (x^2 - 2)^2(x^2 + 1): no event of pp, which tends to 1/2 there,
-        # and delta vanishes at both.
-        assert delta_sign_shortcut(build(P("0,0,1,0,1")), 0) is Comparison.EQ
+        # (x^2 - 2)^2(x^2 + 1): no event of pp, which tends to 1/2 there.
+        # delta vanishes at both, but the gain m/(m - 1) = 2 exceeds K0.
+        inst = build(P("0,0,1,0,1"))
+        assert inst.delta.eval_at(0) == 0
+        assert pp_gain_and_sign(inst, Fraction(0)) == (2, 1) and 2 > inst.k0
+        assert delta_sign_shortcut(inst, 0) is Comparison.GT
         inst = build(P("-2,0,1") * P("-2,0,1") * P("1,0,1"))
         root = isolate_real_roots(P("-2,0,1"))[1]
-        assert delta_sign_shortcut(inst, root) is Comparison.EQ
+        assert delta_sign_shortcut(inst, root) is Comparison.GT
+
+    def test_perfect_power_is_at_the_threshold(self):
+        # delta of (x - 1)^4 is identically zero, and the gain is K0 = 4/3.
+        inst = build(P("1,-4,6,-4,1"))
+        assert pp_gain_and_sign(inst, Fraction(1)) == (inst.k0, 1)
+        assert delta_sign_shortcut(inst, 1) is Comparison.EQ
 
     def test_odd_segment_rejected(self):
         inst = build(P("6,4,-2,0,1"))
