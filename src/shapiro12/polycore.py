@@ -23,13 +23,9 @@ CoefficientLike = Union[Fraction, int, str]
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
-#: Entries of each package-level ``lru_cache`` in this module.  Repeats
-#: within one ``classify`` fit easily; repeats across searches are served by
-#: the harness's own memo, so memory stays flat on long runs.  Each key is a
-#: polynomial or, for the Sturm profile, its sign-normalised primitive
-#: vector; each value is a bool or a divisor of an argument (with a count),
-#: so entries are bounded in bytes too.  No Sturm sequence is kept, whose
-#: middle elements can be fifty times wider than the polynomial.
+#: Entries of the ``proves_coprime`` cache, the one cache in this module.
+#: Repeats within one ``classify`` fit easily; each key is a pair of
+#: polynomials and each value a bool, so memory stays flat on long runs.
 CACHE_SIZE = 256
 
 
@@ -305,7 +301,6 @@ def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> Iterator[tupl
         a, b = b, _primitive([-c for c in _int_rem_positive(a, b)])[0]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor: the last element of the remainder sequence."""
     if p.is_zero and q.is_zero:
@@ -315,44 +310,27 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return monic(Polynomial(last))
 
 
-def _positive(prim: tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive vector with a positive leading coefficient: that of monic p."""
-    return prim if prim[-1] > 0 else tuple(-c for c in prim)
+def _sturm_profile(f: tuple[int, ...]) -> tuple[int, Polynomial]:
+    """(distinct real roots, monic gcd(f, f')) of the nonzero primitive vector f.
 
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _sturm_profile(f: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(distinct real roots, last element of the Sturm sequence) of the
-    primitive vector f, with a positive leading coefficient.
-
-    Every nonzero rational multiple of one polynomial has this key, so p,
-    -p, (3/7)p and monic p share one entry. One walk of the sequence, which
-    is not kept: an element of degree d has the sign of its leading
-    coefficient at +inf, times (-1)^d at -inf.
+    One walk of the Sturm sequence, which is not kept: an element of degree
+    d has the sign of its leading coefficient at +inf, times (-1)^d at -inf,
+    and the last element is gcd(f, f') up to a constant.
     """
     at_minus, at_plus = [], []
     for last in _remainder_sequence(f, _primitive(_int_derivative(f))[0]):
         s = _sign(last[-1])
         at_plus.append(s)
         at_minus.append(s if len(last) % 2 else -s)
-    return _sign_changes(at_minus) - _sign_changes(at_plus), last
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree part")
-    if p.degree == 0:
-        return ONE
-    return div_exact(monic(p), repeated_part(p))
+    repeated = monic(Polynomial(last)) if len(last) > 1 else ONE
+    return _sign_changes(at_minus) - _sign_changes(at_plus), repeated
 
 
 def repeated_part(p: Polynomial) -> Polynomial:
-    """Monic gcd(p, p'): each root of p with its multiplicity lowered by one.
-
-    Read off the last element of the Sturm sequence, kept in the profile.
-    """
-    return monic(Polynomial(_sturm_profile(_positive(p.prim))[1]))
+    """Monic gcd(p, p'): each root of p with its multiplicity lowered by one."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no repeated part")
+    return _sturm_profile(p.prim)[1]
 
 
 # ---------------------------------------------------------------------------

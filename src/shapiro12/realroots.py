@@ -5,17 +5,17 @@ polynomial that has one simple root in the interval, so every question
 about an algebraic number (its sign under another polynomial, its order
 relative to another root) reduces to integer sign computations.
 
-``sturm_count`` and ``root_count`` read the cached Sturm profile: the number
-of distinct real roots and the last element of the Sturm sequence, made in
-one walk that keeps no sequence. Isolation, which also counts delta, does
-not: continued fractions find the roots, each node an integer Mobius image
-of p whose Descartes count is the sign variations of its coefficients. An
-isolation of p that finishes proves every real root simple, so p is its own
-witness; only one that gives up at a real multiple root (or at its step
-cap) takes the exact squarefree part and the chain of repeated parts.
-Signs and order at isolated roots settle by Descartes counts on intervals
-and try a modular certificate that two polynomials are coprime before the
-exact gcd.
+Counting walks the Sturm sequence of p, which gives the number of distinct
+real roots and ends in the repeated part gcd(p, p'), and then that of each
+repeated part in turn; nothing is cached. Isolation, which also counts
+delta, starts with no walk: continued fractions find the roots, each node
+an integer Mobius image of p whose Descartes count is the sign variations
+of its coefficients. An isolation of p that finishes proves every real
+root simple, so p is its own witness. One that gives up, at a real
+multiple root or at its step cap, tries a modular certificate that p is
+squarefree before it walks the chain of repeated parts. Signs and order at
+isolated roots settle by Descartes counts on intervals and try the same
+certificate, that two polynomials are coprime, before the exact gcd.
 """
 
 from __future__ import annotations
@@ -23,23 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Sequence
+from itertools import accumulate, takewhile
+from typing import Iterable, Iterator, Sequence
 
 from .polycore import (
     ONE,
     InvariantError,
     Polynomial,
-    _positive,
     _sign,
     _sign_changes,
     _sturm_profile,
+    div_exact,
     gcd,
     monic,
     proves_coprime,
-    repeated_part,
     sign_at,
-    squarefree_part,
 )
 
 
@@ -72,16 +70,16 @@ class IsolatedRoot:
     """One distinct real root of a polynomial p: interval, multiplicity, witness.
 
     ``multiplicity`` is the root's multiplicity in p. ``witness`` is monic p
-    when every real root of p is simple, else the monic squarefree part of p
-    (which it also is when the first isolation of p reaches its step cap);
-    it has exactly one (simple) root inside the interval and nonzero values
-    at the endpoints. A point interval holds a rational root exactly:
-    isolation yields one for 0, for a rational root that a continued
-    fraction meets at a split and for the root of a linear polynomial. Every
-    other interval has as endpoints rational Mobius images of 0 and inf, or
-    the power-of-two root bound for inf. Whether any other root is rational
-    is for ``rational_value`` to say. The functions here accept any rational
-    endpoints.
+    when every real root of p is simple, else the monic squarefree part of
+    p (which it also is when a multiple complex root makes the first
+    isolation of p give up at its step cap); it has exactly one (simple)
+    root inside the interval and nonzero values at the endpoints. A point
+    interval holds a rational root exactly: isolation yields one for 0, for
+    a rational root that a continued fraction meets at a split and for the
+    root of a linear polynomial. Every other interval has as endpoints
+    rational Mobius images of 0 and inf, or the power-of-two root bound for
+    inf. Whether any other root is rational is for ``rational_value`` to
+    say. The functions here accept any rational endpoints.
     """
 
     interval: IsolatingInterval
@@ -110,44 +108,40 @@ class MergedRoot:
 # Sturm counting
 # ---------------------------------------------------------------------------
 
-def sturm_count(p: Polynomial) -> int:
-    """Number of distinct real roots of p, read from its cached Sturm profile."""
-    if p.is_zero:
-        raise ValueError("cannot count roots of the zero polynomial")
-    if p.degree == 0:
-        return 0
-    return _sturm_profile(_positive(p.prim))[0]
-
-
-def _repeated_parts(p: Polynomial) -> Iterable[Polynomial]:
-    """g1, g2, ... with g0 = p and g(k+1) = gcd(gk, gk'), while deg gk > 0.
+def _sturm_chain(p: Polynomial) -> Iterator[tuple[int, Polynomial]]:
+    """(distinct real roots of gk, g(k+1)) for g0 = p and the monic
+    g(k+1) = gcd(gk, gk'), while deg gk > 0, from one walk of the Sturm
+    sequence of gk each.
 
     A real root of p of multiplicity m is a root of g0 ... g(m-1) and of no
-    later gk; each gk is read off the Sturm sequence of the one before it.
+    later gk.
     """
-    g, before = repeated_part(p), p
+    g = p
     while g.degree > 0:
-        if g.degree >= before.degree:
+        count, after = _sturm_profile(g.prim)
+        if after.degree >= g.degree:
             raise InvariantError("gcd(g, g') must have a lower degree than g")
-        yield g
-        g, before = repeated_part(g), g
+        yield count, after
+        g = after
+
+
+def real_root_profile(p: Polynomial) -> tuple[RootCount, Polynomial]:
+    """The real root counts of p and its monic repeated part gcd(p, p').
+
+    g(k+1) divides gk, so the chain stops at the first gk without a real
+    zero: a p without one costs a single walk.
+    """
+    if p.is_zero:
+        raise ValueError("cannot count roots of the zero polynomial")
+    chain = _sturm_chain(p)
+    distinct, repeated = next(chain, (0, ONE))
+    later = takewhile(bool, (count for count, _ in chain)) if distinct else ()
+    return RootCount(distinct, distinct + sum(later)), repeated
 
 
 def root_count(p: Polynomial) -> RootCount:
     """Distinct and multiplicity-weighted real root counts."""
-    if p.is_zero:
-        raise ValueError("cannot count roots of the zero polynomial")
-    if p.degree == 0:
-        return RootCount(0, 0)
-    distinct = with_mult = sturm_count(p)
-    if distinct:
-        # g(k+1) divides gk: stop at the first gk without a real zero.
-        for g in _repeated_parts(p):
-            count = sturm_count(g)
-            if not count:
-                break
-            with_mult += count
-    return RootCount(distinct, with_mult)
+    return real_root_profile(p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +265,10 @@ def _lower_bound_exponent(desc: Sequence[int]) -> int:
 #: rational, and then it is met at a split; every level costs it one or two
 #: Taylor shifts. Of about 55,000 squarefree p, p', p'', delta and B from
 #: seeded fuzz corpora at bounds 2, 3 and 12 (nine seeds), one B needs 19
-#: splits and every other at most 15; a squarefree input that reaches the
-#: cap pays for its exact squarefree part (a Sturm walk) and one more,
-#: uncapped isolation.
+#: splits and every other at most 15. A squarefree input can still reach
+#: the cap, as the delta of degree 60 and 978-bit coefficients of a
+#: positive-only degree-32 p at bound 2^32 - 1 does; it pays for a modular
+#: gcd with its derivative and one more, uncapped isolation.
 _STEP_CAP = 22
 
 
@@ -377,9 +372,10 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     When it finishes, every kept node had one sign variation and every point
     root a nonzero derivative, so each real root is simple, whatever the
     complex multiplicities: p is its own (monic) witness and every
-    multiplicity is 1. When it gives up, the witness is the exact squarefree
-    part, isolated again without the cap, and multiplicities come from the
-    chain of repeated parts.
+    multiplicity is 1. The same holds of an uncapped run when the first one
+    gives up on a p that the modular certificate proves squarefree.
+    Otherwise the witness is the exact squarefree part, isolated without the
+    cap, and multiplicities come from the chain of repeated parts.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -388,17 +384,18 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     try:
         found = _isolate(p.prim, capped=True)
     except _Inconclusive:
-        pass
-    else:
+        found = _isolate(p.prim, capped=False) if proves_coprime(p, p.derivative()) else None
+    if found is not None:
         witness = monic(p)
         return tuple(IsolatedRoot(iv, 1, witness) for iv in found)
-    sf = squarefree_part(p)
+    # hk = gk/g(k+1) is the monic squarefree part of gk, and h0 that of p.
+    chain = [monic(p), *(g for _, g in _sturm_chain(p))]
+    sf, *later = [div_exact(g, after) for g, after in zip(chain, chain[1:])]
     found = _isolate(sf.prim, capped=False)
     multiplicity = [1] * len(found)
     # A root of gk need not change the sign of gk, but it does change the
-    # sign of its squarefree part hk, which divides sf.
-    for g in _repeated_parts(p):
-        h = squarefree_part(g)
+    # sign of hk, which divides sf.
+    for h in later:
         for i, iv in enumerate(found):
             if _vanishes_on(h, iv):
                 multiplicity[i] += 1

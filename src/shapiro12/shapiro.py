@@ -22,17 +22,16 @@ from fractions import Fraction
 from functools import partial
 
 from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, _int_mul, _sign,
-                       div_exact, repeated_part, sign_at)
+                       div_exact, sign_at)
 from .realroots import (
     IsolatedRoot,
     RootCount,
     compare_roots,
     isolate_real_roots,
     order_roots,
-    root_count,
+    real_root_profile,
     separate_roots,
     sign_at_root,
-    sturm_count,
 )
 
 
@@ -147,7 +146,8 @@ class Evidence:
 
 @dataclass(frozen=True)
 class ShapiroInstance:
-    """p, its derivatives, (p')^2, delta and K0 = n/(n-1).
+    """p, its derivatives, (p')^2, delta, K0 = n/(n-1), the real root counts
+    of p and its repeated part g = gcd(p, p').
 
     For p = cP with P primitive, ``build`` forms P', P'', (P')^2 and
     Delta = (n-1)(P')^2 - nPP'' as integer vectors, so p1 and p2 have
@@ -155,7 +155,9 @@ class ShapiroInstance:
     one. The breakaway polynomial B reads (P')^2 and Delta back; the double
     pole of pp is p0 itself with multiplicity 2 and needs no polynomial of
     its own. No field holds pp = p''p/(p')^2: its events, breakaways, gain
-    and sign are read from p, p', p'' and B.
+    and sign are read from p, p', p'' and B. The Lambda1 test,
+    ``actual_verdict`` and B/g^3 read ``nr_p`` and ``repeated``, from one
+    Sturm walk of p and of each repeated part that follows a real zero.
     """
 
     p: Polynomial
@@ -165,6 +167,8 @@ class ShapiroInstance:
     p1_squared: Polynomial
     delta: Polynomial
     k0: Fraction
+    nr_p: RootCount
+    repeated: Polynomial
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,8 @@ def build(p: Polynomial) -> ShapiroInstance:
         raise InvariantError("the x^(2n-2) coefficient of delta must cancel")
     c, c2 = p.content, p.content * p.content
     return ShapiroInstance(p, n, _from_ints(p1_ints, c), _from_ints(p2_ints, c),
-                           _from_ints(square, c2), _from_ints(delta_ints, c2), Fraction(n, n - 1))
+                           _from_ints(square, c2), _from_ints(delta_ints, c2), Fraction(n, n - 1),
+                           *real_root_profile(p))
 
 
 def predict_verdict(label: ClassLabel) -> Verdict:
@@ -200,10 +205,10 @@ def predict_verdict(label: ClassLabel) -> Verdict:
 
 
 def actual_verdict(instance: ShapiroInstance) -> ActualVerdict:
-    """Ground truth by exact root counting: p by the Sturm profile that the
-    Lambda1 test of ``classify`` has walked, delta by its isolation.
+    """Ground truth by exact root counting: p by the Sturm walk of ``build``,
+    delta by its isolation.
     """
-    nr_p = root_count(instance.p)
+    nr_p = instance.nr_p
     if instance.delta.is_zero:
         raise DeltaIdenticallyZeroError(nr_p)
     roots = isolate_real_roots(instance.delta)
@@ -214,9 +219,9 @@ def actual_verdict(instance: ShapiroInstance) -> ActualVerdict:
 
 def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
     """Assign the unique class of p and record the decisive exact evidence."""
-    p, p1, p2 = instance.p, instance.p1, instance.p2
+    p1, p2 = instance.p1, instance.p2
 
-    if sturm_count(p) > 0:
+    if instance.nr_p.distinct > 0:
         return ClassLabel.LAMBDA_1, Evidence(None, 0, 0, ())
 
     p1_roots = isolate_real_roots(p1)
@@ -303,7 +308,7 @@ def _reduced_breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
     w^(m - 1), and B/g^3 keeps no factor of g unless b = 0.
     """
     b = _breakaway_polynomial(instance)
-    g = repeated_part(instance.p)
+    g = instance.repeated
     return div_exact(b, g * g * g) if g.degree >= 1 else b
 
 

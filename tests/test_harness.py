@@ -12,8 +12,8 @@ from shapiro12.harness import (
     run_fuzz,
 )
 from shapiro12.polycore import InvariantError, from_coefficients, parse_polynomial
-from shapiro12.realroots import sturm_count
 from shapiro12.shapiro import ClassLabel, build, classify
+from sturm_helper import sturm_count
 
 P = parse_polynomial
 

@@ -1,5 +1,5 @@
-"""Memory stays bounded on long runs: every package cache has a finite size,
-and no cache entry grows with the intermediate swell of a Sturm sequence."""
+"""Memory stays bounded on long runs: the package has two caches, each of a
+finite size, and nothing keeps the intermediate swell of a Sturm sequence."""
 
 import gc
 import importlib
@@ -26,9 +26,7 @@ def _package_caches():
 def test_every_cache_is_bounded():
     caches = _package_caches()
     names = {f"{c.__module__}.{c.__name__}" for c in caches}
-    assert {"shapiro12.polycore.gcd", "shapiro12.polycore._sturm_profile",
-            "shapiro12.polycore.proves_coprime",
-            "shapiro12.harness._targeted_case"} <= names
+    assert names == {"shapiro12.polycore.proves_coprime", "shapiro12.harness._targeted_case"}
     for cache in caches:
         assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 
@@ -52,10 +50,9 @@ def test_memory_flat_on_long_fuzz_run():
 
 
 def test_memory_per_case_small_at_high_degree():
-    # Counting caches the Sturm profile of p and delta, a count and the last
-    # element, not the sequence, whose middle elements are far wider than the
-    # polynomial at degrees 24-32. Caching the sequences grew the traced
-    # memory by about 195 KB per case here; the profiles grow it by about 3.5.
+    # Counting keeps no Sturm sequence, whose middle elements are far wider
+    # than the polynomial at degrees 24-32. Caching the sequences grew the
+    # traced memory by about 195 KB per case here.
     config = FuzzConfig(seed=103, cases=40, degree_range=(24, 32), coeff_bound=12,
                         strategy=Strategy.UNIFORM)
     for cache in _package_caches():

@@ -15,9 +15,10 @@ from fractions import Fraction
 
 from shapiro12.harness import FuzzConfig, random_polynomial
 from shapiro12.polycore import from_coefficients, parse_polynomial, repeated_part
-from shapiro12.realroots import compare_roots, sturm_count
+from shapiro12.realroots import compare_roots
 from shapiro12.shapiro import ClassLabel, build, classify, pp_breakaways, pp_events
 from oracle_rootlocus import axis_events, breakaway_points, oracle_pp
+from sturm_helper import sturm_count
 
 P = parse_polynomial
 

@@ -9,7 +9,6 @@ from shapiro12.polycore import (
     NEG_INFINITY,
     Polynomial,
     _int_rem_positive,
-    _sturm_profile,
     div_exact,
     format_polynomial,
     from_coefficients,
@@ -19,11 +18,16 @@ from shapiro12.polycore import (
     parse_rational,
     repeated_part,
     sign_at,
-    squarefree_part,
 )
-from shapiro12.realroots import RootCount, isolate_real_roots, root_count, sturm_count
+from shapiro12.realroots import RootCount, isolate_real_roots, root_count
+from sturm_helper import recording_walks
 
 P = parse_polynomial
+
+
+def squarefree_part(p):
+    """Monic product of the distinct irreducible factors of p."""
+    return div_exact(monic(p), repeated_part(p))
 
 
 def poly_strategy(max_degree=8, bound=20):
@@ -153,33 +157,29 @@ class TestSquarefree:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            squarefree_part(from_coefficients([0]))
+            repeated_part(from_coefficients([0]))
 
-    def test_multiplicities_read_only_the_repeated_part_chain(self):
+    def test_multiplicities_read_only_the_repeated_part_chain(self, monkeypatch):
         # p = (x-1)^3 (x+2) (x^2+1) (x^2-3)^2: the chain g0 = p,
-        # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three Sturm profiles, and
-        # counting, isolating and labelling multiplicities read only those.
+        # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three levels, and counting and
+        # isolating with multiplicities each walk the Sturm sequence of
+        # every level once and no other remainder sequence.
         p = math.prod([P("-1,1")] * 3 + [P("-3,0,1")] * 2, start=P("2,1") * P("1,0,1") * 5)
-        for cached in (gcd, _sturm_profile):
-            cached.cache_clear()
-        squarefree_part(p)
-        sturm_count(p)
+        chain = [p.prim, (P("-1,1") * P("-1,1") * P("-3,0,1")).prim, P("-1,1").prim]
+        walks = recording_walks(monkeypatch)
         assert root_count(p) == RootCount(4, 8)
+        assert walks == chain
+        walks.clear()
         assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 2, 3, 2]
-        assert _sturm_profile.cache_info().misses == 3
-        assert gcd.cache_info().misses == 0
+        assert walks == chain
 
     def test_every_rational_multiple_shares_one_profile(self):
-        # The profile is keyed on the primitive vector with a positive
-        # leading coefficient, which p, -p, (3/7)p and monic p all have.
+        # The count and the repeated part depend on the roots alone, so p,
+        # -p, (3/7)p and monic p have the same.
         p = P("1/2,-3/7,5/3,0,-2/9") * P("-1,3") * P("-1,3")
         multiples = (p, -p, p * Fraction(3, 7), monic(p))
-        _sturm_profile.cache_clear()
-        assert {sturm_count(q) for q in multiples} == {3}
-        info = _sturm_profile.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert {root_count(q) for q in multiples} == {RootCount(3, 4)}
         assert {repeated_part(q) for q in multiples} == {P("-1/3,1")}
-        assert _sturm_profile.cache_info().misses == 1
 
 
 class TestTextFormat:

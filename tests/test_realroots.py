@@ -17,8 +17,9 @@ from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     _PRIME,
     InvariantError,
+    Polynomial,
     _sign_changes,
-    _sturm_profile,
+    div_exact,
     from_coefficients,
     gcd,
     monic,
@@ -26,7 +27,6 @@ from shapiro12.polycore import (
     proves_coprime,
     repeated_part,
     sign_at,
-    squarefree_part,
 )
 from shapiro12.realroots import (
     RootCount,
@@ -43,7 +43,7 @@ from shapiro12.realroots import (
     separate_roots,
     sign_at_root,
 )
-from sturm_helper import sturm_count
+from sturm_helper import recording_walks, sturm_count
 
 P = parse_polynomial
 
@@ -379,16 +379,17 @@ class TestRootCount:
 
     def test_repeated_part_that_keeps_the_degree_raises(self, monkeypatch):
         # A kernel fault that fails to lower deg g must raise, not loop
-        # forever; the stub gives up after a few calls if nothing stops it.
+        # forever; the stub, a Sturm profile whose repeated part is g itself,
+        # gives up after a few calls if nothing stops it.
         calls = []
 
-        def stuck(g):
-            calls.append(g)
+        def stuck(f):
+            calls.append(f)
             if len(calls) > 5:
                 raise RuntimeError("the degree check never fired")
-            return g
+            return 1, monic(Polynomial(f))
 
-        monkeypatch.setattr(realroots, "repeated_part", stuck)
+        monkeypatch.setattr(realroots, "_sturm_profile", stuck)
         with pytest.raises(InvariantError):
             root_count(P("-1,0,1"))
 
@@ -432,7 +433,7 @@ class TestNonSquarefreeGroundTruth:
         isolated = isolate_real_roots(p)
         assert [r.multiplicity for r in isolated] == [m for _, m in sorted(zip(roots, mults))]
         # Only a real multiple root makes isolation take the squarefree part.
-        witness = monic(p) if set(mults) <= {1} else squarefree_part(p)
+        witness = monic(p) if set(mults) <= {1} else div_exact(monic(p), repeated)
         assert all(r.witness == witness for r in isolated)
 
     @given(factored_polys(), st.fractions(-6, 6, max_denominator=7),
@@ -577,14 +578,14 @@ class TestModularCertificatesAndDescartes:
         for q in polys:
             _assert_interval_contract(q)
 
-    def test_fallback_when_not_squarefree_mod_the_prime(self):
+    def test_fallback_when_not_squarefree_mod_the_prime(self, monkeypatch):
         # x^2 - q is squarefree over Q but x^2 mod q. Isolation reads no
         # residue: the first isolation finishes on p itself, with no Sturm
         # walk, and p is the witness.
         p = from_coefficients([-_PRIME, 0, 1])
-        _sturm_profile.cache_clear()
+        walks = recording_walks(monkeypatch)
         minus, plus = isolate_real_roots(p)
-        assert _sturm_profile.cache_info().misses == 0
+        assert walks == []
         assert minus.witness == plus.witness == monic(p)
         assert minus.multiplicity == plus.multiplicity == 1
         assert 0 <= plus.interval.lo and plus.interval.lo ** 2 < _PRIME < plus.interval.hi ** 2
@@ -709,6 +710,25 @@ class TestLazySquarefreeCertificate:
         (P("1,0,1") * P("1,0,1") * P("-1,1"), "finished, non-real double factor", [1], [1]),
     ]
 
+    def test_squarefree_give_up_walks_no_remainder_sequence(self, monkeypatch):
+        # When the capped first run gives up on a p that the modular
+        # certificate proves squarefree, an uncapped run on p itself
+        # finishes: p is the witness and no Sturm sequence is walked. Here
+        # the Fibonacci pair and the delta (degree 60, 978-bit coefficients)
+        # of a positive-only degree-32 p at bound 2^32 - 1.
+        config = FuzzConfig(seed=1, cases=1, degree_range=(32, 32), coeff_bound=2 ** 32 - 1,
+                            strategy=Strategy.POSITIVE_ONLY)
+        delta = shapiro.build(random_polynomial(config, 0)).delta
+        runs = _recording_isolation(monkeypatch)
+        walks = recording_walks(monkeypatch)
+        for p, count in ((self._FALLBACKS[5][0], 2), (delta, 4)):
+            runs.clear()
+            roots = isolate_real_roots(p)
+            assert [run[:2] for run in runs] == [(True, "inconclusive"), (False, "finished")]
+            assert walks == []
+            assert len(roots) == count
+            assert all(r.witness == monic(p) and r.multiplicity == 1 for r in roots)
+
     @pytest.mark.parametrize("p, reason, values, mults", _FALLBACKS)
     def test_fallback_keeps_the_squarefree_part_as_witness(self, monkeypatch, p, reason,
                                                            values, mults):
@@ -723,7 +743,7 @@ class TestLazySquarefreeCertificate:
             assert capped and first == "inconclusive" and uncapped[:2] == (False, "finished")
             # Only the step cap lets the first run go that deep.
             assert (nodes > realroots._STEP_CAP) == reason.startswith("step cap")
-            witness = squarefree_part(p)
+            witness = div_exact(monic(p), repeated_part(p))
         assert [r.multiplicity for r in roots] == mults
         assert [rational_value(r) for r in roots] == values
         for r in roots:

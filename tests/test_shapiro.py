@@ -16,16 +16,14 @@ import shapiro12
 from shapiro12 import polycore, realroots, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
-    _sturm_profile,
     div_exact,
     format_polynomial,
     from_coefficients,
     gcd,
-    monic,
     parse_polynomial,
     repeated_part,
 )
-from shapiro12.realroots import compare_roots, isolate_real_roots, sturm_count
+from shapiro12.realroots import RootCount, compare_roots, isolate_real_roots
 from shapiro12.shapiro import (
     ActualVerdict,
     ClassLabel,
@@ -50,8 +48,10 @@ from oracle_rootlocus import (
     gain_compare_at,
     oracle_pp,
 )
+from sturm_helper import recording_walks, sturm_count
 
 P = parse_polynomial
+
 
 EXPECTED_VERDICTS = {
     ClassLabel.LAMBDA_1: Verdict.HOLDS,
@@ -87,6 +87,24 @@ class TestBuild:
     def test_quartic(self):
         inst = build(P("2,0,-2,0,1"))
         assert inst.delta == P("32,0,-80,0,16")
+
+    def test_p_walked_once_by_build(self, monkeypatch):
+        # build counts p and takes its repeated part from one walk of the
+        # Sturm sequence of p, and of each repeated part while that has real
+        # zeros; classify and actual_verdict read both and walk none again.
+        walks = recording_walks(monkeypatch)
+        double = P("-1,1") * P("-1,1") * P("1,0,1")  # (x - 1)^2 (x^2 + 1)
+        inst = build(double)
+        assert walks == [double.prim, P("-1,1").prim]
+        assert (inst.nr_p, inst.repeated) == (RootCount(1, 2), P("-1,1"))
+        for p in [double] + [P(text) for text in FIXTURES.values()]:
+            walks.clear()
+            inst = build(p)
+            assert walks[0] == p.prim
+            walks.clear()
+            classify(inst)
+            actual_verdict(inst)
+            assert p.prim not in walks, format_polynomial(p)
 
     def test_rejections(self):
         for text in ["1,1", "5", "1,2,3,4", "0"]:
@@ -305,17 +323,11 @@ class TestActualVerdict:
 
     def test_delta_counted_without_its_sturm_walk(self, monkeypatch):
         # delta is counted from its isolation. A first run that finishes
-        # proves every real root simple, so no Sturm profile of delta is
-        # walked; only a run that gives up (x^4 + 1, whose delta is -48x^2)
-        # takes the squarefree part from it.
-        walks = []
-        remainder_sequence = polycore._remainder_sequence
-
-        def recording(a, b):
-            walks.append(a)
-            return remainder_sequence(a, b)
-
-        monkeypatch.setattr(polycore, "_remainder_sequence", recording)
+        # proves every real root simple, so no Sturm sequence of delta is
+        # walked, and p was counted by build: actual_verdict walks none.
+        # Only a run that gives up on a delta not proved squarefree (x^4 + 1,
+        # whose delta is -48x^2) walks the chain of its repeated parts.
+        walks = recording_walks(monkeypatch)
         config = FuzzConfig(seed=7, cases=100, degree_range=(10, 16), coeff_bound=12)
         polys = [P(text) for text in FIXTURES.values()]
         polys += [random_polynomial(config, i) for i in range(config.cases)]
@@ -330,10 +342,9 @@ class TestActualVerdict:
             except realroots._Inconclusive:
                 continue
             finished += 1
-            _sturm_profile.cache_clear()
             walks.clear()
             actual_verdict(inst)
-            assert walks and polycore._positive(delta.prim) not in walks, format_polynomial(p)
+            assert walks == [], format_polynomial(p)
         assert finished >= 100
 
 
@@ -503,30 +514,18 @@ class TestPaperAlgebraOnGamma1:
                                                                      monkeypatch):
         # When p is squarefree, classify isolates p', p'' and B by continued
         # fractions alone and decides every order and sign with coprimality
-        # certificates: the Sturm sequence of p, walked once for the profile
-        # that the Lambda1 test reads, is the only remainder sequence it
-        # builds.
-        walks = []
-        remainder_sequence = polycore._remainder_sequence
-
-        def recording(a, b):
-            walks.append(a)
-            return remainder_sequence(a, b)
-
-        monkeypatch.setattr(polycore, "_remainder_sequence", recording)
+        # certificates: the Sturm sequence of p, walked once by build for the
+        # count that the Lambda1 test reads, is the only remainder sequence
+        # that build and classify make.
+        walks = recording_walks(monkeypatch)
         fixtures = [P(FIXTURES[label]) for label in _GAMMA_1[1:]]
         polys = fixtures + [inst.p for inst in gamma1_instances]
         certified = [p for p in polys if repeated_part(p).degree == 0]
         assert fixtures == certified[:2] and len(certified) >= 100
         for p in certified:
-            inst = build(p)
-            gcd.cache_clear()
-            _sturm_profile.cache_clear()
             walks.clear()
-            assert classify(inst)[0] in _GAMMA_1
-            assert _sturm_profile.cache_info().misses == 1
-            assert gcd.cache_info().misses == 0
-            assert walks == [monic(p).prim]
+            assert classify(build(p))[0] in _GAMMA_1
+            assert walks == [p.prim]
 
     def test_breakaway_polynomial_from_the_square_of_p1_and_delta(self, gamma1_instances):
         # On the Gamma1 fixtures and seeded cases, classify forms B as p''((n-2)p'^2 - 2 delta)/n - pp'p''' from the
