@@ -7,15 +7,16 @@ relative to another root) reduces to integer sign computations.
 
 Counting walks the Sturm sequence of p, which gives the number of distinct
 real roots and ends in the repeated part gcd(p, p'), and then that of each
-repeated part in turn; nothing is cached. Isolation, which also counts
-delta, starts with no walk: continued fractions find the roots, each node
-an integer Mobius image of p whose Descartes count is the sign variations
-of its coefficients. An isolation of p that finishes proves every real
-root simple, so p is its own witness. One that gives up, at a real
-multiple root or at its step cap, tries a modular certificate that p is
-squarefree before it walks the chain of repeated parts. Signs and order at
-isolated roots settle by Descartes counts on intervals and try the same
-certificate, that two polynomials are coprime, before the exact gcd.
+repeated part in turn; nothing is cached. Isolation starts with no walk:
+continued fractions find the roots, each node an integer Mobius image of p
+whose Descartes count is the sign variations of its coefficients, and
+cf_root_count counts delta by the integer leaves alone. A first run on p
+that finishes proves every real root simple, so p is its own witness. One
+that gives up, at a real multiple root or at its step cap, tries a modular
+certificate that p is squarefree before it walks the chain of repeated
+parts. Signs and order at isolated roots settle by Descartes counts on
+intervals and try the same certificate, that two polynomials are coprime,
+before the exact gcd.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
     a(x + c) = b(x/c + 1) with b(y) = a(cy): coefficient k is scaled by c^k
     (a bit shift when c = 2^s), shifted by 1 and divided back exactly. The
     shift by 1 is repeated synthetic division by x - 1: each pass is one
-    Horner run, and its last value is the next coefficient from the bottom.
+    Horner run on the last quotient, whose end is the next lowest coefficient.
     """
     n = len(desc) - 1
     s = c.bit_length() - 1 if c > 0 and not c & (c - 1) else -1
@@ -163,8 +164,11 @@ def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
         d = [a * w for a, w in zip(desc, powers)]
     else:
         d = [a << s * (n - i) for i, a in enumerate(desc)] if s else list(desc)
-    for end in range(n + 1, 1, -1):
-        d[:end] = accumulate(d[:end])
+    low = []
+    for _ in range(n):
+        d = list(accumulate(d))
+        low.append(d.pop())
+    d += reversed(low)
     if s < 0:
         return [a // w for a, w in zip(d, powers)]
     return [a >> s * (n - i) for i, a in enumerate(d)] if s else d
@@ -277,39 +281,51 @@ class _Inconclusive(Exception):
     variations at the step cap."""
 
 
-def _isolate_positive(desc: list[int], bound: Fraction, zero_is_root: bool,
-                      capped: bool) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals (lo, hi) of the roots of f in (0, inf), all below
-    ``bound``, for an f with f(0) != 0 given by its descending coefficients.
+def _cf_leaves(f: Sequence[int], capped: bool) -> list[tuple[int, ...]]:
+    """Integer leaves for the real roots of an integer polynomial f, from its
+    ascending coefficients: (a, b, c, d) for a Mobius map M with one root
+    between M(0) and M(inf), (u, v) for a root u/v at 0, met at a split or of
+    a linear f.
 
-    Vincent-Akritas-Strzebonski continued fractions. A node is an integer
-    Mobius map M(x) = (ax + b)/(cx + d) with a positive multiple Q of
-    (cx + d)^n f(M(x)), Q(0) != 0, so the sign variations of Q bound the
-    roots of f between M(0) and M(inf). None drops the node and one keeps
-    it, unless f vanishes at one of its ends (flagged): such a node is split
-    further, so every kept interval has a nonzero witness at both ends. An
-    end M(inf) = inf stands for ``bound``. A node to split is first shifted
-    by 2^s, the Kioustelidis lower bound of its positive roots, when that
-    is >= 1, then split at 1 into Q(x + 1) and (x + 1)^n Q(1/(x + 1)); the
-    second is built only when Budan's theorem leaves it a root. A rational
-    root met at M(1) becomes a point and is divided out of both halves.
+    Vincent-Akritas-Strzebonski continued fractions from M(x) = x and -x. A
+    node is an integer Mobius map M(x) = (ax + b)/(cx + d) with a positive
+    multiple Q of (cx + d)^n f(M(x)), less the roots met so far, Q(0) != 0,
+    so the sign variations of Q bound the roots of f between M(0) and M(inf).
+    None drops the node and one makes it a leaf, unless f vanishes at one of
+    its ends (flagged), so every leaf has a nonzero witness at both ends. A
+    node to split is shifted by 2^s, the Kioustelidis lower bound of its
+    positive roots, when that is >= 1, and split at 1 into Q(x + 1) and
+    (x + 1)^n Q(1/(x + 1)). By Budan's theorem the second has v - v_left
+    roots less an even number, v and v_left the variations of Q and Q(x + 1):
+    it is built only when that leaves it a root, and is a leaf unbuilt when
+    that leaves it one and f is nonzero at M(0) and M(1). A root met at M(1)
+    is divided out of both halves.
 
     f need not be squarefree. No variation proves that a node holds no root
-    of any multiplicity, and one variation a single simple root. A repeated
-    root met at M(1) raises _Inconclusive; any other keeps two or more
-    variations on its nodes, which raises _Inconclusive at the step cap when
-    ``capped`` is set. A squarefree f always finishes.
+    of any multiplicity, and one variation or a Budan difference of 1 a
+    single simple root. A repeated root at 0 or met at M(1) raises
+    _Inconclusive; any other keeps two or more variations on its nodes,
+    which raises _Inconclusive at the step cap when ``capped`` is set. A
+    squarefree f always finishes.
     """
-    out: list[tuple[Fraction, Fraction]] = []
+    if len(f) == 2:
+        return [(-f[0], f[1])]
+    zero_is_root = f[0] == 0
+    if zero_is_root and f[1] == 0:
+        raise _Inconclusive
+    out: list[tuple[int, ...]] = [(0, 1)] if zero_is_root else []
+    desc = list((f[1:] if zero_is_root else f)[::-1])
+    n = len(desc) - 1
+    mirrored = [-a if (n - i) % 2 else a for i, a in enumerate(desc)]
     # (Q descending, its variations, a, b, c, d, f(M(0)) == 0, f(M(inf)) == 0, steps)
-    stack = [(desc, _sign_changes(desc), 1, 0, 0, 1, zero_is_root, False, 0)]
+    stack = [(q, _sign_changes(q), a, 0, 0, 1, zero_is_root, False, 0)
+             for q, a in ((mirrored, -1), (desc, 1))]
     while stack:
         q, v, a, b, c, d, at_zero, at_inf, steps = stack.pop()
         if not v:
             continue
         if v == 1 and not (at_zero or at_inf):
-            ends = Fraction(b, d), Fraction(a, c) if c else bound
-            out.append((min(ends), max(ends)))
+            out.append((a, b, c, d))
             continue
         if capped and v > 1 and steps >= _STEP_CAP:
             raise _Inconclusive
@@ -323,10 +339,12 @@ def _isolate_positive(desc: list[int], bound: Fraction, zero_is_root: bool,
         if at_one:
             if left[-2] == 0:
                 raise _Inconclusive
-            out.append((Fraction(a + b, c + d),) * 2)
+            out.append((a + b, c + d))
             left.pop()
         v_left = _sign_changes(left)
-        if v - v_left > at_one:
+        if v - v_left == 1 and not (at_zero or at_one):
+            out.append((b, a + b, d, c + d))
+        elif v - v_left > at_one:
             right = _taylor_shift(q[::-1])
             if at_one:
                 right.pop()
@@ -338,44 +356,45 @@ def _isolate_positive(desc: list[int], bound: Fraction, zero_is_root: bool,
 
 def _isolate(f: Sequence[int], capped: bool) -> list[IsolatingInterval]:
     """Sorted isolating intervals of the real roots of an integer polynomial
-    of degree >= 1; its rational roots met on the way come out as points.
+    of degree >= 1, read off its leaves, with the power-of-two root bound for
+    the end M(inf) of a map M(x) = +-x + b (c = 0). Raises as _cf_leaves."""
+    bound = Fraction(2) ** _bound_exponent(f)
+    out = []
+    for leaf in _cf_leaves(f, capped):
+        if len(leaf) == 2:
+            ends = [Fraction(*leaf)] * 2
+        else:
+            a, b, c, d = leaf
+            ends = sorted((Fraction(b, d), Fraction(a, c) if c else a * bound))
+        out.append(IsolatingInterval(*ends))
+    return sorted(out, key=lambda iv: iv.lo)
 
-    Raises _Inconclusive on a multiple root at 0 or as _isolate_positive
-    does; a squarefree f always finishes when ``capped`` is unset.
-    """
-    if len(f) == 2:
-        root = Fraction(-f[0], f[1])
-        return [IsolatingInterval(root, root)]
-    zero_is_root = f[0] == 0
-    if zero_is_root and f[1] == 0:
-        raise _Inconclusive
-    out = [IsolatingInterval(Fraction(0), Fraction(0))] if zero_is_root else []
-    rest = f[1:] if zero_is_root else f
-    if len(rest) > 1:
-        bound = Fraction(2) ** _bound_exponent(f)
-        desc = list(rest[::-1])
-        out += [IsolatingInterval(lo, hi)
-                for lo, hi in _isolate_positive(desc, bound, zero_is_root, capped)]
-        # The roots of f(-x), mirrored.
-        n = len(desc) - 1
-        desc = [-a if (n - i) % 2 else a for i, a in enumerate(desc)]
-        out += [IsolatingInterval(-hi, -lo)
-                for lo, hi in _isolate_positive(desc, bound, zero_is_root, capped)]
-    out.sort(key=lambda iv: iv.lo)
-    return out
+
+def cf_root_count(p: Polynomial) -> RootCount:
+    """Real root counts by continued fractions: the number of leaves of a
+    capped first run that finishes, which proves every real root simple, or
+    those of isolate_real_roots' fallbacks when it gives up."""
+    if p.is_zero:
+        raise ValueError("cannot count roots of the zero polynomial")
+    try:
+        n = len(_cf_leaves(p.prim, capped=True))
+    except _Inconclusive:
+        roots = _isolate_given_up(p)
+        return RootCount(len(roots), sum(r.multiplicity for r in roots))
+    return RootCount(n, n)
 
 
 def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     """Disjoint isolating intervals for every distinct real root, sorted.
 
     Continued-fraction isolation runs on p itself first, under a step cap.
-    When it finishes, every kept node had one sign variation and every point
-    root a nonzero derivative, so each real root is simple, whatever the
-    complex multiplicities: p is its own (monic) witness and every
-    multiplicity is 1. The same holds of an uncapped run when the first one
-    gives up on a p that the modular certificate proves squarefree.
-    Otherwise the witness is the exact squarefree part, isolated without the
-    cap, and multiplicities come from the chain of repeated parts.
+    When it finishes, every leaf had one sign variation or a Budan
+    difference of 1 and every point root a nonzero derivative, so each real
+    root is simple, whatever the complex multiplicities: p is its own (monic)
+    witness and every multiplicity is 1. The same holds of an uncapped run
+    when the first one gives up on a p that the modular certificate proves
+    squarefree. Otherwise the witness is the exact squarefree part, isolated
+    without the cap, and multiplicities come from the chain of repeated parts.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -384,10 +403,16 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     try:
         found = _isolate(p.prim, capped=True)
     except _Inconclusive:
-        found = _isolate(p.prim, capped=False) if proves_coprime(p, p.derivative()) else None
-    if found is not None:
+        return _isolate_given_up(p)
+    witness = monic(p)
+    return tuple(IsolatedRoot(iv, 1, witness) for iv in found)
+
+
+def _isolate_given_up(p: Polynomial) -> tuple[IsolatedRoot, ...]:
+    """isolate_real_roots for a p on which the capped first run gave up."""
+    if proves_coprime(p, p.derivative()):
         witness = monic(p)
-        return tuple(IsolatedRoot(iv, 1, witness) for iv in found)
+        return tuple(IsolatedRoot(iv, 1, witness) for iv in _isolate(p.prim, capped=False))
     # hk = gk/g(k+1) is the monic squarefree part of gk, and h0 that of p.
     chain = [monic(p), *(g for _, g in _sturm_chain(p))]
     sf, *later = [div_exact(g, after) for g, after in zip(chain, chain[1:])]

@@ -26,6 +26,7 @@ from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, 
 from .realroots import (
     IsolatedRoot,
     RootCount,
+    cf_root_count,
     compare_roots,
     isolate_real_roots,
     order_roots,
@@ -206,13 +207,12 @@ def predict_verdict(label: ClassLabel) -> Verdict:
 
 def actual_verdict(instance: ShapiroInstance) -> ActualVerdict:
     """Ground truth by exact root counting: p by the Sturm walk of ``build``,
-    delta by its isolation.
+    delta by the leaves of its continued fractions.
     """
     nr_p = instance.nr_p
     if instance.delta.is_zero:
         raise DeltaIdenticallyZeroError(nr_p)
-    roots = isolate_real_roots(instance.delta)
-    nr_delta = RootCount(len(roots), sum(r.multiplicity for r in roots))
+    nr_delta = cf_root_count(instance.delta)
     verdict = Verdict.HOLDS if nr_delta.distinct + nr_p.distinct > 0 else Verdict.FAILS
     return ActualVerdict(verdict, nr_delta, nr_p)
 

@@ -34,6 +34,7 @@ from shapiro12.realroots import (
     _taylor_shift,
     _unit_interval_count,
     bisect_once,
+    cf_root_count,
     compare_roots,
     isolate_real_roots,
     order_roots,
@@ -420,6 +421,18 @@ def factored_polys(draw):
     return p, roots, mults, repeated
 
 
+def small_rational_roots():
+    """Products of 2-6 factors d x - k, |k| <= 4, d in {1, 2, 3}, some of them
+    times an irreducible quadratic. Continued fractions meet such roots at
+    splits, next to a half with one sign variation."""
+    linear = st.tuples(st.integers(-4, 4), st.integers(1, 3)) \
+        .map(lambda t: from_coefficients([-t[0], t[1]]))
+    quadratic = st.tuples(st.integers(-3, 3), st.integers(1, 6)) \
+        .filter(lambda t: t[0] ** 2 < 4 * t[1]).map(lambda t: from_coefficients([t[1], t[0], 1]))
+    return st.tuples(st.lists(linear, min_size=2, max_size=6), st.one_of(st.just(P("1")), quadratic)) \
+        .map(lambda t: math.prod(t[0], start=t[1]))
+
+
 class TestNonSquarefreeGroundTruth:
     """Counts on non-squarefree p read the Sturm sequence of p itself."""
 
@@ -507,11 +520,13 @@ def _exact_sign(q, root):
 def _assert_interval_contract(p):
     """Sorted, disjoint intervals; a point is a root of its witness, any
     other interval holds exactly one (by a Sturm count) and has a nonzero
-    witness at both ends; counts and multiplicities agree with root_count."""
+    witness at both ends; counts and multiplicities, and the counts of
+    cf_root_count, agree with root_count."""
     roots = isolate_real_roots(p)
     count = root_count(p)
     assert len(roots) == count.distinct, p
     assert sum(r.multiplicity for r in roots) == count.with_multiplicity, p
+    assert cf_root_count(p) == count, p
     for left, right in zip(roots, roots[1:]):
         a, b = left.interval, right.interval
         assert a.hi < b.lo or (a.hi == b.lo and not (a.is_point and b.is_point)), p
@@ -554,7 +569,8 @@ class TestModularCertificatesAndDescartes:
 
     @given(st.one_of(int_polys(8, 12), factored_polys().map(lambda case: case[0]),
                      st.tuples(int_polys(4, 9), int_polys(3, 9), st.integers(1, 3))
-                     .map(lambda t: math.prod([t[1]] * t[2], start=t[0]))))
+                     .map(lambda t: math.prod([t[1]] * t[2], start=t[0])),
+                     small_rational_roots()))
     @settings(max_examples=120, deadline=None)
     def test_intervals_isolate_every_root(self, p):
         _assert_interval_contract(p)
@@ -746,6 +762,7 @@ class TestLazySquarefreeCertificate:
             witness = div_exact(monic(p), repeated_part(p))
         assert [r.multiplicity for r in roots] == mults
         assert [rational_value(r) for r in roots] == values
+        assert cf_root_count(p) == RootCount(len(mults), sum(mults))
         for r in roots:
             assert r.witness == witness
             iv = r.interval

@@ -322,12 +322,17 @@ class TestActualVerdict:
             assert classify(build(P(text)))[0] is ClassLabel.LAMBDA_1
 
     def test_delta_counted_without_its_sturm_walk(self, monkeypatch):
-        # delta is counted from its isolation. A first run that finishes
-        # proves every real root simple, so no Sturm sequence of delta is
-        # walked, and p was counted by build: actual_verdict walks none.
-        # Only a run that gives up on a delta not proved squarefree (x^4 + 1,
-        # whose delta is -48x^2) walks the chain of its repeated parts.
+        # delta is counted from the leaves of its continued fractions. A
+        # first run that finishes proves every real root simple, so no Sturm
+        # sequence of delta is walked and no root of it is isolated, and p
+        # was counted by build: actual_verdict walks none. Only a run that
+        # gives up on a delta not proved squarefree (x^4 + 1, whose delta is
+        # -48x^2) walks the chain of its repeated parts.
         walks = recording_walks(monkeypatch)
+        isolated = []
+        for module in (realroots, shapiro):
+            monkeypatch.setattr(module, "isolate_real_roots",
+                                lambda q, isolate=isolate_real_roots: isolated.append(q) or isolate(q))
         config = FuzzConfig(seed=7, cases=100, degree_range=(10, 16), coeff_bound=12)
         polys = [P(text) for text in FIXTURES.values()]
         polys += [random_polynomial(config, i) for i in range(config.cases)]
@@ -343,8 +348,10 @@ class TestActualVerdict:
                 continue
             finished += 1
             walks.clear()
+            isolated.clear()
             actual_verdict(inst)
             assert walks == [], format_polynomial(p)
+            assert isolated == [], format_polynomial(p)
         assert finished >= 100
 
 
