@@ -179,7 +179,8 @@ def _evidence_json(evidence: Evidence) -> dict:
     }
 
 
-def _analyze(poly: Polynomial) -> dict:
+def _analyze(poly: Polynomial) -> tuple[dict, Evidence, dict[str, int]]:
+    """Build, classify and count: the report up to agreement, evidence, timings."""
     timings: dict[str, int] = {}
     t0 = time.perf_counter_ns()
     instance = _build_instance(poly)
@@ -220,28 +221,22 @@ def _analyze(poly: Polynomial) -> dict:
         "nr_delta": nr_delta,
         "nr_p": nr_p,
         "agreement": agreement,
-        "evidence": _evidence_json(evidence),
-        "timings": timings,
-    }
+    }, evidence, timings
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     poly = _load_polynomial(args.polynomial, args.descending)
-    report = _analyze(poly)
+    report, evidence, timings = _analyze(poly)
+    report.update(evidence=_evidence_json(evidence), timings=timings)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     poly = _load_polynomial(args.polynomial, args.descending)
-    report = _analyze(poly)
-    print(json.dumps({
-        "polynomial": report["polynomial"],
-        "label": report["label"],
-        "predicted": report["predicted"],
-        "actual": report["actual"],
-        "agreement": report["agreement"],
-    }, indent=2))
+    report, _, _ = _analyze(poly)
+    fields = ("polynomial", "label", "predicted", "actual", "agreement")
+    print(json.dumps({key: report[key] for key in fields}, indent=2))
     return EXIT_OK if report["agreement"] else EXIT_MISMATCH
 
 

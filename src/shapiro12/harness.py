@@ -13,6 +13,7 @@ from .polycore import Polynomial, _int_mul, format_polynomial, from_coefficients
 from .shapiro import (
     ClassLabel,
     DeltaIdenticallyZeroError,
+    Verdict,
     actual_verdict,
     build,
     classify,
@@ -164,8 +165,13 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
             continue
         try:
             actual = actual_verdict(instance)
-        except DeltaIdenticallyZeroError:
-            summary.delta_zero_count += 1
+        except DeltaIdenticallyZeroError as exc:
+            # Only p = c*(ax+b)^n lands here, with a real zero: only HOLDS agrees.
+            if predicted is Verdict.HOLDS and exc.nr_p.distinct > 0:
+                summary.delta_zero_count += 1
+            else:
+                summary.disagreements.append(
+                    Disagreement(i, text, predicted.value, "DELTA_IDENTICALLY_ZERO"))
             continue
         except Exception as exc:
             summary.disagreements.append(

@@ -6,7 +6,9 @@ the sign) and ``content`` is a positive rational.  The pair is canonical, so
 equality is structural.  ``prim`` is a positive multiple of the polynomial:
 it has the same roots and the same sign everywhere, which is all that root
 counting and sign questions need.  All arithmetic runs on integers and is
-exact; nothing in this module ever rounds.
+exact; nothing in this module ever rounds.  Besides arithmetic it holds the
+remainder sequence with gcd, a modular coprimality certificate and the text
+format; every root count is made in ``realroots``.
 """
 
 from __future__ import annotations
@@ -310,27 +312,11 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return monic(Polynomial(last))
 
 
-def _sturm_profile(f: tuple[int, ...]) -> tuple[int, Polynomial]:
-    """(distinct real roots, monic gcd(f, f')) of the nonzero primitive vector f.
-
-    One walk of the Sturm sequence, which is not kept: an element of degree
-    d has the sign of its leading coefficient at +inf, times (-1)^d at -inf,
-    and the last element is gcd(f, f') up to a constant.
-    """
-    at_minus, at_plus = [], []
-    for last in _remainder_sequence(f, _primitive(_int_derivative(f))[0]):
-        s = _sign(last[-1])
-        at_plus.append(s)
-        at_minus.append(s if len(last) % 2 else -s)
-    repeated = monic(Polynomial(last)) if len(last) > 1 else ONE
-    return _sign_changes(at_minus) - _sign_changes(at_plus), repeated
-
-
 def repeated_part(p: Polynomial) -> Polynomial:
     """Monic gcd(p, p'): each root of p with its multiplicity lowered by one."""
     if p.is_zero:
         raise ValueError("zero polynomial has no repeated part")
-    return _sturm_profile(p.prim)[1]
+    return gcd(p, p.derivative())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ polynomial that has one simple root in the interval, so every question
 about an algebraic number (its sign under another polynomial, its order
 relative to another root) reduces to integer sign computations.
 
-Counting walks the Sturm sequence of p, which gives the number of distinct
-real roots and ends in the repeated part gcd(p, p'), and then that of each
+Every count is made here. Counting walks the Sturm sequence of p, whose
+leading signs at -inf and +inf give the number of distinct real roots and
+whose last element is the repeated part gcd(p, p'), and then that of each
 repeated part in turn; nothing is cached. Isolation starts with no walk:
 continued fractions find the roots, each node an integer Mobius image of p
 whose Descartes count is the sign variations of its coefficients, and
@@ -15,7 +16,8 @@ that finishes proves every real root simple, so p is its own witness. One
 that gives up, at a real multiple root or at its step cap, tries a modular
 certificate that p is squarefree before it walks the chain of repeated
 parts. Signs and order at isolated roots settle by Descartes counts on
-intervals and try the same certificate, that two polynomials are coprime,
+intervals, each the Taylor shift by 1 that splits a continued-fraction
+node, and try the same certificate, that two polynomials are coprime,
 before the exact gcd.
 """
 
@@ -31,9 +33,11 @@ from .polycore import (
     ONE,
     InvariantError,
     Polynomial,
+    _int_derivative,
+    _primitive,
+    _remainder_sequence,
     _sign,
     _sign_changes,
-    _sturm_profile,
     div_exact,
     gcd,
     monic,
@@ -112,18 +116,25 @@ class MergedRoot:
 def _sturm_chain(p: Polynomial) -> Iterator[tuple[int, Polynomial]]:
     """(distinct real roots of gk, g(k+1)) for g0 = p and the monic
     g(k+1) = gcd(gk, gk'), while deg gk > 0, from one walk of the Sturm
-    sequence of gk each.
+    sequence of gk each, which is not kept.
 
-    A real root of p of multiplicity m is a root of g0 ... g(m-1) and of no
-    later gk.
+    An element of degree d has the sign of its leading coefficient at +inf,
+    times (-1)^d at -inf, and the last element is gcd(gk, gk') up to a
+    constant. A real root of p of multiplicity m is a root of g0 ... g(m-1)
+    and of no later gk.
     """
-    g = p
-    while g.degree > 0:
-        count, after = _sturm_profile(g.prim)
-        if after.degree >= g.degree:
+    g = p.prim
+    while len(g) > 1:
+        at_minus, at_plus = [], []
+        for last in _remainder_sequence(g, _primitive(_int_derivative(g))[0]):
+            s = _sign(last[-1])
+            at_plus.append(s)
+            at_minus.append(s if len(last) % 2 else -s)
+        if len(last) >= len(g):
             raise InvariantError("gcd(g, g') must have a lower degree than g")
-        yield count, after
-        g = after
+        after = monic(Polynomial(last))
+        yield _sign_changes(at_minus) - _sign_changes(at_plus), after
+        g = after.prim
 
 
 def real_root_profile(p: Polynomial) -> tuple[RootCount, Polynomial]:
@@ -174,40 +185,15 @@ def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
     return [a >> s * (n - i) for i, a in enumerate(d)] if s else d
 
 
-def _unit_interval_count(coeffs: Sequence[int]) -> int:
-    """Descartes bound for the roots of a in (0, 1), from ascending coefficients.
-
-    The sign variations of (x + 1)^n a(1/(x + 1)), whose positive roots are
-    the images of the roots of a in (0, 1), capped at 2. Zero or one
-    variation is the exact count; 2 means two or more, which only says that
-    there may be more roots.
-
-    The ascending coefficients of a are the descending ones of x^n a(1/x),
-    and the Taylor shift by 1 fixes them from the bottom, one per Horner
-    pass, while the leading one never changes. A subsequence has no more
-    variations than the whole sequence, so the shift stops as soon as the
-    leading coefficient and the fixed ones show two.
-    """
-    d = list(coeffs)
-    lead = d[0]
-    # Variations among the coefficients fixed so far, and the top one of them.
-    count = top = 0
-    for end in range(len(d), 1, -1):
-        d[:end] = accumulate(d[:end])
-        c = d[end - 1]
-        if c:
-            count += top != 0 and (c < 0) != (top < 0)
-            top = c
-            if count + (lead != 0 and (lead < 0) != (top < 0)) >= 2:
-                return 2
-    return count + (lead != 0 and top != 0 and (lead < 0) != (top < 0))
-
-
 def _descartes_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
-    """Descartes bound for the roots of a in the open interval (lo, hi).
+    """Descartes bound for the roots of a in the open interval (lo, hi), from
+    ascending coefficients.
 
-    With lo = u/d and hi = v/d the bound is read on (0, 1) from
-    d^n a((u + (v - u) x) / d), a positive multiple of a(lo + (hi - lo) x).
+    With lo = u/d and hi = v/d, b(x) = d^n a((u + (v - u) x) / d) is a
+    positive multiple of a(lo + (hi - lo) x). The bound is the sign
+    variations of (x + 1)^n b(1/(x + 1)), whose positive roots are the images
+    of those of b in (0, 1): the ascending coefficients of b, read as
+    descending ones, shifted by 1.
     """
     d = math.lcm(lo.denominator, hi.denominator)
     u, w = int(lo * d), int((hi - lo) * d)
@@ -217,7 +203,7 @@ def _descartes_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     if u:
         desc = _taylor_shift(desc, u)
     scaled = [c * w ** k for k, c in enumerate(reversed(desc))]
-    return _unit_interval_count(scaled)
+    return _sign_changes(_taylor_shift(scaled))
 
 
 def isolates(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:

@@ -3,14 +3,14 @@ isolation against.
 
 Every count walks the Sturm sequence of p afresh and evaluates it at both
 ends, an open end at the power-of-two root bound. It shares the remainder
-loop with the package but none of its counting: not the profile that
+loop with the package but none of its counting: not the Sturm chain that
 ``root_count`` reads, nor the Descartes counts that isolation reads.
 ``recording_walks`` lets a test count the walks the package makes.
 """
 
 from fractions import Fraction
 
-from shapiro12 import polycore
+from shapiro12 import polycore, realroots
 from shapiro12.polycore import _horner, _int_derivative, _primitive, _remainder_sequence, \
     _sign_changes, sign_at
 from shapiro12.realroots import _bound_exponent
@@ -49,7 +49,8 @@ def sturm_count(p, lo=None, hi=None):
 def recording_walks(monkeypatch):
     """Record the first element of every remainder sequence the package walks.
 
-    Patches the module attribute, so the helper's own walks, which call the
+    Patches the attribute of both modules that walk one, polycore for gcd and
+    realroots for Sturm chains, so the helper's own walks, which call the
     function it imported, are not recorded.
     """
     walks = []
@@ -59,5 +60,6 @@ def recording_walks(monkeypatch):
         walks.append(a)
         return remainder_sequence(a, b)
 
-    monkeypatch.setattr(polycore, "_remainder_sequence", recording)
+    for module in (polycore, realroots):
+        monkeypatch.setattr(module, "_remainder_sequence", recording)
     return walks

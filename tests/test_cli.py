@@ -181,6 +181,18 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["agreement"] is False
 
+    def test_prints_no_evidence(self, capsys, monkeypatch):
+        # verify reports five fields, none of them a root, so it never runs
+        # the printer that canonicalises the evidence roots of classify.
+        def printer_called(evidence):
+            raise AssertionError("verify must not print evidence")
+
+        monkeypatch.setattr(cli, "_evidence_json", printer_called)
+        code, out, _ = run_cli(capsys, "verify", FIXTURES[ClassLabel.GAMMA_121])
+        assert code == 0
+        assert list(json.loads(out)) == ["polynomial", "label", "predicted", "actual",
+                                         "agreement"]
+
 
 class TestFuzzCommand:
     def test_byte_identical_runs(self, capsys):

@@ -12,7 +12,7 @@ from shapiro12.harness import (
     run_fuzz,
 )
 from shapiro12.polycore import InvariantError, from_coefficients, parse_polynomial
-from shapiro12.shapiro import ClassLabel, build, classify
+from shapiro12.shapiro import ClassLabel, Verdict, build, classify
 from sturm_helper import sturm_count
 
 P = parse_polynomial
@@ -101,6 +101,19 @@ class TestRunFuzz:
         gamma_total = sum(count for name, count in summary.class_histogram.items()
                           if name.startswith("Gamma"))
         assert gamma_total >= 1
+
+    def test_delta_identically_zero_checks_the_prediction(self, monkeypatch):
+        # Degree 2 at bound 2 draws ax^2 and +-(x +- 1)^2, whose delta is 0;
+        # p has a real zero there, so a FAILS prediction is a disagreement,
+        # as in verify, and only a passing case counts as delta-zero.
+        config = FuzzConfig(seed=1, cases=200, degree_range=(2, 2), coeff_bound=2)
+        zero = run_fuzz(config).delta_zero_count
+        assert zero > 0
+        monkeypatch.setattr(harness, "predict_verdict", lambda label: Verdict.FAILS)
+        summary = run_fuzz(config)
+        assert summary.delta_zero_count == 0
+        assert sum(d.actual == "DELTA_IDENTICALLY_ZERO" and d.predicted == "FAILS"
+                   for d in summary.disagreements) == zero
 
     def test_empty_run(self):
         summary = run_fuzz(FuzzConfig(seed=1, cases=0))

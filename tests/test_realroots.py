@@ -17,8 +17,6 @@ from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     _PRIME,
     InvariantError,
-    Polynomial,
-    _sign_changes,
     div_exact,
     from_coefficients,
     gcd,
@@ -31,12 +29,13 @@ from shapiro12.polycore import (
 from shapiro12.realroots import (
     RootCount,
     _bound_exponent,
+    _descartes_count,
     _taylor_shift,
-    _unit_interval_count,
     bisect_once,
     cf_root_count,
     compare_roots,
     isolate_real_roots,
+    isolates,
     order_roots,
     rational_value,
     refine,
@@ -380,17 +379,17 @@ class TestRootCount:
 
     def test_repeated_part_that_keeps_the_degree_raises(self, monkeypatch):
         # A kernel fault that fails to lower deg g must raise, not loop
-        # forever; the stub, a Sturm profile whose repeated part is g itself,
+        # forever; the stub, a remainder sequence that ends at g itself,
         # gives up after a few calls if nothing stops it.
         calls = []
 
-        def stuck(f):
-            calls.append(f)
+        def stuck(a, b):
+            calls.append(a)
             if len(calls) > 5:
                 raise RuntimeError("the degree check never fired")
-            return 1, monic(Polynomial(f))
+            return iter([a])
 
-        monkeypatch.setattr(realroots, "_sturm_profile", stuck)
+        monkeypatch.setattr(realroots, "_remainder_sequence", stuck)
         with pytest.raises(InvariantError):
             root_count(P("-1,0,1"))
 
@@ -623,19 +622,6 @@ class TestModularCertificatesAndDescartes:
             assert sign_at_root(f + k, root) == _exact_sign(f + k, root)
 
 
-@st.composite
-def roots_in_unit_interval(draw):
-    """A random vector times up to 5 factors den x - num with 0 < num < den:
-    with several roots in (0, 1), the full Taylor shift often shows three or
-    more variations."""
-    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any))
-    for _ in range(draw(st.integers(0, 5))):
-        den = draw(st.integers(2, 12))
-        num = draw(st.integers(1, den - 1))
-        coeffs = [den * d - num * c for c, d in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
-
-
 def _binomial_shift(desc, c):
     """a(x + c) by the binomial theorem, in descending coefficients."""
     a = desc[::-1]
@@ -654,16 +640,29 @@ class TestTaylorShift:
         assert _taylor_shift(desc, c) == _binomial_shift(desc, c)
 
 
-class TestEarlyExitDescartes:
-    @given(st.one_of(st.lists(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)),
-                              min_size=1, max_size=14),
-                     roots_in_unit_interval()))
+def squarefree_polys():
+    """Squarefree parts of factored_polys and small_rational_roots."""
+    return st.one_of(factored_polys().map(lambda case: case[0]), small_rational_roots()) \
+        .map(lambda p: div_exact(monic(p), repeated_part(p)))
+
+
+class TestIntervalDescartes:
+    # Descartes' rule on (lo, hi) bounds the distinct real roots of a
+    # squarefree p there, with their parity, and counts them exactly when it
+    # reads 0 or 1.
+    @given(squarefree_polys(), st.fractions(-6, 6, max_denominator=7),
+           st.fractions(-6, 6, max_denominator=7))
     @settings(max_examples=300, deadline=None)
-    def test_capped_count_of_the_full_taylor_shift(self, coeffs):
-        # 2 means two or more: the shift stops once the fixed coefficients
-        # show two variations.
-        full = _sign_changes(_taylor_shift(coeffs))
-        assert _unit_interval_count(coeffs) == min(full, 2)
+    def test_bounds_the_sturm_count(self, p, lo, hi):
+        lo, hi = sorted((lo, hi))
+        assume(lo < hi and sign_at(p, lo) and sign_at(p, hi))
+        exact = sturm_count(p, lo, hi)
+        count = _descartes_count(p.prim, lo, hi)
+        assert count >= exact and (count - exact) % 2 == 0
+        if count <= 1:
+            assert count == exact
+        if isolates(p, lo, hi):
+            assert exact == 1
 
 
 def _recording_isolation(monkeypatch):
