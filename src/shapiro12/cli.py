@@ -42,6 +42,11 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
+#: More than 20 significant digits make a numerator or denominator at least
+#: 10**20 > 2**MAX_COEFF_BITS: a text holding such a run is refused before
+#: any digit is converted.
+_PAST_BIT_CAP = re.compile(r"[1-9][0-9]{20}")
+
 #: Largest ``plotdata --samples``: every sample is held in memory before the
 #: first row is printed.
 MAX_SAMPLES = 100_000
@@ -54,6 +59,8 @@ class _CliError(Exception):
 
 
 def _load_polynomial(text: str, descending: bool) -> Polynomial:
+    if _PAST_BIT_CAP.search(text):
+        raise _CliError(EXIT_DOMAIN, f"coefficients must have at most {MAX_COEFF_BITS} bits")
     try:
         return parse_polynomial(text, descending=descending)
     except ValueError as exc:
@@ -73,10 +80,6 @@ def _build_instance(poly: Polynomial):
         return build(poly)
     except ValueError as exc:
         raise _CliError(EXIT_DOMAIN, str(exc)) from exc
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 #: Least level k of the dyadic cells [m/2^k, (m+1)/2^k] that print roots.
@@ -139,8 +142,8 @@ def _printed_forms(evidence: Evidence) -> dict[IsolatedRoot, tuple[Fraction, Fra
 def _root_json(root: IsolatedRoot, forms: dict[IsolatedRoot, tuple[Fraction, Fraction]]) -> dict:
     lo, hi = forms[root]
     return {
-        "lo": _frac(lo),
-        "hi": _frac(hi),
+        "lo": str(lo),
+        "hi": str(hi),
         "multiplicity": root.multiplicity,
     }
 
@@ -212,7 +215,7 @@ def _analyze(poly: Polynomial) -> tuple[dict, Evidence, dict[str, int]]:
     return {
         "polynomial": format_polynomial(poly),
         "degree": instance.n,
-        "k0": _frac(instance.k0),
+        "k0": str(instance.k0),
         "delta": format_polynomial(instance.delta),
         "label": label.value,
         "predicted": predicted.value,
@@ -282,6 +285,8 @@ def _approx_position(root: IsolatedRoot) -> Fraction:
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     poly = _load_polynomial(args.polynomial, args.descending)
+    if _PAST_BIT_CAP.search(args.range):
+        raise _CliError(EXIT_DOMAIN, f"range endpoints must have at most {MAX_COEFF_BITS} bits")
     # Endpoints follow the coefficient token rule and bit cap; a count other
     # than two fails the unpacking with ValueError as well.
     try:

@@ -5,7 +5,7 @@ verdict, and exact root counting checks the prediction."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -81,15 +81,7 @@ class FuzzSummary:
         return {
             "total": self.total,
             "agreements": self.agreements,
-            "disagreements": [
-                {
-                    "case_index": d.case_index,
-                    "polynomial": d.polynomial,
-                    "predicted": d.predicted,
-                    "actual": d.actual,
-                }
-                for d in self.disagreements
-            ],
+            "disagreements": [asdict(d) for d in self.disagreements],
             "class_histogram": {
                 label.value: self.class_histogram.get(label.value, 0)
                 for label in ClassLabel

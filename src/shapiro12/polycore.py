@@ -6,9 +6,10 @@ the sign) and ``content`` is a positive rational.  The pair is canonical, so
 equality is structural.  ``prim`` is a positive multiple of the polynomial:
 it has the same roots and the same sign everywhere, which is all that root
 counting and sign questions need.  All arithmetic runs on integers and is
-exact; nothing in this module ever rounds.  Besides arithmetic it holds the
-remainder sequence with gcd, a modular coprimality certificate and the text
-format; every root count is made in ``realroots``.
+exact; nothing in this module ever rounds.  Besides the product, the
+derivative, values and exact division it holds the remainder sequence with
+gcd, a modular coprimality certificate and the text format; every root
+count is made in ``realroots``.
 """
 
 from __future__ import annotations
@@ -109,53 +110,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.prim
 
-    def leading_coefficient(self) -> Fraction:
-        if not self.prim:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.content * self.prim[-1]
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not other.prim:
-            return self
-        if not self.prim:
-            return other
-        # Bring both contents over one denominator: u/den and v/den.
-        c1, c2 = self.content, other.content
-        den = math.lcm(c1.denominator, c2.denominator)
-        u = c1.numerator * (den // c1.denominator)
-        v = c2.numerator * (den // c2.denominator)
-        a, b = self.prim, other.prim
-        if len(a) < len(b):
-            a, b, u, v = b, a, v, u
-        out = [u * c for c in a]
-        for i, c in enumerate(b):
-            out[i] += v * c
-        return _from_ints(out, Fraction(1, den))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.prim), self.content)
-
-    def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self.prim or not other.prim:
             return ZERO
         # Gauss's lemma: the product of primitive vectors is primitive.
         return Polynomial(tuple(_int_mul(self.prim, other.prim)), self.content * other.content)
-
-    def __rmul__(self, other: "Fraction | int") -> "Polynomial":
-        return self.scale(other)
-
-    def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0 or not self.prim:
-            return ZERO
-        if c > 0:
-            return Polynomial(self.prim, self.content * c)
-        return Polynomial(tuple(-v for v in self.prim), self.content * -c)
 
     def derivative(self) -> "Polynomial":
         return _from_ints(_int_derivative(self.prim), self.content)
@@ -166,27 +125,6 @@ class Polynomial:
             return Fraction(0)
         x = Fraction(x)
         return self.content * Fraction(_horner(self.prim, x), x.denominator ** self.degree)
-
-    def __str__(self) -> str:
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        parts = []
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                base = "x" if i == 1 else f"x^{i}"
-                term = base if mag == 1 else f"{mag}{base}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
 
 
 ZERO = Polynomial(())
@@ -363,17 +301,22 @@ def proves_coprime(p: Polynomial, q: Polynomial) -> bool:
 # Text format: comma-separated ascending coefficients, integers or num/den.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_TOKEN = re.compile(r"([+-]?)0*([0-9]+)(?:/0*([0-9]+))?")
 
 
 def parse_rational(token: str) -> Fraction:
-    """One stripped token of the format: an integer or num/den, den nonzero."""
-    if not _TOKEN.fullmatch(token):
+    """One stripped token of the format: an integer or num/den, den nonzero.
+
+    Leading zeros are dropped before the digits are converted, so any number
+    of them is accepted.
+    """
+    match = _TOKEN.fullmatch(token)
+    if not match:
         raise ValueError(f"malformed rational: {token!r}")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator: {token!r}") from exc
+    sign, num, den = match.groups()
+    if den == "0":
+        raise ValueError(f"zero denominator: {token!r}")
+    return Fraction(int(sign + num), int(den or 1))
 
 
 def parse_polynomial(text: str, descending: bool = False) -> Polynomial:

@@ -1,0 +1,54 @@
+"""Reference polynomial arithmetic on ascending Fraction lists, with no
+trailing zero: independent of the package, whose kernel the tests check."""
+
+from fractions import Fraction
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return ref_trim(x + y for x, y in zip(a, b))
+
+
+def ref_sum(*terms):
+    """The sum of c * a over the (c, a) pairs."""
+    total = ()
+    for c, a in terms:
+        total = ref_add(total, [c * x for x in a])
+    return total
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_eval(a, x):
+    return sum((c * x ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def ref_derivative(a):
+    return ref_trim(i * x for i, x in enumerate(a))[1:]
+
+
+def ref_gcd(a, b):
+    """Monic gcd by the textbook Euclidean algorithm over Q."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            f, k = r[-1] / b[-1], len(r) - len(b)
+            for i, y in enumerate(b):
+                r[i + k] -= f * y
+            r = list(ref_trim(r))
+        a, b = b, tuple(r)
+    return tuple(x / a[-1] for x in a)

@@ -25,6 +25,7 @@ from shapiro12.polycore import (
     InvariantError,
     Polynomial,
     div_exact,
+    from_coefficients,
     gcd,
     repeated_part,
     sign_at,
@@ -37,6 +38,7 @@ from shapiro12.realroots import (
     sign_at_root,
 )
 from shapiro12.shapiro import AxisEvent, Comparison, EventKind, ShapiroInstance
+from fraction_ref import ref_derivative, ref_mul, ref_sum
 
 
 class Parity(Enum):
@@ -107,10 +109,10 @@ def normalize(numerator: Polynomial, denominator: Polynomial) -> RationalFunctio
     if g.degree >= 1:
         numerator = div_exact(numerator, g)
         denominator = div_exact(denominator, g)
-    lc = numerator.leading_coefficient()
+    lc = numerator.coeffs[-1]
     if lc != 1:
-        numerator = numerator.scale(1 / lc)
-        denominator = denominator.scale(1 / lc)
+        numerator = from_coefficients([c / lc for c in numerator.coeffs])
+        denominator = from_coefficients([c / lc for c in denominator.coeffs])
     return RationalFunctionOnAxis(numerator, denominator, True)
 
 
@@ -163,7 +165,7 @@ def axis_segments(rf: RationalFunctionOnAxis) -> tuple[AxisSegment, ...]:
         suffix[i] = suffix[i + 1] + events[i].multiplicity
     positive_ratio = (
         not rf.numerator.is_zero
-        and rf.numerator.leading_coefficient() * rf.denominator.leading_coefficient() > 0
+        and rf.numerator.coeffs[-1] * rf.denominator.coeffs[-1] > 0
     )
     segments = []
     for i in range(len(events) + 1):
@@ -199,7 +201,9 @@ def gain_at(rf: RationalFunctionOnAxis, x: Fraction | int) -> Fraction:
 def gain_derivative_numerator(rf: RationalFunctionOnAxis) -> Polynomial:
     """Numerator N = num'*den - num*den' of d(num/den)/dx."""
     _require_canceled(rf)
-    return rf.numerator.derivative() * rf.denominator - rf.numerator * rf.denominator.derivative()
+    num, den = rf.numerator.coeffs, rf.denominator.coeffs
+    return from_coefficients(ref_sum((1, ref_mul(ref_derivative(num), den)),
+                                     (-1, ref_mul(num, ref_derivative(den)))))
 
 
 def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
@@ -268,5 +272,6 @@ def gain_compare_at(rf: RationalFunctionOnAxis, location: IsolatedRoot,
     threshold = Fraction(threshold)
     if threshold < 0:
         raise ValueError("gain thresholds are non-negative")
-    test = rf.denominator * rf.denominator - (rf.numerator * rf.numerator).scale(threshold * threshold)
-    return Comparison.from_sign(sign_at_root(test, location))
+    num, den = rf.numerator.coeffs, rf.denominator.coeffs
+    test = ref_sum((1, ref_mul(den, den)), (-threshold * threshold, ref_mul(num, num)))
+    return Comparison.from_sign(sign_at_root(from_coefficients(test), location))

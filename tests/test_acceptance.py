@@ -111,7 +111,7 @@ class TestCriterion2Fixtures:
 
         assert build(P("1,0,1")).delta == from_coefficients([-4])
         sq = P("1,0,1") * P("1,0,1")
-        assert build(sq).delta == sq.scale(-16)
+        assert build(sq).delta == P("-16,0,-32,0,-16")
         assert build(P("1,0,0,0,1")).delta == from_coefficients([0, 0, -48])
         assert actual_verdict(build(P("2,0,-2,0,1"))).nr_delta.distinct == 4
         _report(2, True, "five fixture classes, exact deltas and root counts")
@@ -240,11 +240,12 @@ class TestCriterion4StructuralInvariants:
             assert instance.delta.prim[2 * instance.n - 2:] == ()
             num = instance.p1 * instance.p1
             den = instance.p2 * instance.p
-            assert num.leading_coefficient() / den.leading_coefficient() == instance.k0
+            assert num.coeffs[-1] / den.coeffs[-1] == instance.k0
             _structural_check(oracle_pp(instance))
             base_label, _ = classify(instance)
             for factor in (2, -3, Fraction(1, 5)):
-                label, _ = classify(build(poly.scale(factor)))
+                scaled = from_coefficients([factor * c for c in poly.coeffs])
+                label, _ = classify(build(scaled))
                 assert label is base_label
             checked += 1
         assert checked == 200

@@ -66,9 +66,13 @@ class TestClassify:
         assert "at most 32" in err
 
     @pytest.mark.parametrize("command", ["classify", "verify", "plotdata"])
-    @pytest.mark.parametrize("text", ["18446744073709551616,0,1", "1/18446744073709551616,0,1"])
+    @pytest.mark.parametrize("text", [
+        "18446744073709551616,0,1", "1/18446744073709551616,0,1",
+        pytest.param("1,0," + "1" * 5000, id="5000-digit-numerator"),
+        pytest.param("1/" + "7" * 5000 + ",0,1", id="5000-digit-denominator")])
     def test_coefficient_past_bit_cap_exit_3(self, capsys, monkeypatch, command, text):
-        # 2**64 has 65 bits, one past MAX_COEFF_BITS.
+        # 2**64 has 65 bits, one past MAX_COEFF_BITS. 5000 digits are past
+        # the 4300 that int() converts: they must be refused unconverted.
         def build_called(poly):
             raise AssertionError("build must not run past the bit cap")
 
@@ -80,6 +84,11 @@ class TestClassify:
 
     def test_coefficient_at_bit_cap_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "18446744073709551615,0,1")  # 2**64 - 1
+        assert code == 0
+        assert json.loads(out)["label"] == "Gamma11"
+
+    def test_leading_zeros_do_not_count(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "1,0," + "0" * 5000 + "1")  # x^2 + 1
         assert code == 0
         assert json.loads(out)["label"] == "Gamma11"
 
@@ -326,7 +335,9 @@ class TestPlotdata:
         assert out == ""
         assert "malformed range" in err
 
-    @pytest.mark.parametrize("text", ["0:18446744073709551616", "-1/18446744073709551616:1"])
+    @pytest.mark.parametrize("text", [
+        "0:18446744073709551616", "-1/18446744073709551616:1",
+        pytest.param("0:" + "1" * 5000, id="5000-digit-endpoint")])
     def test_range_endpoint_past_bit_cap_exit_3(self, capsys, monkeypatch, text):
         # 2**64 has 65 bits, one past MAX_COEFF_BITS.
         def build_called(poly):

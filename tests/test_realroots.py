@@ -16,6 +16,7 @@ from shapiro12 import realroots, shapiro
 from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     _PRIME,
+    ONE,
     InvariantError,
     div_exact,
     from_coefficients,
@@ -43,6 +44,7 @@ from shapiro12.realroots import (
     separate_roots,
     sign_at_root,
 )
+from fraction_ref import ref_add
 from sturm_helper import recording_walks, sturm_count
 
 P = parse_polynomial
@@ -132,7 +134,8 @@ class TestIsolation:
         assert [r.multiplicity for r in roots] == [2, 1, 2]
         # A root of odd multiplicity m >= 3 is a root of even multiplicity of
         # g1 = gcd(p, p'), where g1 does not change sign.
-        p = math.prod([P("-2,0,1")] * 3 + [P("-3,0,1")] * 5 + [P("-5,0,1")] * 4)
+        p = math.prod([P("-2,0,1")] * 3 + [P("-3,0,1")] * 5 + [P("-5,0,1")] * 4,
+                      start=ONE)
         assert [r.multiplicity for r in isolate_real_roots(p)] == [4, 5, 3, 3, 5, 4]
         assert root_count(p) == RootCount(6, 24)
 
@@ -617,9 +620,10 @@ class TestModularCertificatesAndDescartes:
     @settings(max_examples=80, deadline=None)
     def test_sign_where_q_shares_a_factor_with_the_witness(self, f, g, k):
         p, q = f * g, g * k
+        f_plus_k = from_coefficients(ref_add(f.coeffs, k.coeffs))
         for root in isolate_real_roots(p):
             assert sign_at_root(q, root) == _exact_sign(q, root)
-            assert sign_at_root(f + k, root) == _exact_sign(f + k, root)
+            assert sign_at_root(f_plus_k, root) == _exact_sign(f_plus_k, root)
 
 
 def _binomial_shift(desc, c):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapiro12.polycore import from_coefficients, gcd, parse_polynomial, sign_at
+from shapiro12.polycore import ONE, from_coefficients, gcd, parse_polynomial, sign_at
 from shapiro12.realroots import (
     compare_roots,
     isolate_real_roots,
@@ -310,12 +310,12 @@ class TestStructuralInvariants:
 
 def _linear_power(args):
     a, e = args
-    return math.prod([from_coefficients([-a, 1])] * e)
+    return math.prod([from_coefficients([-a, 1])] * e, start=ONE)
 
 
 def _quadratic_power(args):
     b, extra, e = args
-    return math.prod([from_coefficients([b * b // 4 + extra, b, 1])] * e)  # no real root
+    return math.prod([from_coefficients([b * b // 4 + extra, b, 1])] * e, start=ONE)  # no real root
 
 
 def factored_poly():

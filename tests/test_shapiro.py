@@ -16,6 +16,7 @@ import shapiro12
 from shapiro12 import polycore, realroots, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
+    ONE,
     div_exact,
     format_polynomial,
     from_coefficients,
@@ -48,6 +49,7 @@ from oracle_rootlocus import (
     gain_compare_at,
     oracle_pp,
 )
+from fraction_ref import ref_derivative, ref_mul, ref_sum
 from sturm_helper import recording_walks, sturm_count
 
 P = parse_polynomial
@@ -128,7 +130,7 @@ class TestBuild:
             inst = build(from_coefficients(coeffs))
             num = inst.p1 * inst.p1
             den = inst.p2 * inst.p
-            assert num.leading_coefficient() / den.leading_coefficient() == inst.k0
+            assert num.coeffs[-1] / den.coeffs[-1] == inst.k0
 
     def test_pp_built_only_on_first_use(self, monkeypatch):
         # Every binding of each probed function in the package counts its
@@ -168,10 +170,11 @@ def factored_even_polys(draw):
     p = from_coefficients([draw(fractions.filter(bool))])
     for _ in range(draw(st.integers(0, 3))):
         p *= math.prod([from_coefficients([-draw(fractions), draw(st.integers(1, 3))])]
-                       * draw(st.integers(1, 3)))
+                       * draw(st.integers(1, 3)), start=ONE)
     for _ in range(draw(st.integers(0, 2))):
         a, b = draw(fractions), draw(st.fractions(Fraction(1, 5), 3, max_denominator=5))
-        p *= math.prod([from_coefficients([a * a + b, -2 * a, 1])] * draw(st.integers(1, 2)))
+        p *= math.prod([from_coefficients([a * a + b, -2 * a, 1])] * draw(st.integers(1, 2)),
+                       start=ONE)
     if p.degree < 2:
         p *= from_coefficients([1, draw(fractions), 1])
     if p.degree % 2:
@@ -179,28 +182,34 @@ def factored_even_polys(draw):
     return p
 
 
+def _derived_coeffs(inst):
+    """The coefficients of p', p'', (p')^2, delta, K0 and B of an instance."""
+    return (inst.p1.coeffs, inst.p2.coeffs, inst.p1_squared.coeffs, inst.delta.coeffs,
+            inst.k0, shapiro._breakaway_polynomial(inst).coeffs)
+
+
 class TestIntegerDerivation:
-    """build and B form their integer vectors from p.prim; the Polynomial
-    arithmetic they replace is kept here as the reference."""
+    """build and B form their integer vectors from p.prim; the reference
+    derives the same fields on Fraction lists, apart from the kernel."""
 
     @staticmethod
     def reference(p):
-        n = int(p.degree)
-        p1 = p.derivative()
-        p2 = p1.derivative()
-        p1_squared = p1 * p1
-        delta = p1_squared.scale(n - 1) - (p * p2).scale(n)
-        bracket = p1_squared.scale(n - 2) - delta.scale(2)
-        b = p2 * bracket.scale(Fraction(1, n)) - p * p1 * p2.derivative()
+        a = p.coeffs
+        n = len(a) - 1
+        p1 = ref_derivative(a)
+        p2 = ref_derivative(p1)
+        p1_squared = ref_mul(p1, p1)
+        delta = ref_sum((n - 1, p1_squared), (-n, ref_mul(a, p2)))
+        bracket = ref_sum((n - 2, p1_squared), (-2, delta))
+        b = ref_sum((Fraction(1, n), ref_mul(p2, bracket)),
+                    (-1, ref_mul(ref_mul(a, p1), ref_derivative(p2))))
         return p1, p2, p1_squared, delta, Fraction(n, n - 1), b
 
     @given(factored_even_polys())
     @settings(max_examples=200, deadline=None)
     def test_fields_and_breakaway_match_polynomial_arithmetic(self, p):
         inst = build(p)
-        got = (inst.p1, inst.p2, inst.p1_squared, inst.delta, inst.k0,
-               shapiro._breakaway_polynomial(inst))
-        assert got == self.reference(p)
+        assert _derived_coeffs(inst) == self.reference(p)
         assert inst.p == p and inst.n == p.degree
 
     def test_corpus_and_rational_inputs(self):
@@ -211,10 +220,7 @@ class TestIntegerDerivation:
                                 strategy=strategy)
             inputs += [random_polynomial(config, i) for i in range(config.cases)]
         for p in inputs:
-            inst = build(p)
-            got = (inst.p1, inst.p2, inst.p1_squared, inst.delta, inst.k0,
-                   shapiro._breakaway_polynomial(inst))
-            assert got == self.reference(p), format_polynomial(p)
+            assert _derived_coeffs(build(p)) == self.reference(p), format_polynomial(p)
 
 
 class TestClassifyFixtures:
@@ -227,7 +233,7 @@ class TestClassifyFixtures:
     def test_gamma_11_squared(self):
         p = P("1,0,1") * P("1,0,1")
         inst = build(p)
-        assert inst.delta == (P("1,0,1") * P("1,0,1")).scale(-16)
+        assert inst.delta == P("-16,0,-32,0,-16")
         assert classify(inst)[0] is ClassLabel.GAMMA_11
 
     def test_lambda_22(self):
@@ -438,8 +444,13 @@ def gamma2_instances(labelled_instances):
 
 
 def _breakaway_polynomial(inst):
-    p, p1, p2 = inst.p, inst.p1, inst.p2
-    return (p * p2 * p2).scale(2) - p1 * p1 * p2 - p * p1 * p2.derivative()
+    """B = 2*p*p''^2 - p'^2*p'' - p*p'*p''', on Fraction lists."""
+    p = inst.p.coeffs
+    p1 = ref_derivative(p)
+    p2 = ref_derivative(p1)
+    return from_coefficients(ref_sum((2, ref_mul(p, ref_mul(p2, p2))),
+                                     (-1, ref_mul(ref_mul(p1, p1), p2)),
+                                     (-1, ref_mul(ref_mul(p, p1), ref_derivative(p2)))))
 
 
 class TestPaperAlgebraOnGamma1:
@@ -464,7 +475,7 @@ class TestPaperAlgebraOnGamma1:
         repeated = [inst for inst in gamma1_instances if repeated_part(inst.p).degree >= 1]
         special = build(math.prod([P("1,0,1")] * 2, start=P("3,0,1")))
         crafted = [build(math.prod([P("1,0,1")] * 3, start=P("2,1,1"))),
-                   build(math.prod([P("2,1,1")] * 4)), special]
+                   build(math.prod([P("2,1,1")] * 4, start=ONE)), special]
         assert len(repeated) >= 3
         for inst in repeated + crafted:
             b = _breakaway_polynomial(inst)
@@ -493,8 +504,9 @@ class TestPaperAlgebraOnGamma1:
         reduced = div_exact(_breakaway_polynomial(build(p)), g * g * g)
         for w, m in ws:
             if m >= 2:
-                k = div_exact(p, math.prod([w] * m))
-                critical = k.scale(m) + w.derivative() * k.derivative()
+                k = div_exact(p, math.prod([w] * m, start=ONE))
+                critical = from_coefficients(
+                    ref_sum((m, k.coeffs), (1, (w.derivative() * k.derivative()).coeffs)))
                 assert (gcd(reduced, w).degree == 0) == (gcd(w, critical).degree == 0)
 
     def test_no_exact_gcd_at_high_degree(self, monkeypatch):
@@ -638,7 +650,7 @@ class TestScalingCovariance:
             except DeltaIdenticallyZeroError:
                 base_actual = None
             for factor in (2, -3, Fraction(1, 5)):
-                scaled = p.scale(factor)
+                scaled = from_coefficients([factor * c for c in p.coeffs])
                 label, _ = classify(build(scaled))
                 assert label is base_label
                 assert predict_verdict(label) is base_pred
@@ -660,7 +672,7 @@ class TestTheoremAgreement:
                 except DeltaIdenticallyZeroError:
                     continue
                 assert predict_verdict(label) is outcome.verdict, \
-                    f"disagreement on {p} ({label})"
+                    f"disagreement on {format_polynomial(p)} ({label})"
 
     def test_positive_only_never_has_real_roots(self):
         config = FuzzConfig(seed=55, cases=50, degree_range=(4, 8),
