@@ -16,6 +16,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count
@@ -58,13 +59,24 @@ class _CliError(Exception):
         self.code = code
 
 
+#: Longest argument that an error message repeats whole.
+_ECHO_LIMIT = 60
+
+
+def _echo(text: str) -> str:
+    """The repr of an argument, cut to a prefix and its length when long."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _load_polynomial(text: str, descending: bool) -> Polynomial:
     if _PAST_BIT_CAP.search(text):
         raise _CliError(EXIT_DOMAIN, f"coefficients must have at most {MAX_COEFF_BITS} bits")
     try:
         return parse_polynomial(text, descending=descending)
     except ValueError as exc:
-        raise _CliError(EXIT_PARSE, str(exc)) from exc
+        raise _CliError(EXIT_PARSE, f"malformed polynomial text: {_echo(text)}") from exc
 
 
 def _too_long(x: Fraction) -> bool:
@@ -197,10 +209,7 @@ def _analyze(poly: Polynomial) -> tuple[dict, Evidence, dict[str, int]]:
     try:
         actual = actual_verdict(instance)
         actual_value = actual.verdict.value
-        nr_delta = {"distinct": actual.nr_delta.distinct,
-                    "with_multiplicity": actual.nr_delta.with_multiplicity}
-        nr_p = {"distinct": actual.nr_p.distinct,
-                "with_multiplicity": actual.nr_p.with_multiplicity}
+        nr_delta, nr_p = asdict(actual.nr_delta), asdict(actual.nr_p)
         agreement = predicted == actual.verdict
     except DeltaIdenticallyZeroError as exc:
         # Only p = c*(ax+b)^n lands here; p then has a real zero, so the
@@ -208,8 +217,7 @@ def _analyze(poly: Polynomial) -> tuple[dict, Evidence, dict[str, int]]:
         delta_zero = True
         actual_value = "DELTA_IDENTICALLY_ZERO"
         nr_delta = None
-        nr_p = {"distinct": exc.nr_p.distinct,
-                "with_multiplicity": exc.nr_p.with_multiplicity}
+        nr_p = asdict(exc.nr_p)
         agreement = predicted.value == "HOLDS" and exc.nr_p.distinct > 0
     timings["verdict_ms"] = (time.perf_counter_ns() - t2) // 1_000_000
     return {
@@ -248,7 +256,7 @@ def _parse_degrees(text: str) -> tuple[int, int]:
         lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError as exc:
-        raise _CliError(EXIT_PARSE, f"malformed degree range: {text!r}") from exc
+        raise _CliError(EXIT_PARSE, f"malformed degree range: {_echo(text)}") from exc
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -292,7 +300,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     try:
         lo, hi = (parse_rational(t.strip()) for t in args.range.split(":"))
     except ValueError as exc:
-        raise _CliError(EXIT_PARSE, f"malformed range: {args.range!r}") from exc
+        raise _CliError(EXIT_PARSE, f"malformed range: {_echo(args.range)}") from exc
     if _too_long(lo) or _too_long(hi):
         raise _CliError(EXIT_DOMAIN, f"range endpoints must have at most {MAX_COEFF_BITS} bits")
     if lo >= hi or args.samples < 2:
@@ -338,12 +346,9 @@ def _cmd_example(args: argparse.Namespace) -> int:
         label = ClassLabel(args.label)
     except ValueError as exc:
         valid = ", ".join(l.value for l in ClassLabel)
-        raise _CliError(EXIT_PARSE, f"unknown class label {args.label!r}; one of: {valid}") from exc
-    text = FIXTURES.get(label)
-    if text is None:
-        print("NOT_FOUND")
-    else:
-        print(text)
+        raise _CliError(EXIT_PARSE,
+                        f"unknown class label {_echo(args.label)}; one of: {valid}") from exc
+    print(FIXTURES.get(label, "NOT_FOUND"))
     return EXIT_OK
 
 

@@ -321,10 +321,7 @@ def parse_rational(token: str) -> Fraction:
 
 def parse_polynomial(text: str, descending: bool = False) -> Polynomial:
     """Parse the comma-separated coefficient format, e.g. ``1,0,1`` for x^2+1."""
-    try:
-        values = [parse_rational(t.strip()) for t in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"malformed polynomial text: {text!r}") from exc
+    values = [parse_rational(t.strip()) for t in text.split(",")]
     if descending:
         values.reverse()
     return from_coefficients(values)

@@ -147,25 +147,24 @@ class Evidence:
 
 @dataclass(frozen=True)
 class ShapiroInstance:
-    """p, its derivatives, (p')^2, delta, K0 = n/(n-1), the real root counts
-    of p and its repeated part g = gcd(p, p').
+    """p, its derivatives, delta, K0 = n/(n-1), the real root counts of p
+    and its repeated part g = gcd(p, p').
 
-    For p = cP with P primitive, ``build`` forms P', P'', (P')^2 and
+    For p = cP with P primitive, ``build`` forms P', P'' and
     Delta = (n-1)(P')^2 - nPP'' as integer vectors, so p1 and p2 have
-    content c times an integer and ``p1_squared`` and ``delta`` c^2 times
-    one. The breakaway polynomial B reads (P')^2 and Delta back; the double
-    pole of pp is p0 itself with multiplicity 2 and needs no polynomial of
-    its own. No field holds pp = p''p/(p')^2: its events, breakaways, gain
-    and sign are read from p, p', p'' and B. The Lambda1 test,
-    ``actual_verdict`` and B/g^3 read ``nr_p`` and ``repeated``, from one
-    Sturm walk of p and of each repeated part that follows a real zero.
+    content c times an integer and ``delta`` c^2 times one. The breakaway
+    polynomial B is the covariant nB = p'delta' - 2p''delta, read off p and
+    delta; the double pole of pp is p0 itself with multiplicity 2 and needs
+    no polynomial of its own. No field holds pp = p''p/(p')^2: its events,
+    breakaways, gain and sign are read from p, p', p'' and B. The Lambda1
+    test, ``actual_verdict`` and B/g^3 read ``nr_p`` and ``repeated``, from
+    one Sturm walk of p and of each repeated part that follows a real zero.
     """
 
     p: Polynomial
     n: int
     p1: Polynomial
     p2: Polynomial
-    p1_squared: Polynomial
     delta: Polynomial
     k0: Fraction
     nr_p: RootCount
@@ -189,14 +188,15 @@ def build(p: Polynomial) -> ShapiroInstance:
     p1_ints = _int_derivative(p.prim)
     p2_ints = _int_derivative(p1_ints)
     square = _int_mul(p1_ints, p1_ints)
-    # (P')^2 and PP'' both have degree 2n - 2, and the top coefficient of
-    # Delta cancels exactly, so deg delta <= 2n - 3.
+    # (P')^2 and PP'' both have degree 2n - 2, but delta is -1/(n-1) times
+    # the Hessian of p read as a binary form of degree n, a form of degree
+    # 2n - 4: the top two coefficients of Delta cancel exactly.
     delta_ints = [(n - 1) * a - n * b for a, b in zip(square, _int_mul(p.prim, p2_ints))]
-    if delta_ints[-1] != 0:
-        raise InvariantError("the x^(2n-2) coefficient of delta must cancel")
-    c, c2 = p.content, p.content * p.content
+    if any(delta_ints[2 * n - 3:]):
+        raise InvariantError("the x^(2n-2) and x^(2n-3) coefficients of delta must cancel")
+    c = p.content
     return ShapiroInstance(p, n, _from_ints(p1_ints, c), _from_ints(p2_ints, c),
-                           _from_ints(square, c2), _from_ints(delta_ints, c2), Fraction(n, n - 1),
+                           _from_ints(delta_ints, c * c), Fraction(n, n - 1),
                            *real_root_profile(p))
 
 
@@ -278,25 +278,21 @@ def _double_pole(p0: IsolatedRoot) -> IsolatedRoot:
 def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
     """B = 2pp''^2 - p'^2p'' - pp'p''', the reduced critical polynomial of pp.
 
-    For p = cP, B = c^3 (P''(2PP'' - (P')^2) - PP'P'''), and
-    n(2PP'' - (P')^2) = (n-2)(P')^2 - 2 Delta reads back the (P')^2 and
-    Delta that ``build`` formed, so B takes three integer products.
+    Since delta' = (n-2)p'p'' - npp''', B is the covariant
+    nB = p'delta' - 2p''delta, that is B = p'^3 (delta/p'^2)'/n. For p = cP
+    and delta = dD with P and D primitive, B = (cd/n)(P'D' - 2P''D): two
+    integer products, of degree at most 3n - 6.
     """
-    p, n = instance.p, instance.n
-    c2 = p.content * p.content
-    p1_ints = _int_derivative(p.prim)
+    delta = instance.delta
+    if delta.is_zero:  # p = c(ax + b)^n, where pp is constant
+        return delta
+    p1_ints = _int_derivative(instance.p.prim)
     p2_ints = _int_derivative(p1_ints)
-    # p1_squared and delta are c^2 times integer vectors: unscale them.
-    k_square = int(instance.p1_squared.content / c2)
-    k_delta = int(instance.delta.content / c2)  # unused when delta is 0
-    bracket = [(n - 2) * k_square * a for a in instance.p1_squared.prim]
-    for i, d in enumerate(instance.delta.prim):
-        bracket[i] -= 2 * k_delta * d
-    # Both products have 3n - 3 coefficients, also at n = 2, where P''' is 0.
-    minuend = _int_mul(p2_ints, [v // n for v in bracket])
-    subtrahend = _int_mul(_int_mul(p.prim, p1_ints), _int_derivative(p2_ints))
-    b = [x - y for x, y in zip(minuend, subtrahend, strict=True)]
-    return _from_ints(b, c2 * p.content)
+    # Both products have n + deg delta - 1 coefficients, also when delta is
+    # a constant and D' is empty.
+    b = [x - 2 * y for x, y in zip(_int_mul(p1_ints, _int_derivative(delta.prim)),
+                                   _int_mul(p2_ints, delta.prim), strict=True)]
+    return _from_ints(b, instance.p.content * delta.content / instance.n)
 
 
 def _reduced_breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:

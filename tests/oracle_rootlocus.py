@@ -118,7 +118,7 @@ def normalize(numerator: Polynomial, denominator: Polynomial) -> RationalFunctio
 
 def oracle_pp(instance: ShapiroInstance) -> RationalFunctionOnAxis:
     """pp = p''p/(p')^2 of an instance, with the common factor cancelled."""
-    return normalize(instance.p2 * instance.p, instance.p1_squared)
+    return normalize(instance.p2 * instance.p, instance.p1 * instance.p1)
 
 
 def _require_canceled(rf: RationalFunctionOnAxis) -> None:

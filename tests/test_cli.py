@@ -387,3 +387,18 @@ class TestExample:
     def test_unknown_label(self, capsys):
         code, _, _ = run_cli(capsys, "example", "Gamma9999")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "1," * 50000 + "x"),
+    ("plotdata", "1,0,1", "--range", "x" * 50000),
+    ("fuzz", "--degrees", "x" * 50000),
+    ("example", "x" * 50000),
+], ids=["verify", "plotdata-range", "fuzz-degrees", "example-label"])
+def test_long_malformed_argument_echoed_in_short(capsys, argv):
+    # A parse error repeats a prefix of the argument and its length, not
+    # the whole argument.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err) < 400 and f"({len(argv[-1])} characters)" in err

@@ -18,6 +18,7 @@ from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import format_polynomial, repeated_part, sign_at
 from shapiro12.realroots import RootCount, _Inconclusive, _isolate, isolate_real_roots, root_count
 from shapiro12.shapiro import actual_verdict, build
+from rare_inputs import RARE_HIGH_DEGREE
 from sturm_helper import sturm_count
 
 sympy = pytest.importorskip("sympy")
@@ -119,6 +120,19 @@ def test_counts_agree_with_sympy(strategy):
             if not q.is_zero:
                 _check_counts(q, rng, (strategy, i, format_polynomial(q)),
                               sympy.Poly.count_roots, isolation=True)
+
+
+def test_rare_class_counts_agree_with_sympy():
+    # The Lambda22 and Gamma231 inputs at degrees 6-32: p' has a root of
+    # multiplicity up to 31, and delta degree up to 60.
+    rng = random.Random(37)
+    for p, label in RARE_HIGH_DEGREE:
+        instance = build(p)
+        nr_p, _, _, nr_delta = (
+            _check_counts(q, rng, (label, format_polynomial(q)), _count_in, isolation=True)
+            for q in (instance.p, instance.p1, instance.p2, instance.delta))
+        actual = actual_verdict(instance)
+        assert (actual.nr_p, actual.nr_delta) == (nr_p, nr_delta), label
 
 
 @pytest.mark.parametrize("strategy", sorted(HIGH_DEGREE_DELTA))

@@ -19,6 +19,7 @@ import pytest
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import format_polynomial, parse_polynomial
 from shapiro12.shapiro import ClassLabel, build, classify
+from rare_inputs import RARE_HIGH_DEGREE
 
 sympy = pytest.importorskip("sympy")
 
@@ -75,3 +76,10 @@ def test_classify_matches_the_definitions():
         seen.add(label)
     # Every non-empty class is reached, the fixtures seeing to it.
     assert seen == set(FIXTURES)
+
+
+def test_rare_classes_at_high_degree():
+    # Lambda22 and Gamma231 at degrees 6-32, which no seeded corpus reaches.
+    for p, label in RARE_HIGH_DEGREE:
+        assert classify(build(p))[0] is label
+        assert oracle_labels(p) == {label}, format_polynomial(p)

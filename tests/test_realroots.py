@@ -553,6 +553,12 @@ class TestModularCertificatesAndDescartes:
         assert proves_coprime(P("-2,0,1"), P("-3,0,1"))
         assert not proves_coprime(P("-2,0,1") * P("1,1"), P("1,1"))
 
+    def test_no_certificate_when_the_prime_divides_a_leading_coefficient(self):
+        # The common factor qx - 1 drops to the constant -1 modulo the prime q,
+        # so the gcd mod q is constant although the two share a root.
+        common = P(f"-1,{_PRIME}")
+        assert not proves_coprime(common * P("1,0,1"), common * P("-3,1"))
+
     def test_coprimality_certificate_computed_once_per_pair(self, monkeypatch):
         # Classifying a Gamma122 polynomial compares B/g^2 with p' once per
         # standard breakaway and again while separating the roots.

@@ -119,8 +119,8 @@ class TestBuild:
             deg = rng.choice([2, 4, 6, 8])
             coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, 2, -3])]
             inst = build(from_coefficients(coeffs))
-            assert inst.delta.prim[2 * inst.n - 2:] == ()
-            assert inst.delta.degree < 2 * inst.n - 2
+            assert inst.delta.prim[2 * inst.n - 3:] == ()
+            assert inst.delta.degree <= 2 * inst.n - 4
 
     def test_gain_limit_is_k0(self):
         rng = random.Random(4)
@@ -183,14 +183,15 @@ def factored_even_polys(draw):
 
 
 def _derived_coeffs(inst):
-    """The coefficients of p', p'', (p')^2, delta, K0 and B of an instance."""
-    return (inst.p1.coeffs, inst.p2.coeffs, inst.p1_squared.coeffs, inst.delta.coeffs,
-            inst.k0, shapiro._breakaway_polynomial(inst).coeffs)
+    """The coefficients of p', p'', delta, K0 and B of an instance."""
+    return (inst.p1.coeffs, inst.p2.coeffs, inst.delta.coeffs, inst.k0,
+            shapiro._breakaway_polynomial(inst).coeffs)
 
 
 class TestIntegerDerivation:
     """build and B form their integer vectors from p.prim; the reference
-    derives the same fields on Fraction lists, apart from the kernel."""
+    derives the same fields on Fraction lists, apart from the kernel, and B
+    from its definition, not from delta."""
 
     @staticmethod
     def reference(p):
@@ -198,12 +199,8 @@ class TestIntegerDerivation:
         n = len(a) - 1
         p1 = ref_derivative(a)
         p2 = ref_derivative(p1)
-        p1_squared = ref_mul(p1, p1)
-        delta = ref_sum((n - 1, p1_squared), (-n, ref_mul(a, p2)))
-        bracket = ref_sum((n - 2, p1_squared), (-2, delta))
-        b = ref_sum((Fraction(1, n), ref_mul(p2, bracket)),
-                    (-1, ref_mul(ref_mul(a, p1), ref_derivative(p2))))
-        return p1, p2, p1_squared, delta, Fraction(n, n - 1), b
+        delta = ref_sum((n - 1, ref_mul(p1, p1)), (-n, ref_mul(a, p2)))
+        return p1, p2, delta, Fraction(n, n - 1), _ref_breakaway(a)
 
     @given(factored_even_polys())
     @settings(max_examples=200, deadline=None)
@@ -292,6 +289,20 @@ class TestClassifyFixtures:
                 assert all(c is Comparison.LT for c in comparisons)
             else:
                 assert any(c in (Comparison.GT, Comparison.EQ) for c in comparisons)
+
+    def test_gamma_122_with_both_maxima_at_k0(self):
+        # Each gain maximum reaches K0 exactly: delta has a double root there,
+        # shared with B, so its sign is read through the gcd, and a maximum
+        # equal to K0 decides Gamma122 as one above it does.
+        inst = build(P("67/72,-11/3,17/3,-32/9,1"))
+        label, evidence = classify(inst)
+        assert label is ClassLabel.GAMMA_122
+        assert [(f.kind, [bf.comparison for bf in f.breakaways])
+                for f in evidence.interval_findings] == [
+            (IntervalKind.RIGHT_INFINITE, [Comparison.EQ]),
+            (IntervalKind.LEFT_INFINITE_EVEN, [Comparison.EQ])]
+        assert actual_verdict(inst) == ActualVerdict(Verdict.HOLDS, RootCount(2, 4),
+                                                     RootCount(0, 0))
 
 
 class TestPredictVerdict:
@@ -443,14 +454,17 @@ def gamma2_instances(labelled_instances):
     return [inst for inst, label in labelled_instances if label in _GAMMA_2]
 
 
-def _breakaway_polynomial(inst):
-    """B = 2*p*p''^2 - p'^2*p'' - p*p'*p''', on Fraction lists."""
-    p = inst.p.coeffs
+def _ref_breakaway(p):
+    """B = 2*p*p''^2 - p'^2*p'' - p*p'*p''' of a Fraction list p."""
     p1 = ref_derivative(p)
     p2 = ref_derivative(p1)
-    return from_coefficients(ref_sum((2, ref_mul(p, ref_mul(p2, p2))),
-                                     (-1, ref_mul(ref_mul(p1, p1), p2)),
-                                     (-1, ref_mul(ref_mul(p, p1), ref_derivative(p2)))))
+    return ref_sum((2, ref_mul(p, ref_mul(p2, p2))), (-1, ref_mul(ref_mul(p1, p1), p2)),
+                   (-1, ref_mul(ref_mul(p, p1), ref_derivative(p2))))
+
+
+def _breakaway_polynomial(inst):
+    """B of an instance, from its definition on Fraction lists."""
+    return from_coefficients(_ref_breakaway(inst.p.coeffs))
 
 
 class TestPaperAlgebraOnGamma1:
@@ -546,11 +560,13 @@ class TestPaperAlgebraOnGamma1:
             assert classify(build(p))[0] in _GAMMA_1
             assert walks == [p.prim]
 
-    def test_breakaway_polynomial_from_the_square_of_p1_and_delta(self, gamma1_instances):
-        # On the Gamma1 fixtures and seeded cases, classify forms B as p''((n-2)p'^2 - 2 delta)/n - pp'p''' from the
-        # (p')^2 that build keeps.
+    def test_breakaway_polynomial_is_the_covariant_of_delta(self, gamma1_instances):
+        # On the Gamma1 fixtures and seeded cases, nB = p'delta' - 2p''delta
+        # holds on Fraction lists, and classify forms B from delta by it.
         for inst in gamma1_instances:
-            assert inst.p1_squared == inst.p1 * inst.p1
+            p1, p2, delta = inst.p1.coeffs, inst.p2.coeffs, inst.delta.coeffs
+            covariant = ref_sum((1, ref_mul(p1, ref_derivative(delta))), (-2, ref_mul(p2, delta)))
+            assert covariant == tuple(inst.n * c for c in _ref_breakaway(inst.p.coeffs))
             assert shapiro._breakaway_polynomial(inst) == _breakaway_polynomial(inst)
 
     def test_delta_sign_equals_gain_comparison(self, gamma1_instances):
