@@ -23,7 +23,7 @@ from itertools import count
 
 from .harness import FIXTURES, MAX_COEFF_BITS, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
 from .polycore import Polynomial, format_polynomial, parse_polynomial, parse_rational
-from .realroots import IsolatedRoot, bisect_once, isolates, order_roots, rational_value, refine
+from .realroots import IsolatedRoot, isolates, order_roots, rational_value, refine
 from .shapiro import (
     ClassLabel,
     DeltaIdenticallyZeroError,
@@ -98,17 +98,6 @@ def _build_instance(poly: Polynomial):
 _MIN_CELL_LEVEL = 20
 
 
-def _cell_index(root: IsolatedRoot, k: int) -> tuple[IsolatedRoot, int]:
-    """Refine an irrational root into one level-k cell: (refined root, m)."""
-    scale = 2 ** k
-    while True:
-        iv = root.interval
-        m = math.floor(iv.lo * scale)
-        if iv.hi * scale <= m + 1:
-            return root, m
-        root = bisect_once(root)
-
-
 def _printed_forms(evidence: Evidence) -> dict[IsolatedRoot, tuple[Fraction, Fraction]]:
     """The canonical (lo, hi) of every root in the evidence.
 
@@ -135,11 +124,10 @@ def _printed_forms(evidence: Evidence) -> dict[IsolatedRoot, tuple[Fraction, Fra
     points = [lo for lo, _ in forms.values()]
     refined = [number.primary for number in irrational]
     for k in count(_MIN_CELL_LEVEL):
+        refined = [refine(root, k) for root in refined]
         width = Fraction(1, 2 ** k)
-        cells = []
-        for i, root in enumerate(refined):
-            refined[i], m = _cell_index(root, k)
-            cells.append((m * width, (m + 1) * width))
+        cells = [(m * width, (m + 1) * width)
+                 for m in (math.floor(root.interval.lo / width) for root in refined)]
         if len({lo for lo, _ in cells}) == len(cells) \
                 and not any(lo <= x <= hi for lo, hi in cells for x in points) \
                 and all(isolates(member.witness, lo, hi)
@@ -284,11 +272,12 @@ def _decimal12(x: Fraction) -> str:
 
 
 def _approx_position(root: IsolatedRoot) -> Fraction:
-    """The root itself when it is rational, else a point within 10^-24 of it."""
+    """The root itself when it is rational, else the midpoint of its level-80
+    cell, within 2^-81 < 10^-24 of it."""
     value = rational_value(root)
     if value is not None:
         return value
-    return refine(root, Fraction(1, 10 ** 24)).interval.midpoint
+    return Fraction(2 * math.floor(refine(root, 80).interval.lo * 2 ** 80) + 1, 2 ** 81)
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
@@ -361,6 +350,12 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _VALUE_WITH_MINUS
+
+    def error(self, message: str):
+        # argparse repeats a value as its repr: cut each long one as _echo
+        # cuts an argument, escapes counted as characters.
+        long_quoted = "|".join(rf"{q}((?:[^{q}\\\n]|\\.){{{_ECHO_LIMIT + 1},}}){q}" for q in "'\"")
+        super().error(re.sub(long_quoted, lambda m: _echo(m[1] or m[2]), message))
 
 
 def _make_parser() -> argparse.ArgumentParser:

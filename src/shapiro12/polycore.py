@@ -250,13 +250,6 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return monic(Polynomial(last))
 
 
-def repeated_part(p: Polynomial) -> Polynomial:
-    """Monic gcd(p, p'): each root of p with its multiplicity lowered by one."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no repeated part")
-    return gcd(p, p.derivative())
-
-
 # ---------------------------------------------------------------------------
 # Modular certificate: a one-sided proof from a gcd over GF(q).
 # ---------------------------------------------------------------------------

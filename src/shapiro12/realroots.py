@@ -18,7 +18,9 @@ certificate that p is squarefree before it walks the chain of repeated
 parts. Signs and order at isolated roots settle by Descartes counts on
 intervals, each the Taylor shift by 1 that splits a continued-fraction
 node, and try the same certificate, that two polynomials are coprime,
-before the exact gcd.
+before the exact gcd. Every narrower interval comes from refine, a binary
+search by integer signs of the witness for the root's cell of one level of
+the dyadic grid; each loop that refines counts levels.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .polycore import (
     ONE,
     InvariantError,
     Polynomial,
+    _horner,
     _int_derivative,
     _primitive,
     _remainder_sequence,
@@ -60,14 +63,6 @@ class IsolatingInterval:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 @dataclass(frozen=True)
@@ -149,11 +144,6 @@ def real_root_profile(p: Polynomial) -> tuple[RootCount, Polynomial]:
     distinct, repeated = next(chain, (0, ONE))
     later = takewhile(bool, (count for count, _ in chain)) if distinct else ()
     return RootCount(distinct, distinct + sum(later)), repeated
-
-
-def root_count(p: Polynomial) -> RootCount:
-    """Distinct and multiplicity-weighted real root counts."""
-    return real_root_profile(p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,43 +414,55 @@ def _vanishes_on(q: Polynomial, iv: IsolatingInterval) -> bool:
     return sign_at(q, iv.lo) * sign_at(q, iv.hi) < 0
 
 
-def _bisect_interval(iv: IsolatingInterval, witness: Polynomial) -> IsolatingInterval:
-    if iv.is_point:
-        return iv
-    mid = iv.midpoint
-    s = sign_at(witness, mid)
-    if s == 0:
-        return IsolatingInterval(mid, mid)
-    if sign_at(witness, iv.lo) != s:
-        return IsolatingInterval(iv.lo, mid)
-    return IsolatingInterval(mid, iv.hi)
+def refine(root: IsolatedRoot, k: int) -> IsolatedRoot:
+    """Narrow the root into one level-k dyadic cell [m/2^k, (m+1)/2^k], or to
+    the point m/2^k when it is that point, for k >= 0: a binary search over
+    the grid points y/2^k strictly inside the interval, by the sign of the
+    integer 2^(kn) w(y/2^k) for the witness w of degree n.
+    """
+    if k < 0:
+        raise ValueError("refinement level must be nonnegative")
+    iv, w = root.interval, root.witness.prim
+    # The grid points at or below lo and at or above hi, adjacent or equal
+    # when the interval is a point or lies in one cell.
+    left = first = (iv.lo.numerator << k) // iv.lo.denominator
+    right = last = -(-(iv.hi.numerator << k) // iv.hi.denominator)
+    if last - first < 2:
+        return root
+    scaled = [c << k * (len(w) - 1 - i) for i, c in enumerate(w)]
+    s = sign_at(root.witness, iv.lo)
+    while right - left > 1:
+        mid = (left + right) // 2
+        t = _sign(_horner(scaled, mid))
+        if t == s:
+            left = mid
+        else:
+            right = mid
+            if not t:  # the root itself
+                left = mid
+    lo = iv.lo if left == first else Fraction(left, 1 << k)
+    hi = iv.hi if right == last else Fraction(right, 1 << k)
+    return replace(root, interval=IsolatingInterval(lo, hi))
 
 
-def bisect_once(root: IsolatedRoot) -> IsolatedRoot:
-    return replace(root, interval=_bisect_interval(root.interval, root.witness))
-
-
-def refine(root: IsolatedRoot, max_width: Fraction | int) -> IsolatedRoot:
-    """Shrink the isolating interval to width <= max_width by exact bisection."""
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise ValueError("max_width must be positive")
-    iv = root.interval
-    while not iv.is_point and iv.width > max_width:
-        iv = _bisect_interval(iv, root.witness)
-    return replace(root, interval=iv)
+def _level(*roots: IsolatedRoot) -> int:
+    """The least level whose cells are narrower than the widest interval of
+    the roots, not all points: refining to it narrows that interval."""
+    width = max(r.interval.hi - r.interval.lo for r in roots)
+    return (width.denominator // width.numerator).bit_length()
 
 
 def rational_value(root: IsolatedRoot) -> Fraction | None:
     """The root as an exact rational number, or None when it is irrational.
 
     By the rational root theorem lc * r is an integer for every rational root
-    r of the primitive witness with leading coefficient lc. Once the interval
-    is narrower than 1/|lc|, lc times it holds at most one integer s, and the
-    root is rational exactly when s/lc is a root of the witness.
+    r of the primitive witness with leading coefficient lc. Inside one cell
+    of level k with 2^k > 2|lc|, lc times the interval holds at most one
+    integer s, and the root is rational exactly when s/lc is a root of the
+    witness.
     """
     lc = abs(root.witness.prim[-1])
-    iv = refine(root, Fraction(1, 2 * lc)).interval
+    iv = refine(root, (2 * lc).bit_length()).interval
     if iv.is_point:
         return iv.lo
     s = math.floor(iv.lo * lc) + 1
@@ -484,28 +486,30 @@ def _constant_sign(q: Polynomial, iv: IsolatingInterval) -> int:
     return 0
 
 
+def _common_divisor(w: Polynomial, q: Polynomial) -> Polynomial:
+    """A divisor of the witness w with every common root of w and q: w when
+    both are equal, 1 when the certificate proves them coprime, else their
+    gcd."""
+    if w == q:
+        return w
+    return ONE if proves_coprime(w, q) else gcd(w, q)
+
+
 def sign_at_root(q: Polynomial, root: IsolatedRoot) -> int:
     """Exact sign of q at the algebraic number pinned by root."""
     if q.is_zero:
         return 0
-    iv = root.interval
-    if iv.is_point:
-        return sign_at(q, iv.lo)
-    s = _constant_sign(q, iv)
-    if s:
-        return s
-    if not proves_coprime(root.witness, q):
-        g = gcd(root.witness, q)
-        if g.degree >= 1 and _vanishes_on(g, iv):
-            return 0
-    # q does not vanish there; shrink until q has constant sign on the closure.
-    while True:
-        iv = _bisect_interval(iv, root.witness)
-        if iv.is_point:
-            return sign_at(q, iv.lo)
-        s = _constant_sign(q, iv)
+    k = None
+    while not root.interval.is_point:
+        s = _constant_sign(q, root.interval)
         if s:
             return s
+        if k is None and _vanishes_on(_common_divisor(root.witness, q), root.interval):
+            return 0
+        # q does not vanish there; refine until it has constant sign on the closure.
+        k = _level(root) if k is None else k + 1
+        root = refine(root, k)
+    return sign_at(q, root.interval.lo)
 
 
 _MAX_COMPARE_STEPS = 10_000
@@ -514,45 +518,26 @@ _MAX_COMPARE_STEPS = 10_000
 def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
     """-1, 0 or +1 ordering of two algebraic numbers; equality is exact.
 
-    Once the interiors overlap, the numbers are equal exactly when the common
-    divisor of the witnesses changes sign across the overlap: it is nonzero
-    at all four endpoints and has at most one root there, a simple one.
+    Once the closures overlap in more than a shared end, the numbers are
+    equal exactly when the common divisor of the witnesses vanishes on the
+    overlap: at a point, or by a sign change across an interval, at whose
+    ends it is nonzero and where it has at most one root, a simple one.
     """
-    common = None
+    common = k = None
     for _ in range(_MAX_COMPARE_STEPS):
         ia, ib = a.interval, b.interval
-        if ia.hi < ib.lo:
-            return -1
-        if ib.hi < ia.lo:
-            return 1
-        if ia.is_point and ib.is_point:
-            return _sign(ia.lo - ib.lo)
-        if ia.hi == ib.lo:
-            return -1
-        if ib.hi == ia.lo:
-            return 1
-        # Interiors overlap: test equality before refining further.
-        if ia.is_point:
-            if ib.lo < ia.lo < ib.hi and sign_at(b.witness, ia.lo) == 0:
-                return 0
-            b = bisect_once(b)
-            continue
-        if ib.is_point:
-            if ia.lo < ib.lo < ia.hi and sign_at(a.witness, ib.lo) == 0:
-                return 0
-            a = bisect_once(a)
-            continue
-        if common is None:
-            if a.witness == b.witness:
-                common = a.witness
-            elif proves_coprime(a.witness, b.witness):
-                common = ONE
-            else:
-                common = gcd(a.witness, b.witness)
-        if sign_at(common, max(ia.lo, ib.lo)) != sign_at(common, min(ia.hi, ib.hi)):
+        if ia == ib and ia.is_point:
             return 0
-        a = bisect_once(a)
-        b = bisect_once(b)
+        if ia.hi <= ib.lo:
+            return -1
+        if ib.hi <= ia.lo:
+            return 1
+        if common is None:
+            common, k = _common_divisor(a.witness, b.witness), _level(a, b)
+        if _vanishes_on(common, IsolatingInterval(max(ia.lo, ib.lo), min(ia.hi, ib.hi))):
+            return 0
+        a, b = refine(a, k), refine(b, k)
+        k += 1
     raise RuntimeError("root comparison did not converge")
 
 
@@ -588,12 +573,8 @@ def separate_roots(roots: Sequence[IsolatedRoot]) -> list[IsolatedRoot]:
     for i in range(len(rs) - 1):
         if compare_roots(rs[i], rs[i + 1]) >= 0:
             raise ValueError("roots must be strictly increasing")
+        k = None
         while not rs[i].interval.hi < rs[i + 1].interval.lo:
-            a, b = rs[i], rs[i + 1]
-            if a.interval.is_point:
-                rs[i + 1] = bisect_once(b)
-            elif b.interval.is_point or a.interval.width >= b.interval.width:
-                rs[i] = bisect_once(a)
-            else:
-                rs[i + 1] = bisect_once(b)
+            k = _level(rs[i], rs[i + 1]) if k is None else k + 1
+            rs[i], rs[i + 1] = refine(rs[i], k), refine(rs[i + 1], k)
     return rs

@@ -27,7 +27,6 @@ from shapiro12.polycore import (
     div_exact,
     from_coefficients,
     gcd,
-    repeated_part,
     sign_at,
 )
 from shapiro12.realroots import (
@@ -221,7 +220,8 @@ def breakaway_points(rf: RationalFunctionOnAxis) -> tuple[BreakawayPoint, ...]:
     n_poly = gain_derivative_numerator(rf)
     if n_poly.degree < 1:
         return ()
-    crit = div_exact(n_poly, repeated_part(rf.numerator) * repeated_part(rf.denominator))
+    num, den = rf.numerator, rf.denominator
+    crit = div_exact(n_poly, gcd(num, num.derivative()) * gcd(den, den.derivative()))
     candidates = isolate_real_roots(crit)
     if not candidates:
         return ()

@@ -4,7 +4,7 @@ isolation against.
 Every count walks the Sturm sequence of p afresh and evaluates it at both
 ends, an open end at the power-of-two root bound. It shares the remainder
 loop with the package but none of its counting: not the Sturm chain that
-``root_count`` reads, nor the Descartes counts that isolation reads.
+``real_root_profile`` reads, nor the Descartes counts that isolation reads.
 ``recording_walks`` lets a test count the walks the package makes.
 """
 

@@ -14,7 +14,10 @@ from sturm_helper import sturm_count
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -118,10 +121,10 @@ class TestClassify:
         assert report["agreement"] is True  # Lambda1, conjecture holds via p
 
 
-def _narrowed(evidence, width):
-    """The same evidence with every isolating interval refined to width."""
+def _narrowed(evidence, k):
+    """The same evidence with every isolating interval refined to level k."""
     def narrow(root):
-        return refine(root, width)
+        return refine(root, k)
 
     findings = []
     for f in evidence.interval_findings:
@@ -167,7 +170,7 @@ class TestCanonicalRoots:
 
     def test_report_does_not_depend_on_the_intervals(self, gamma_evidence):
         for evidence in gamma_evidence:
-            narrow = _narrowed(evidence, Fraction(1, 2 ** 30))
+            narrow = _narrowed(evidence, 30)
             assert cli._evidence_json(narrow) == cli._evidence_json(evidence)
 
 
@@ -394,7 +397,14 @@ class TestExample:
     ("plotdata", "1,0,1", "--range", "x" * 50000),
     ("fuzz", "--degrees", "x" * 50000),
     ("example", "x" * 50000),
-], ids=["verify", "plotdata-range", "fuzz-degrees", "example-label"])
+    ("fuzz", "--strategy", "x" * 50000),
+    ("fuzz", "--seed", "x" * 50000),
+    ("fuzz", "--cases", "x" * 50000),
+    ("fuzz", "--bound", "x" * 50000),
+    ("plotdata", "1,0,1", "--samples", "x" * 50000),
+    ("x" * 50000,),
+], ids=["verify", "plotdata-range", "fuzz-degrees", "example-label", "fuzz-strategy",
+        "fuzz-seed", "fuzz-cases", "fuzz-bound", "plotdata-samples", "unknown-command"])
 def test_long_malformed_argument_echoed_in_short(capsys, argv):
     # A parse error repeats a prefix of the argument and its length, not
     # the whole argument.

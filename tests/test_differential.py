@@ -15,10 +15,16 @@ from fractions import Fraction
 import pytest
 
 from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
-from shapiro12.polycore import format_polynomial, repeated_part, sign_at
-from shapiro12.realroots import RootCount, _Inconclusive, _isolate, isolate_real_roots, root_count
+from shapiro12.polycore import format_polynomial, gcd, sign_at
+from shapiro12.realroots import (
+    RootCount,
+    _Inconclusive,
+    _isolate,
+    isolate_real_roots,
+    real_root_profile,
+)
 from shapiro12.shapiro import actual_verdict, build
-from rare_inputs import RARE_HIGH_DEGREE
+from rare_inputs import GAMMA_11_DEGREE_32, RARE_HIGH_DEGREE
 from sturm_helper import sturm_count
 
 sympy = pytest.importorskip("sympy")
@@ -87,7 +93,7 @@ def _check_counts(q, rng, where, count_between, isolation=False):
     ref = _sympy_poly(q)
     isolated = ref.intervals()
     expected = RootCount(len(isolated), sum(m for _, m in isolated))
-    assert root_count(q) == expected, where
+    assert real_root_profile(q)[0] == expected, where
     for lo, hi in _intervals(q, rng):
         assert sturm_count(q, lo, hi) == count_between(ref, _rational(lo), _rational(hi)), \
             (*where, lo, hi)
@@ -123,10 +129,10 @@ def test_counts_agree_with_sympy(strategy):
 
 
 def test_rare_class_counts_agree_with_sympy():
-    # The Lambda22 and Gamma231 inputs at degrees 6-32: p' has a root of
-    # multiplicity up to 31, and delta degree up to 60.
+    # The Lambda22 and Gamma231 inputs at degrees 6-32, and (x^2 + 1)^16:
+    # p' has a root of multiplicity up to 31, and delta degree up to 60.
     rng = random.Random(37)
-    for p, label in RARE_HIGH_DEGREE:
+    for p, label in (*RARE_HIGH_DEGREE, GAMMA_11_DEGREE_32):
         instance = build(p)
         nr_p, _, _, nr_delta = (
             _check_counts(q, rng, (label, format_polynomial(q)), _count_in, isolation=True)
@@ -158,7 +164,7 @@ def test_verdict_counts_agree_with_sympy(name):
     rng = random.Random(config.seed)
     polys = [random_polynomial(config, i) for i in range(config.cases)]
     if least_gave_up:
-        polys = [p for p in polys if repeated_part(build(p).delta).degree >= 1]
+        polys = [p for p in polys if gcd((d := build(p).delta), d.derivative()).degree >= 1]
     gave_up = 0
     for i, p in enumerate(polys):
         instance = build(p)

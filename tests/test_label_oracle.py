@@ -18,8 +18,8 @@ import pytest
 
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import format_polynomial, parse_polynomial
-from shapiro12.shapiro import ClassLabel, build, classify
-from rare_inputs import RARE_HIGH_DEGREE
+from shapiro12.shapiro import ClassLabel, actual_verdict, build, classify, predict_verdict
+from rare_inputs import GAMMA_11_DEGREE_32, GAMMA_121_DEGREE_32, RARE_HIGH_DEGREE
 
 sympy = pytest.importorskip("sympy")
 
@@ -79,7 +79,12 @@ def test_classify_matches_the_definitions():
 
 
 def test_rare_classes_at_high_degree():
-    # Lambda22 and Gamma231 at degrees 6-32, which no seeded corpus reaches.
-    for p, label in RARE_HIGH_DEGREE:
-        assert classify(build(p))[0] is label
-        assert oracle_labels(p) == {label}, format_polynomial(p)
+    # Lambda22 and Gamma231 at degrees 6-32, which no seeded corpus reaches,
+    # and the FAILS classes Gamma11 and Gamma121 at degree 32, where the
+    # oracle allows the three Gamma1 classes and the counts decide.
+    for p, label in (*RARE_HIGH_DEGREE, GAMMA_11_DEGREE_32, GAMMA_121_DEGREE_32):
+        instance = build(p)
+        assert classify(instance)[0] is label
+        assert oracle_labels(p) == (GAMMA_1 if label in GAMMA_1 else {label}), \
+            format_polynomial(p)
+        assert actual_verdict(instance).verdict is predict_verdict(label)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from shapiro12.harness import FuzzConfig, random_polynomial
-from shapiro12.polycore import from_coefficients, parse_polynomial, repeated_part
+from shapiro12.polycore import from_coefficients, gcd, parse_polynomial
 from shapiro12.realroots import compare_roots
 from shapiro12.shapiro import ClassLabel, build, classify, pp_breakaways, pp_events
 from oracle_rootlocus import axis_events, breakaway_points, oracle_pp
@@ -24,7 +24,7 @@ P = parse_polynomial
 
 
 def _has_real_multiple_root(p):
-    return sturm_count(repeated_part(p)) > 0
+    return sturm_count(gcd(p, p.derivative())) > 0
 
 
 def _integrate_twice(q, c1, c0):

@@ -16,10 +16,9 @@ from shapiro12.polycore import (
     monic,
     parse_polynomial,
     parse_rational,
-    repeated_part,
     sign_at,
 )
-from shapiro12.realroots import RootCount, isolate_real_roots, root_count
+from shapiro12.realroots import RootCount, isolate_real_roots, real_root_profile
 from fraction_ref import ref_add, ref_derivative, ref_eval, ref_gcd, ref_mul, ref_sum, ref_trim
 from sturm_helper import recording_walks
 
@@ -28,7 +27,7 @@ P = parse_polynomial
 
 def squarefree_part(p):
     """Monic product of the distinct irreducible factors of p."""
-    return div_exact(monic(p), repeated_part(p))
+    return div_exact(monic(p), gcd(p, p.derivative()))
 
 
 def poly_strategy(max_degree=8, bound=20):
@@ -149,7 +148,7 @@ class TestSquarefree:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            repeated_part(from_coefficients([0]))
+            squarefree_part(from_coefficients([0]))
 
     def test_multiplicities_read_only_the_repeated_part_chain(self, monkeypatch):
         # p = (x-1)^3 (x+2) (x^2+1) (x^2-3)^2: the chain g0 = p,
@@ -159,7 +158,7 @@ class TestSquarefree:
         p = math.prod([P("-1,1")] * 3 + [P("-3,0,1")] * 2, start=P("10,5") * P("1,0,1"))
         chain = [p.prim, (P("-1,1") * P("-1,1") * P("-3,0,1")).prim, P("-1,1").prim]
         walks = recording_walks(monkeypatch)
-        assert root_count(p) == RootCount(4, 8)
+        assert real_root_profile(p)[0] == RootCount(4, 8)
         assert walks == chain
         walks.clear()
         assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 2, 3, 2]
@@ -172,8 +171,7 @@ class TestSquarefree:
         multiples = [from_coefficients([c * x for x in p.coeffs])
                      for c in (1, -1, Fraction(3, 7))]
         multiples.append(monic(p))
-        assert {root_count(q) for q in multiples} == {RootCount(3, 4)}
-        assert {repeated_part(q) for q in multiples} == {P("-1/3,1")}
+        assert {real_root_profile(q) for q in multiples} == {(RootCount(3, 4), P("-1/3,1"))}
 
 
 class TestTextFormat:
@@ -307,7 +305,8 @@ class TestKernelReference:
     def test_repeated_part_is_euclid_gcd(self, a, b):
         # a * b^2 repeats every root of b, so gcd(p, p') is rarely 1.
         ref = ref_mul(ref_trim(a), ref_mul(ref_trim(b), ref_trim(b)))
-        got = repeated_part(from_coefficients(ref))
+        p = from_coefficients(ref)
+        got = gcd(p, p.derivative())
         _assert_canonical(got)
         assert got.coeffs == ref_gcd(ref, ref_derivative(ref))
 

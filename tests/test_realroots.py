@@ -24,7 +24,6 @@ from shapiro12.polycore import (
     monic,
     parse_polynomial,
     proves_coprime,
-    repeated_part,
     sign_at,
 )
 from shapiro12.realroots import (
@@ -32,15 +31,14 @@ from shapiro12.realroots import (
     _bound_exponent,
     _descartes_count,
     _taylor_shift,
-    bisect_once,
     cf_root_count,
     compare_roots,
     isolate_real_roots,
     isolates,
     order_roots,
     rational_value,
+    real_root_profile,
     refine,
-    root_count,
     separate_roots,
     sign_at_root,
 )
@@ -112,8 +110,8 @@ class TestIsolation:
     def test_three_simple_roots(self):
         roots = isolate_real_roots(P("0,-4,0,4"))  # 4x(x-1)(x+1)
         assert [r.multiplicity for r in roots] == [1, 1, 1]
-        mids = [r.interval.midpoint for r in roots]
-        assert mids[0] < mids[1] < mids[2]
+        assert roots[0].interval.hi <= roots[1].interval.lo
+        assert roots[1].interval.hi <= roots[2].interval.lo
 
     def test_derivative_of_x2_plus_1(self):
         roots = isolate_real_roots(P("0,2"))
@@ -137,7 +135,7 @@ class TestIsolation:
         p = math.prod([P("-2,0,1")] * 3 + [P("-3,0,1")] * 5 + [P("-5,0,1")] * 4,
                       start=ONE)
         assert [r.multiplicity for r in isolate_real_roots(p)] == [4, 5, 3, 3, 5, 4]
-        assert root_count(p) == RootCount(6, 24)
+        assert real_root_profile(p)[0] == RootCount(6, 24)
 
 
 @st.composite
@@ -182,35 +180,42 @@ class TestRootBound:
 
 class TestRefine:
     def test_width_contract(self):
+        # Level 7 cells are 1/128 wide: sqrt(2) lies in [181/128, 182/128].
         root = [r for r in isolate_real_roots(P("-2,0,1")) if r.interval.hi > 0][0]
-        narrow = refine(root, Fraction(1, 100))
-        assert narrow.interval.width <= Fraction(1, 100)
-        assert narrow.interval.lo ** 2 < 2 < narrow.interval.hi ** 2
+        iv = refine(root, 7).interval
+        assert Fraction(181, 128) <= iv.lo < iv.hi <= Fraction(182, 128)
+        assert iv.lo ** 2 < 2 < iv.hi ** 2
 
     def test_tight_enclosure(self):
         root = [r for r in isolate_real_roots(P("-2,0,1")) if r.interval.hi > 0][0]
-        tight = refine(root, Fraction(1, 10000))
+        tight = refine(root, 14)
         assert Fraction(141, 100) < tight.interval.lo
         assert tight.interval.hi < Fraction(142, 100)
 
     def test_rational_point_stays(self):
         root = isolate_real_roots(P("0,2"))[0]
-        assert refine(root, Fraction(1, 10 ** 9)).interval.is_point
+        assert refine(root, 30).interval.is_point
 
     def test_already_narrow(self):
+        # An interval inside one cell of the level is kept as it is.
         root = [r for r in isolate_real_roots(P("-2,0,1")) if r.interval.hi > 0][0]
-        same = refine(root, root.interval.width + 1)
-        assert same.interval.width <= root.interval.width
+        narrow = refine(root, 20)
+        assert refine(narrow, 20) == narrow
+        assert refine(narrow, 0) == narrow
 
-    def test_nonpositive_width_rejected(self):
-        # Bisecting an irrational root towards width 0 never ends, so run the
-        # calls in a subprocess that a hang cannot stall.
-        src = str(Path(shapiro12.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        result = subprocess.run([sys.executable, "-c", _REFINE_TO_NONPOSITIVE_WIDTH],
-                                capture_output=True, text=True, env=env, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["rejected", "rejected"]
+    def test_dyadic_root_becomes_a_point(self):
+        # Isolation keeps the root 3 of (x^2 - 2)(6x - 5)(x - 3) in (2, 16);
+        # the grid search lands on it already at level 0.
+        p = P("-2,0,1") * P("-5,6") * P("-3,1")
+        root = isolate_real_roots(p)[-1]
+        assert (root.interval.lo, root.interval.hi) == (2, 16)
+        iv = refine(root, 0).interval
+        assert iv.is_point and iv.lo == 3
+
+    def test_negative_level_rejected(self):
+        root = isolate_real_roots(P("-2,0,1"))[0]
+        with pytest.raises(ValueError):
+            refine(root, -1)
 
 
     def test_rational_value(self):
@@ -220,19 +225,6 @@ class TestRefine:
         values = [rational_value(r) for r in isolate_real_roots(p)]
         assert values == [None, Fraction(5, 6), None, 3]
         assert rational_value(isolate_real_roots(P("0,2"))[0]) == 0
-
-
-_REFINE_TO_NONPOSITIVE_WIDTH = textwrap.dedent("""
-    from shapiro12.polycore import parse_polynomial
-    from shapiro12.realroots import isolate_real_roots, refine
-
-    root = isolate_real_roots(parse_polynomial("-2,0,1"))[0]
-    for width in (0, -1):
-        try:
-            refine(root, width)
-        except ValueError:
-            print("rejected")
-""")
 
 
 class TestSignAtRoot:
@@ -272,8 +264,8 @@ class TestOrderAndCompare:
         roots = list(isolate_real_roots(P("0,-4,0,4")))
         random.Random(1).shuffle(roots)
         merged = order_roots(roots)
-        mids = [m.primary.interval.midpoint for m in merged]
-        assert mids == sorted(mids)
+        for left, right in zip(merged, merged[1:]):
+            assert left.primary.interval.hi <= right.primary.interval.lo
 
     def test_duplicate_rational(self):
         a = isolate_real_roots(P("0,2"))[0]
@@ -306,10 +298,10 @@ class TestOrderAndCompare:
             assert all(compare_roots(m.primary, r) == 0 for r in m.members)
         for left, right in zip(merged, merged[1:]):
             a, b = left.primary, right.primary
-            for _ in range(200):
+            for k in range(200):
                 if a.interval.hi < b.interval.lo:
                     break
-                a, b = bisect_once(a), bisect_once(b)
+                a, b = refine(a, k), refine(b, k)
             assert a.interval.hi < b.interval.lo
 
     def test_separate_roots(self):
@@ -372,12 +364,12 @@ _SEPARATE_OUT_OF_ORDER = textwrap.dedent("""
 
 class TestRootCount:
     def test_examples(self):
-        assert root_count(P("-1,0,1")) == root_count(P("-1,0,1"))
-        rc = root_count(P("0,0,0,4"))
+        assert real_root_profile(P("-1,0,1"))[0] == RootCount(2, 2)
+        rc = real_root_profile(P("0,0,0,4"))[0]
         assert rc.distinct == 1 and rc.with_multiplicity == 3
 
     def test_constant(self):
-        rc = root_count(P("7"))
+        rc = real_root_profile(P("7"))[0]
         assert rc.distinct == rc.with_multiplicity == 0
 
     def test_repeated_part_that_keeps_the_degree_raises(self, monkeypatch):
@@ -394,7 +386,7 @@ class TestRootCount:
 
         monkeypatch.setattr(realroots, "_remainder_sequence", stuck)
         with pytest.raises(InvariantError):
-            root_count(P("-1,0,1"))
+            real_root_profile(P("-1,0,1"))
 
 
 @st.composite
@@ -443,8 +435,7 @@ class TestNonSquarefreeGroundTruth:
     def test_counts_and_repeated_part(self, case):
         p, roots, mults, repeated = case
         assert sturm_count(p) == len(roots)
-        assert root_count(p) == RootCount(len(roots), sum(mults))
-        assert repeated_part(p) == repeated
+        assert real_root_profile(p) == (RootCount(len(roots), sum(mults)), repeated)
         isolated = isolate_real_roots(p)
         assert [r.multiplicity for r in isolated] == [m for _, m in sorted(zip(roots, mults))]
         # Only a real multiple root makes isolation take the squarefree part.
@@ -479,26 +470,31 @@ class TestInvariants:
     @given(int_polys())
     @settings(max_examples=60, deadline=None)
     def test_multiplicity_parity(self, p):
-        rc = root_count(p)
+        rc = real_root_profile(p)[0]
         assert rc.with_multiplicity >= rc.distinct
         assert rc.with_multiplicity % 2 == int(p.degree) % 2
 
     @given(int_polys(8, 15))
     @settings(max_examples=40, deadline=None)
     def test_refined_intervals_bracket(self, p):
+        # At every level, a point where the witness vanishes, or an interval
+        # inside one cell with opposite witness signs at its ends.
         for root in isolate_real_roots(p):
-            tight = refine(root, Fraction(1, 10 ** 6))
-            iv = tight.interval
-            if iv.is_point:
-                assert sign_at(root.witness, iv.lo) == 0
-            else:
-                assert sign_at(root.witness, iv.lo) * sign_at(root.witness, iv.hi) < 0
+            for k in range(41):
+                iv = refine(root, k).interval
+                if iv.is_point:
+                    assert sign_at(root.witness, iv.lo) == 0
+                    assert (iv.lo * 2 ** k).denominator == 1 or iv == root.interval
+                else:
+                    m = math.floor(iv.lo * 2 ** k)
+                    assert iv.hi * 2 ** k <= m + 1
+                    assert sign_at(root.witness, iv.lo) * sign_at(root.witness, iv.hi) < 0
 
     def test_sign_at_root_agrees_with_midpoint(self):
         sqrt2 = [r for r in isolate_real_roots(P("-2,0,1")) if r.interval.hi > 0][0]
         for q in [P("-1,0,1"), P("-3,0,1"), P("5,1"), P("1,2,3")]:
-            tight = refine(sqrt2, Fraction(1, 10 ** 12))
-            assert sign_at_root(q, sqrt2) == sign_at(q, tight.interval.midpoint)
+            tight = refine(sqrt2, 40).interval
+            assert sign_at_root(q, sqrt2) == sign_at(q, (tight.lo + tight.hi) / 2)
 
 
 def _exact_sign(q, root):
@@ -509,11 +505,13 @@ def _exact_sign(q, root):
     g = gcd(root.witness, q)
     if g.degree >= 1 and sign_at(g, iv.lo) * sign_at(g, iv.hi) < 0:
         return 0
+    k = 0
     while True:
         s = sign_at(q, iv.lo)
         if s and s == sign_at(q, iv.hi) and sturm_count(q, iv.lo, iv.hi) == 0:
             return s
-        root = bisect_once(root)
+        root = refine(root, k)
+        k += 1
         iv = root.interval
         if iv.is_point:
             return sign_at(q, iv.lo)
@@ -525,7 +523,7 @@ def _assert_interval_contract(p):
     witness at both ends; counts and multiplicities, and the counts of
     cf_root_count, agree with root_count."""
     roots = isolate_real_roots(p)
-    count = root_count(p)
+    count = real_root_profile(p)[0]
     assert len(roots) == count.distinct, p
     assert sum(r.multiplicity for r in roots) == count.with_multiplicity, p
     assert cf_root_count(p) == count, p
@@ -653,7 +651,7 @@ class TestTaylorShift:
 def squarefree_polys():
     """Squarefree parts of factored_polys and small_rational_roots."""
     return st.one_of(factored_polys().map(lambda case: case[0]), small_rational_roots()) \
-        .map(lambda p: div_exact(monic(p), repeated_part(p)))
+        .map(lambda p: div_exact(monic(p), gcd(p, p.derivative())))
 
 
 class TestIntervalDescartes:
@@ -768,7 +766,7 @@ class TestLazySquarefreeCertificate:
             assert capped and first == "inconclusive" and uncapped[:2] == (False, "finished")
             # Only the step cap lets the first run go that deep.
             assert (nodes > realroots._STEP_CAP) == reason.startswith("step cap")
-            witness = div_exact(monic(p), repeated_part(p))
+            witness = div_exact(monic(p), gcd(p, p.derivative()))
         assert [r.multiplicity for r in roots] == mults
         assert [rational_value(r) for r in roots] == values
         assert cf_root_count(p) == RootCount(len(mults), sum(mults))

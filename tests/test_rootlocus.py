@@ -239,7 +239,7 @@ class TestStructuralInvariants:
     def test_standard_iff_gain_extremum(self):
         for rf in FIXTURE_RFS:
             for b in breakaway_points(rf):
-                narrow = refine(b.location, Fraction(1, 2 ** 16))
+                narrow = refine(b.location, 16)
                 lo, hi = narrow.interval.lo, narrow.interval.hi
                 if narrow.interval.is_point:
                     lo, hi = lo - Fraction(1, 2 ** 16), hi + Fraction(1, 2 ** 16)

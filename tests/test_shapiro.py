@@ -22,7 +22,6 @@ from shapiro12.polycore import (
     from_coefficients,
     gcd,
     parse_polynomial,
-    repeated_part,
 )
 from shapiro12.realroots import RootCount, compare_roots, isolate_real_roots
 from shapiro12.shapiro import (
@@ -486,14 +485,14 @@ class TestPaperAlgebraOnGamma1:
         # none. classify divides out g^3, which leaves no factor of g here
         # but in (x^2 + 1)^2 (x^2 + 3): there H = (x + i)^2 (x^2 + 3) has
         # H'(i) = 0 (see the next test), and B/g^3 keeps x^2 + 1.
-        repeated = [inst for inst in gamma1_instances if repeated_part(inst.p).degree >= 1]
+        repeated = [inst for inst in gamma1_instances if inst.repeated.degree >= 1]
         special = build(math.prod([P("1,0,1")] * 2, start=P("3,0,1")))
         crafted = [build(math.prod([P("1,0,1")] * 3, start=P("2,1,1"))),
                    build(math.prod([P("2,1,1")] * 4, start=ONE)), special]
         assert len(repeated) >= 3
         for inst in repeated + crafted:
             b = _breakaway_polynomial(inst)
-            g = repeated_part(inst.p)
+            g = inst.repeated
             full, reduced = isolate_real_roots(b), isolate_real_roots(div_exact(b, g * g))
             assert [r.multiplicity for r in full] == [r.multiplicity for r in reduced]
             assert all(compare_roots(x, y) == 0 for x, y in zip(full, reduced))
@@ -514,7 +513,7 @@ class TestPaperAlgebraOnGamma1:
         # w'(r) = r - conj(r); only then does B/g^3 share w with g.
         ws = [(from_coefficients([a * a + b, -2 * a, 1]), m) for a, b, m in factors]
         p = math.prod((w for w, m in ws for _ in range(m)), start=from_coefficients([scale]))
-        g = repeated_part(p)
+        g = gcd(p, p.derivative())
         reduced = div_exact(_breakaway_polynomial(build(p)), g * g * g)
         for w, m in ws:
             if m >= 2:
@@ -538,7 +537,7 @@ class TestPaperAlgebraOnGamma1:
         config = FuzzConfig(seed=11, cases=24, degree_range=(22, 32), coeff_bound=12,
                             strategy=Strategy.POSITIVE_ONLY)
         polys = [random_polynomial(config, i) for i in range(config.cases)]
-        assert sum(repeated_part(p).degree >= 1 for p in polys) >= 10
+        assert sum(gcd(p, p.derivative()).degree >= 1 for p in polys) >= 10
         for p in polys:
             classify(build(p))
         assert calls == []
@@ -553,7 +552,7 @@ class TestPaperAlgebraOnGamma1:
         walks = recording_walks(monkeypatch)
         fixtures = [P(FIXTURES[label]) for label in _GAMMA_1[1:]]
         polys = fixtures + [inst.p for inst in gamma1_instances]
-        certified = [p for p in polys if repeated_part(p).degree == 0]
+        certified = [p for p in polys if gcd(p, p.derivative()).degree == 0]
         assert fixtures == certified[:2] and len(certified) >= 100
         for p in certified:
             walks.clear()
