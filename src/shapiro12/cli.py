@@ -19,11 +19,11 @@ import time
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count
+from functools import partial
 
 from .harness import FIXTURES, MAX_COEFF_BITS, MAX_DEGREE, FuzzConfig, Strategy, run_fuzz
 from .polycore import Polynomial, format_polynomial, parse_polynomial, parse_rational
-from .realroots import IsolatedRoot, isolates, order_roots, rational_value, refine
+from .realroots import IsolatedRoot, _levels, isolates, order_roots, rational_value, refine
 from .shapiro import (
     ClassLabel,
     DeltaIdenticallyZeroError,
@@ -123,7 +123,7 @@ def _printed_forms(evidence: Evidence) -> dict[IsolatedRoot, tuple[Fraction, Fra
             forms.update((member, (value, value)) for member in number.members)
     points = [lo for lo, _ in forms.values()]
     refined = [number.primary for number in irrational]
-    for k in count(_MIN_CELL_LEVEL):
+    for k in _levels(roots, start=_MIN_CELL_LEVEL):
         refined = [refine(root, k) for root in refined]
         width = Fraction(1, 2 ** k)
         cells = [(m * width, (m + 1) * width)
@@ -347,25 +347,27 @@ _VALUE_WITH_MINUS = re.compile(r"^-\d[\d,/:. -]*$")
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, argv: list[str], **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _VALUE_WITH_MINUS
+        self._argv = argv
 
     def error(self, message: str):
-        # argparse repeats a value as its repr: cut each long one as _echo
-        # cuts an argument, escapes counted as characters.
-        long_quoted = "|".join(rf"{q}((?:[^{q}\\\n]|\\.){{{_ECHO_LIMIT + 1},}}){q}" for q in "'\"")
-        super().error(re.sub(long_quoted, lambda m: _echo(m[1] or m[2]), message))
+        # argparse repeats a value as its repr or as it is: cut each long one.
+        for arg in (a for a in self._argv if len(a) > _ECHO_LIMIT):
+            message = message.replace(repr(arg), _echo(arg)).replace(arg, _echo(arg))
+        super().error(message)
 
 
-def _make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def _make_parser(argv: list[str]) -> argparse.ArgumentParser:
+    make = partial(_Parser, argv=argv)
+    parser = make(
         prog="shapiro12",
         description="Classify real even-degree polynomials against Shapiro's "
                     "conjecture on (n-1)(p')^2 - n*p*p'' and verify the verdict "
                     "by exact root counting.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
 
     def add_poly(p: argparse.ArgumentParser) -> None:
         p.add_argument("polynomial", help="comma-separated ascending coefficients, e.g. 1,0,1")
@@ -402,8 +404,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _make_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

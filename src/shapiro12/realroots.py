@@ -20,7 +20,7 @@ intervals, each the Taylor shift by 1 that splits a continued-fraction
 node, and try the same certificate, that two polynomials are coprime,
 before the exact gcd. Every narrower interval comes from refine, a binary
 search by integer signs of the witness for the root's cell of one level of
-the dyadic grid; each loop that refines counts levels.
+the dyadic grid, at the levels that _levels bounds by root separation.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate, takewhile
 from typing import Iterable, Iterator, Sequence
 
@@ -445,11 +446,28 @@ def refine(root: IsolatedRoot, k: int) -> IsolatedRoot:
     return replace(root, interval=IsolatingInterval(lo, hi))
 
 
-def _level(*roots: IsolatedRoot) -> int:
-    """The least level whose cells are narrower than the widest interval of
-    the roots, not all points: refining to it narrows that interval."""
-    width = max(r.interval.hi - r.interval.lo for r in roots)
-    return (width.denominator // width.numerator).bit_length()
+def _levels(roots: Sequence[IsolatedRoot], *others: Polynomial,
+            start: int | None = None) -> Iterator[int]:
+    """Levels for a refinement loop: start, by default the least level with
+    cells narrower than the widest interval of the roots, then one a step.
+
+    By Rump's bound, distinct roots of an integer P of degree d, squarefree or
+    not, are over d^-(d/2 + 2) (|P|_1 + 1)^-d > 2^-e apart: P is the product of
+    the distinct primitive witnesses and others, |P|_1 + 1 <= prod (|f|_1 + 1),
+    and e is read lazily from bit lengths, each term rounded up. Level e + 2
+    cells separate the roots of P and, by Descartes' two-circle condition,
+    give a factor of P a count of 0 or 1 about one root; past it, this raises.
+    """
+    if start is None:
+        width = max(r.interval.hi - r.interval.lo for r in roots)
+        start = (width.denominator // width.numerator).bit_length()
+    yield start
+    factors = {r.witness.prim for r in roots} | {q.prim for q in others}
+    d = sum(len(f) - 1 for f in factors)
+    e = (d + 5) // 2 * d.bit_length() \
+        + d * sum((sum(map(abs, f)) + 1).bit_length() for f in factors)
+    yield from range(start + 1, e + 3)
+    raise InvariantError("refinement passed the root separation bound")
 
 
 def rational_value(root: IsolatedRoot) -> Fraction | None:
@@ -499,20 +517,17 @@ def sign_at_root(q: Polynomial, root: IsolatedRoot) -> int:
     """Exact sign of q at the algebraic number pinned by root."""
     if q.is_zero:
         return 0
-    k = None
+    levels = None
     while not root.interval.is_point:
         s = _constant_sign(q, root.interval)
         if s:
             return s
-        if k is None and _vanishes_on(_common_divisor(root.witness, q), root.interval):
+        if levels is None and _vanishes_on(_common_divisor(root.witness, q), root.interval):
             return 0
         # q does not vanish there; refine until it has constant sign on the closure.
-        k = _level(root) if k is None else k + 1
-        root = refine(root, k)
+        levels = levels or _levels((root,), q)
+        root = refine(root, next(levels))
     return sign_at(q, root.interval.lo)
-
-
-_MAX_COMPARE_STEPS = 10_000
 
 
 def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
@@ -523,8 +538,8 @@ def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
     overlap: at a point, or by a sign change across an interval, at whose
     ends it is nonzero and where it has at most one root, a simple one.
     """
-    common = k = None
-    for _ in range(_MAX_COMPARE_STEPS):
+    levels = None
+    while True:
         ia, ib = a.interval, b.interval
         if ia == ib and ia.is_point:
             return 0
@@ -532,49 +547,20 @@ def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
             return -1
         if ib.hi <= ia.lo:
             return 1
-        if common is None:
-            common, k = _common_divisor(a.witness, b.witness), _level(a, b)
+        if levels is None:
+            common, levels = _common_divisor(a.witness, b.witness), _levels((a, b))
         if _vanishes_on(common, IsolatingInterval(max(ia.lo, ib.lo), min(ia.hi, ib.hi))):
             return 0
+        k = next(levels)
         a, b = refine(a, k), refine(b, k)
-        k += 1
-    raise RuntimeError("root comparison did not converge")
 
 
 def order_roots(roots: Iterable[IsolatedRoot]) -> tuple[MergedRoot, ...]:
     """Total order along the real axis; exactly equal roots are merged."""
     ordered: list[list[IsolatedRoot]] = []
-    for root in roots:
-        placed = False
-        lo_idx, hi_idx = 0, len(ordered)
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            c = compare_roots(root, ordered[mid][0])
-            if c == 0:
-                ordered[mid].append(root)
-                placed = True
-                break
-            if c < 0:
-                hi_idx = mid
-            else:
-                lo_idx = mid + 1
-        if not placed:
-            ordered.insert(lo_idx, [root])
+    for root in sorted(roots, key=cmp_to_key(compare_roots)):
+        if ordered and compare_roots(ordered[-1][0], root) == 0:
+            ordered[-1].append(root)
+        else:
+            ordered.append([root])
     return tuple(MergedRoot(tuple(group)) for group in ordered)
-
-
-def separate_roots(roots: Sequence[IsolatedRoot]) -> list[IsolatedRoot]:
-    """Refine a strictly increasing root list until interval closures are disjoint.
-
-    Raises ValueError when two neighbours are out of order or equal, where
-    refining could never end.
-    """
-    rs = list(roots)
-    for i in range(len(rs) - 1):
-        if compare_roots(rs[i], rs[i + 1]) >= 0:
-            raise ValueError("roots must be strictly increasing")
-        k = None
-        while not rs[i].interval.hi < rs[i + 1].interval.lo:
-            k = _level(rs[i], rs[i + 1]) if k is None else k + 1
-            rs[i], rs[i + 1] = refine(rs[i], k), refine(rs[i + 1], k)
-    return rs

@@ -31,7 +31,6 @@ from .realroots import (
     isolate_real_roots,
     order_roots,
     real_root_profile,
-    separate_roots,
     sign_at_root,
 )
 
@@ -360,8 +359,7 @@ def pp_events(instance: ShapiroInstance) -> tuple[AxisEvent, ...]:
     where ord q is the multiplicity of x as a root of q (0 off its roots):
     x is a zero of multiplicity e when e > 0 and a pole of multiplicity -e
     when e < 0. A root of p of multiplicity m >= 2 has e = 0, since p' and
-    p'' vanish there m - 1 and m - 2 times, so it is no event. The returned
-    intervals are refined until pairwise strictly separated.
+    p'' vanish there m - 1 and m - 2 times, so it is no event.
     """
     p, p1, p2 = instance.p, instance.p1, instance.p2
     # Each root is tagged with its weight in e. Pairs, not a dict keyed by
@@ -376,7 +374,7 @@ def pp_events(instance: ShapiroInstance) -> tuple[AxisEvent, ...]:
         if e:
             picked.append(replace(group.primary, multiplicity=abs(e)))
             kinds.append(EventKind.ZERO if e > 0 else EventKind.POLE)
-    return tuple(AxisEvent(r, kind) for r, kind in zip(separate_roots(picked), kinds))
+    return tuple(AxisEvent(r, kind) for r, kind in zip(picked, kinds))
 
 
 def pp_breakaways(instance: ShapiroInstance,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from shapiro12.polycore import (
     ONE,
@@ -31,9 +32,11 @@ from shapiro12.polycore import (
 )
 from shapiro12.realroots import (
     IsolatedRoot,
+    _levels,
+    compare_roots,
     isolate_real_roots,
     order_roots,
-    separate_roots,
+    refine,
     sign_at_root,
 )
 from shapiro12.shapiro import AxisEvent, Comparison, EventKind, ShapiroInstance
@@ -118,6 +121,23 @@ def normalize(numerator: Polynomial, denominator: Polynomial) -> RationalFunctio
 def oracle_pp(instance: ShapiroInstance) -> RationalFunctionOnAxis:
     """pp = p''p/(p')^2 of an instance, with the common factor cancelled."""
     return normalize(instance.p2 * instance.p, instance.p1 * instance.p1)
+
+
+def separate_roots(roots: Sequence[IsolatedRoot]) -> list[IsolatedRoot]:
+    """Refine a strictly increasing root list until interval closures are disjoint.
+
+    Raises ValueError when two neighbours are out of order or equal, where
+    refining could never separate them.
+    """
+    rs = list(roots)
+    for i in range(len(rs) - 1):
+        if compare_roots(rs[i], rs[i + 1]) >= 0:
+            raise ValueError("roots must be strictly increasing")
+        levels = _levels(rs[i:i + 2])
+        while not rs[i].interval.hi < rs[i + 1].interval.lo:
+            k = next(levels)
+            rs[i], rs[i + 1] = refine(rs[i], k), refine(rs[i + 1], k)
+    return rs
 
 
 def _require_canceled(rf: RationalFunctionOnAxis) -> None:

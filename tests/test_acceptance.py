@@ -21,7 +21,7 @@ from shapiro12.harness import (
     random_polynomial,
 )
 from shapiro12.polycore import from_coefficients, gcd, parse_polynomial, sign_at
-from shapiro12.realroots import order_roots, separate_roots, sign_at_root
+from shapiro12.realroots import order_roots, sign_at_root
 from shapiro12.shapiro import (
     ClassLabel,
     Comparison,
@@ -44,6 +44,7 @@ from oracle_rootlocus import (
     gain_derivative_numerator,
     normalize,
     oracle_pp,
+    separate_roots,
 )
 
 P = parse_polynomial

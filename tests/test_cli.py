@@ -6,7 +6,7 @@ import pytest
 
 from shapiro12 import cli, realroots, shapiro
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
-from shapiro12.polycore import parse_polynomial, sign_at
+from shapiro12.polycore import InvariantError, parse_polynomial, sign_at
 from shapiro12.realroots import refine
 from shapiro12.shapiro import ClassLabel, Verdict, build, classify
 from oracle_rootlocus import gain_at, oracle_pp
@@ -172,6 +172,12 @@ class TestCanonicalRoots:
         for evidence in gamma_evidence:
             narrow = _narrowed(evidence, 30)
             assert cli._evidence_json(narrow) == cli._evidence_json(evidence)
+
+    def test_printer_raises_when_no_cell_isolates(self, monkeypatch):
+        # With the isolation test broken, no report level would do.
+        monkeypatch.setattr(cli, "isolates", lambda p, lo, hi: False)
+        with pytest.raises(InvariantError):
+            cli.main(["classify", "6,-6,4,-3,1"])
 
 
 class TestVerify:
@@ -399,15 +405,17 @@ class TestExample:
     ("example", "x" * 50000),
     ("fuzz", "--strategy", "x" * 50000),
     ("fuzz", "--seed", "x" * 50000),
+    ("fuzz", "--seed", "a'b\"c" * 20),
     ("fuzz", "--cases", "x" * 50000),
     ("fuzz", "--bound", "x" * 50000),
     ("plotdata", "1,0,1", "--samples", "x" * 50000),
     ("x" * 50000,),
 ], ids=["verify", "plotdata-range", "fuzz-degrees", "example-label", "fuzz-strategy",
-        "fuzz-seed", "fuzz-cases", "fuzz-bound", "plotdata-samples", "unknown-command"])
+        "fuzz-seed", "fuzz-seed-quotes", "fuzz-cases", "fuzz-bound", "plotdata-samples",
+        "unknown-command"])
 def test_long_malformed_argument_echoed_in_short(capsys, argv):
     # A parse error repeats a prefix of the argument and its length, not
-    # the whole argument.
+    # the whole argument; the length counts the argument, not its repr.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,11 +1,6 @@
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,10 +34,10 @@ from shapiro12.realroots import (
     rational_value,
     real_root_profile,
     refine,
-    separate_roots,
     sign_at_root,
 )
 from fraction_ref import ref_add
+from oracle_rootlocus import separate_roots
 from sturm_helper import recording_walks, sturm_count
 
 P = parse_polynomial
@@ -312,54 +307,57 @@ class TestOrderAndCompare:
             assert left.interval.hi < right.interval.lo
 
     def test_separate_roots_out_of_order_rejected(self):
-        # Refining roots given out of order never ends, so run the calls in a
-        # subprocess that a hang cannot stall.
-        src = str(Path(shapiro12.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        result = subprocess.run([sys.executable, "-c", _SEPARATE_OUT_OF_ORDER],
-                                capture_output=True, text=True, env=env, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["rejected"] * 3
-
+        minus_sqrt2, sqrt2 = isolate_real_roots(P("-2,0,1"))
+        (zero,) = isolate_real_roots(P("0,1"))
+        for roots in ([sqrt2, minus_sqrt2], [sqrt2, zero], [zero, zero]):
+            with pytest.raises(ValueError):
+                separate_roots(roots)
 
     def test_separate_roots_equal_irrational_rejected(self):
         # One irrational root given twice: no refinement separates it from
-        # itself, so the order check must catch it. Run in a subprocess that
-        # a hang cannot stall.
-        src = str(Path(shapiro12.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        result = subprocess.run([sys.executable, "-c", _SEPARATE_EQUAL_IRRATIONAL],
-                                capture_output=True, text=True, env=env, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["rejected"] * 2
+        # itself, so the order check must catch it.
+        sqrt2 = isolate_real_roots(P("-2,0,1"))[1]
+        fourth_root_4 = isolate_real_roots(P("-4,0,0,0,1"))[1]
+        for roots in ([sqrt2, sqrt2], [sqrt2, fourth_root_4]):
+            with pytest.raises(ValueError):
+                separate_roots(roots)
 
 
-_SEPARATE_EQUAL_IRRATIONAL = textwrap.dedent("""
-    from shapiro12.polycore import parse_polynomial
-    from shapiro12.realroots import isolate_real_roots, separate_roots
-
-    sqrt2 = isolate_real_roots(parse_polynomial("-2,0,1"))[1]
-    fourth_root_4 = isolate_real_roots(parse_polynomial("-4,0,0,0,1"))[1]
-    for roots in ([sqrt2, sqrt2], [sqrt2, fourth_root_4]):
-        try:
-            separate_roots(roots)
-        except ValueError:
-            print("rejected")
-""")
+def _mignotte(d, b):
+    """x^d - 2(2^b x - 1)^2, with two roots about 2^(-b(d+2)/2) apart near 2^-b."""
+    return from_coefficients([-2, 2 ** (b + 2), -2 ** (2 * b + 1)] + [0] * (d - 3) + [1])
 
 
-_SEPARATE_OUT_OF_ORDER = textwrap.dedent("""
-    from shapiro12.polycore import parse_polynomial
-    from shapiro12.realroots import isolate_real_roots, separate_roots
+class TestRefinementBound:
+    """Every refinement loop raises past the root separation bound instead
+    of refining forever, and on correct code ends before it."""
 
-    minus_sqrt2, sqrt2 = isolate_real_roots(parse_polynomial("-2,0,1"))
-    (zero,) = isolate_real_roots(parse_polynomial("0,1"))
-    for roots in ([sqrt2, minus_sqrt2], [sqrt2, zero], [zero, zero]):
-        try:
-            separate_roots(roots)
-        except ValueError:
-            print("rejected")
-""")
+    def test_sign_at_a_root_of_q_missed(self, monkeypatch):
+        # With the vanishing test broken, q = 3(x^2 - 2) never gets a
+        # constant sign about sqrt(2).
+        monkeypatch.setattr(realroots, "_vanishes_on", lambda q, iv: False)
+        sqrt2 = isolate_real_roots(P("-2,0,1"))[1]
+        with pytest.raises(InvariantError):
+            sign_at_root(P("-6,0,3"), sqrt2)
+
+    def test_equal_roots_of_two_witnesses_missed(self, monkeypatch):
+        monkeypatch.setattr(realroots, "_vanishes_on", lambda q, iv: False)
+        sqrt2 = isolate_real_roots(P("-2,0,1"))[1]
+        also_sqrt2 = isolate_real_roots(P("-2,0,1") * P("1,0,1"))[1]
+        with pytest.raises(InvariantError):
+            compare_roots(sqrt2, also_sqrt2)
+
+    @pytest.mark.parametrize("d", [4, 8, 12, 16])
+    @pytest.mark.parametrize("b", [10, 30, 60])
+    def test_close_roots_end_inside_the_bound(self, d, b):
+        w = _mignotte(d, b)
+        roots = isolate_real_roots(w)
+        others = isolate_real_roots(w * P("1,0,1"))
+        assert [[compare_roots(r, s) for s in others] for r in roots] == \
+            [[(i > j) - (i < j) for j in range(len(others))] for i in range(len(roots))]
+        assert all(sign_at_root(w.derivative(), r) for r in roots)
+        critical = isolate_real_roots(w.derivative())
+        assert len(order_roots(roots + critical)) == len(roots) + len(critical)
 
 
 class TestRootCount:

@@ -13,7 +13,6 @@ from shapiro12.realroots import (
     order_roots,
     rational_value,
     refine,
-    separate_roots,
     sign_at_root,
 )
 from shapiro12.shapiro import Comparison, EventKind
@@ -28,6 +27,7 @@ from oracle_rootlocus import (
     gain_compare_at,
     gain_derivative_numerator,
     normalize,
+    separate_roots,
 )
 
 P = parse_polynomial

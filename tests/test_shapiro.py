@@ -135,7 +135,7 @@ class TestBuild:
         # Every binding of each probed function in the package counts its
         # calls, including names a module imported from another.
         calls = {}
-        probed = (gcd, shapiro.pp_events, shapiro.pp_breakaways, realroots.separate_roots)
+        probed = (gcd, shapiro.pp_events, shapiro.pp_breakaways)
         for f in probed:
             def counting(*args, _f=f, **kwargs):
                 calls[_f] += 1
@@ -151,8 +151,7 @@ class TestBuild:
         assert classify(inst)[0] is ClassLabel.LAMBDA_1
         assert actual_verdict(inst).verdict is Verdict.HOLDS
         assert calls[gcd] == 0
-        # No class runs the axis analysis of pp that plotdata reads or
-        # refines its evidence intervals apart: the printer canonicalises them.
+        # No class runs the axis analysis of pp that plotdata reads.
         never = probed[1:]
         for text in FIXTURES.values():
             inst = build(P(text))
