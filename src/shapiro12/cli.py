@@ -16,7 +16,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
@@ -197,7 +196,7 @@ def _analyze(poly: Polynomial) -> tuple[dict, Evidence, dict[str, int]]:
     try:
         actual = actual_verdict(instance)
         actual_value = actual.verdict.value
-        nr_delta, nr_p = asdict(actual.nr_delta), asdict(actual.nr_p)
+        nr_delta, nr_p = actual.nr_delta._asdict(), actual.nr_p._asdict()
         agreement = predicted == actual.verdict
     except DeltaIdenticallyZeroError as exc:
         # Only p = c*(ax+b)^n lands here; p then has a real zero, so the
@@ -205,7 +204,7 @@ def _analyze(poly: Polynomial) -> tuple[dict, Evidence, dict[str, int]]:
         delta_zero = True
         actual_value = "DELTA_IDENTICALLY_ZERO"
         nr_delta = None
-        nr_p = asdict(exc.nr_p)
+        nr_p = exc.nr_p._asdict()
         agreement = predicted.value == "HOLDS" and exc.nr_p.distinct > 0
     timings["verdict_ms"] = (time.perf_counter_ns() - t2) // 1_000_000
     return {

@@ -5,9 +5,9 @@ verdict, and exact root counting checks the prediction."""
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .polycore import Polynomial, _int_mul, format_polynomial, from_coefficients, parse_polynomial
 from .shapiro import (
@@ -35,15 +35,14 @@ class Strategy(Enum):
     TARGETED = "targeted"
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    seed: int
-    cases: int
-    degree_range: tuple[int, int] = (2, 8)
-    coeff_bound: int = 10
-    strategy: Strategy = Strategy.UNIFORM
+class FuzzConfig(NamedTuple("FuzzConfig", [("seed", int), ("cases", int),
+                                            ("degree_range", tuple[int, int]),
+                                            ("coeff_bound", int), ("strategy", Strategy)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, seed: int, cases: int, degree_range: tuple[int, int] = (2, 8),
+                coeff_bound: int = 10, strategy: Strategy = Strategy.UNIFORM) -> "FuzzConfig":
+        self = super().__new__(cls, seed, cases, degree_range, coeff_bound, strategy)
         lo, hi = self.degree_range
         if not (2 <= lo <= hi <= MAX_DEGREE):
             raise ValueError(f"degree range must lie within [2, {MAX_DEGREE}]")
@@ -59,29 +58,33 @@ class FuzzConfig:
                 and self.coeff_bound.bit_length() > MAX_FACTOR_BOUND_BITS:
             raise ValueError(f"coefficient bound must have at most {MAX_FACTOR_BOUND_BITS} "
                              f"bits for the {self.strategy.value} strategy")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "FuzzConfig":
+        # _replace builds through _make, whose default skips the checks above.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
     case_index: int
     polynomial: str
     predicted: str
     actual: str
 
 
-@dataclass
-class FuzzSummary:
+class FuzzSummary(NamedTuple):
     total: int
     agreements: int
-    disagreements: list[Disagreement] = field(default_factory=list)
-    class_histogram: dict[str, int] = field(default_factory=dict)
-    delta_zero_count: int = 0
+    disagreements: list[Disagreement]
+    class_histogram: dict[str, int]
+    delta_zero_count: int
 
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,
             "agreements": self.agreements,
-            "disagreements": [asdict(d) for d in self.disagreements],
+            "disagreements": [d._asdict() for d in self.disagreements],
             "class_histogram": {
                 label.value: self.class_histogram.get(label.value, 0)
                 for label in ClassLabel
@@ -142,17 +145,19 @@ def random_polynomial(config: FuzzConfig, case_index: int) -> Polynomial:
 
 def run_fuzz(config: FuzzConfig) -> FuzzSummary:
     """Classify every generated case and verify the predicted verdict."""
-    summary = FuzzSummary(total=config.cases, agreements=0)
+    agreements = delta_zero_count = 0
+    disagreements: list[Disagreement] = []
+    class_histogram: dict[str, int] = {}
     for i in range(config.cases):
         poly = random_polynomial(config, i)
         text = format_polynomial(poly)
         try:
             instance = build(poly)
             label, _ = classify(instance)
-            summary.class_histogram[label.value] = summary.class_histogram.get(label.value, 0) + 1
+            class_histogram[label.value] = class_histogram.get(label.value, 0) + 1
             predicted = predict_verdict(label)
         except Exception as exc:  # never abort the run on a single case
-            summary.disagreements.append(
+            disagreements.append(
                 Disagreement(i, text, "ERROR", f"ERROR: {exc}"))
             continue
         try:
@@ -160,21 +165,22 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
         except DeltaIdenticallyZeroError as exc:
             # Only p = c*(ax+b)^n lands here, with a real zero: only HOLDS agrees.
             if predicted is Verdict.HOLDS and exc.nr_p.distinct > 0:
-                summary.delta_zero_count += 1
+                delta_zero_count += 1
             else:
-                summary.disagreements.append(
+                disagreements.append(
                     Disagreement(i, text, predicted.value, "DELTA_IDENTICALLY_ZERO"))
             continue
         except Exception as exc:
-            summary.disagreements.append(
+            disagreements.append(
                 Disagreement(i, text, predicted.value, f"ERROR: {exc}"))
             continue
         if predicted == actual.verdict:
-            summary.agreements += 1
+            agreements += 1
         else:
-            summary.disagreements.append(
+            disagreements.append(
                 Disagreement(i, text, predicted.value, actual.verdict.value))
-    return summary
+    return FuzzSummary(config.cases, agreements, disagreements, class_histogram,
+                       delta_zero_count)
 
 
 #: Seeded example polynomials, one per class known to be reachable.  Each is
@@ -232,7 +238,7 @@ def find_class_example(label: ClassLabel, budget: int,
         found, _ = classify(build(poly))
         if found is label:
             return poly
-    search_cfg = replace(config, strategy=Strategy.TARGETED)
+    search_cfg = config._replace(strategy=Strategy.TARGETED)
     for i in range(budget):
         poly, found = _targeted_case(search_cfg, i)
         if found is label:

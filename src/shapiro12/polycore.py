@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 CoefficientLike = Union[Fraction, int, str]
 
@@ -83,19 +82,32 @@ def _horner(coeffs: Sequence[int], x: Fraction | int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Univariate polynomial over Q as ``content * prim``, canonical form."""
+class Polynomial(NamedTuple("Polynomial", [("prim", tuple[int, ...]), ("content", Fraction)])):
+    """Univariate polynomial over Q as ``content * prim``, canonical form.
 
-    prim: tuple[int, ...]
-    content: Fraction = Fraction(1)
+    A record of its two fields with no tuple sum, repetition or order.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, prim: tuple[int, ...], content: Fraction = Fraction(1)) -> "Polynomial":
+        self = super().__new__(cls, prim, content)
         if self.prim and self.prim[-1] == 0:
             raise ValueError("trailing zero coefficient; use from_coefficients")
         num, den = self.content.numerator, self.content.denominator
         if math.gcd(*self.prim) > 1 or num <= 0 or (not self.prim and num != den):
             raise ValueError("prim must be primitive and content positive; use from_coefficients")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Polynomial":
+        # _replace builds through _make, whose default skips the checks above.
+        return cls(*iterable)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __radd__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = __add__
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -26,11 +26,10 @@ the dyadic grid, at the levels that _levels bounds by root separation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, takewhile
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polycore import (
     ONE,
@@ -50,24 +49,28 @@ from .polycore import (
 )
 
 
-@dataclass(frozen=True)
-class IsolatingInterval:
+class IsolatingInterval(NamedTuple("IsolatingInterval", [("lo", Fraction), ("hi", Fraction)])):
     """Open interval (lo, hi) holding one root; lo == hi pins a rational root."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, lo: Fraction, hi: Fraction) -> "IsolatingInterval":
+        self = super().__new__(cls, lo, hi)
         if self.lo > self.hi:
             raise ValueError("interval bounds out of order")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "IsolatingInterval":
+        # _replace builds through _make, whose default skips the check above.
+        return cls(*iterable)
 
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
 
 
-@dataclass(frozen=True)
-class IsolatedRoot:
+class IsolatedRoot(NamedTuple):
     """One distinct real root of a polynomial p: interval, multiplicity, witness.
 
     ``multiplicity`` is the root's multiplicity in p. ``witness`` is monic p
@@ -88,14 +91,12 @@ class IsolatedRoot:
     witness: Polynomial
 
 
-@dataclass(frozen=True)
-class RootCount:
+class RootCount(NamedTuple):
     distinct: int
     with_multiplicity: int
 
 
-@dataclass(frozen=True)
-class MergedRoot:
+class MergedRoot(NamedTuple):
     """A single real number carrying every input root equal to it."""
 
     members: tuple[IsolatedRoot, ...]
@@ -226,18 +227,24 @@ def _bound_exponent(prim: Sequence[int]) -> int:
 
 
 def _lower_bound_exponent(desc: Sequence[int]) -> int:
-    """s with every positive root strictly above 2^s, for an integer
-    polynomial with a sign variation, from descending coefficients.
+    """s >= 0 with every positive root strictly above 2^s, or -1 when the
+    bound is below 1, for an integer polynomial with a sign variation, from
+    descending coefficients.
 
     Kioustelidis' bound 2 max |a_k/a_0|^(1/k), over the a_k of the other
     sign than a_0, on the positive roots of the reversed polynomial, read
-    from bit lengths as in _bound_exponent and inverted.
+    from bit lengths as in _bound_exponent and inverted. A term with
+    bits(a_k) >= bits(a_0) - k alone puts the bound at 1 or above.
     """
     a0 = desc[-1]
     top = a0.bit_length()
-    t = max(-((top - a.bit_length() - 1) // k)
-            for k, a in enumerate(reversed(desc)) if a and (a < 0) != (a0 < 0))
-    return -t - 1
+    exponents = []
+    for k, a in enumerate(reversed(desc)):
+        if a and (a < 0) != (a0 < 0):
+            if a.bit_length() >= top - k:
+                return -1
+            exponents.append((top - a.bit_length() - 1) // k)
+    return min(exponents) - 1
 
 
 #: Splits at 1 along one path of the first isolation, on p itself, after
@@ -443,7 +450,7 @@ def refine(root: IsolatedRoot, k: int) -> IsolatedRoot:
                 left = mid
     lo = iv.lo if left == first else Fraction(left, 1 << k)
     hi = iv.hi if right == last else Fraction(right, 1 << k)
-    return replace(root, interval=IsolatingInterval(lo, hi))
+    return root._replace(interval=IsolatingInterval(lo, hi))
 
 
 def _levels(roots: Sequence[IsolatedRoot], *others: Polynomial,
@@ -518,13 +525,17 @@ def sign_at_root(q: Polynomial, root: IsolatedRoot) -> int:
     if q.is_zero:
         return 0
     levels = None
+    misses = 0
     while not root.interval.is_point:
         s = _constant_sign(q, root.interval)
         if s:
             return s
-        if levels is None and _vanishes_on(_common_divisor(root.witness, q), root.interval):
+        misses += 1
+        # One refinement settles most misses, so whether q vanishes at the
+        # root is asked at the second; past it, q does not, and refining ends
+        # once q has constant sign on the closure.
+        if misses == 2 and _vanishes_on(_common_divisor(root.witness, q), root.interval):
             return 0
-        # q does not vanish there; refine until it has constant sign on the closure.
         levels = levels or _levels((root,), q)
         root = refine(root, next(levels))
     return sign_at(q, root.interval.lo)

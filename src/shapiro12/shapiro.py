@@ -16,10 +16,10 @@ roots of B/g^3 (``pp_breakaways``) and the gain and sign at rational points
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, _int_mul, _sign,
                        div_exact, sign_at)
@@ -95,8 +95,7 @@ class Comparison(Enum):
         return cls.GT if sign > 0 else cls.LT if sign < 0 else cls.EQ
 
 
-@dataclass(frozen=True)
-class AxisEvent:
+class AxisEvent(NamedTuple):
     """A real zero or pole of pp, with multiplicity."""
 
     root: IsolatedRoot
@@ -113,16 +112,14 @@ class IntervalKind(Enum):
     POLE_TO_ZERO = "POLE_TO_ZERO"
 
 
-@dataclass(frozen=True)
-class BreakawayFinding:
+class BreakawayFinding(NamedTuple):
     """A gain maximum and its gain compared with K0."""
 
     location: IsolatedRoot
     comparison: Comparison
 
 
-@dataclass(frozen=True)
-class IntervalFinding:
+class IntervalFinding(NamedTuple):
     """A segment of the +1 locus between two events; None is an infinity.
 
     Each root keeps the isolating interval it was found in, so the intervals
@@ -136,16 +133,14 @@ class IntervalFinding:
     decisive: BreakawayFinding | None
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     p0: IsolatedRoot | None
     p2_roots_left: int
     p2_roots_right: int
     interval_findings: tuple[IntervalFinding, ...]
 
 
-@dataclass(frozen=True)
-class ShapiroInstance:
+class ShapiroInstance(NamedTuple):
     """p, its derivatives, delta, K0 = n/(n-1), the real root counts of p
     and its repeated part g = gcd(p, p').
 
@@ -170,8 +165,7 @@ class ShapiroInstance:
     repeated: Polynomial
 
 
-@dataclass(frozen=True)
-class ActualVerdict:
+class ActualVerdict(NamedTuple):
     verdict: Verdict
     nr_delta: RootCount
     nr_p: RootCount
@@ -271,7 +265,7 @@ def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
 
 def _double_pole(p0: IsolatedRoot) -> IsolatedRoot:
     """p0 as the double pole of pp: the same interval and witness, multiplicity 2."""
-    return replace(p0, multiplicity=2)
+    return p0._replace(multiplicity=2)
 
 
 def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
@@ -372,7 +366,7 @@ def pp_events(instance: ShapiroInstance) -> tuple[AxisEvent, ...]:
         e = sum(weight * r.multiplicity for r, weight in tagged
                 if any(r is member for member in group.members))
         if e:
-            picked.append(replace(group.primary, multiplicity=abs(e)))
+            picked.append(group.primary._replace(multiplicity=abs(e)))
             kinds.append(EventKind.ZERO if e > 0 else EventKind.POLE)
     return tuple(AxisEvent(r, kind) for r, kind in zip(picked, kinds))
 

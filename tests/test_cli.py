@@ -1,6 +1,9 @@
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -128,15 +131,15 @@ def _narrowed(evidence, k):
 
     findings = []
     for f in evidence.interval_findings:
-        breakaways = tuple(replace(bf, location=narrow(bf.location)) for bf in f.breakaways)
+        breakaways = tuple(bf._replace(location=narrow(bf.location)) for bf in f.breakaways)
         decisive = next((new for new, old in zip(breakaways, f.breakaways) if old == f.decisive),
                         None)
-        findings.append(replace(
-            f, lo=f.lo and replace(f.lo, root=narrow(f.lo.root)),
-            hi=f.hi and replace(f.hi, root=narrow(f.hi.root)),
+        findings.append(f._replace(
+            lo=f.lo and f.lo._replace(root=narrow(f.lo.root)),
+            hi=f.hi and f.hi._replace(root=narrow(f.hi.root)),
             breakaways=breakaways, decisive=decisive))
-    return replace(evidence, p0=evidence.p0 and narrow(evidence.p0),
-                   interval_findings=tuple(findings))
+    return evidence._replace(p0=evidence.p0 and narrow(evidence.p0),
+                             interval_findings=tuple(findings))
 
 
 @pytest.fixture(scope="module")
@@ -420,3 +423,15 @@ def test_long_malformed_argument_echoed_in_short(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err) < 400 and f"({len(argv[-1])} characters)" in err
+
+
+def test_import_loads_no_dataclasses():
+    # Every command runs in a fresh process that pays for each module the
+    # package imports; dataclasses alone brings in inspect and ast. -S keeps
+    # the environment's .pth files from importing modules first.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, shapiro12, shapiro12.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.stdout.strip() == "False", result.stderr

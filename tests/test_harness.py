@@ -35,6 +35,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="at most 32 bits"):
             FuzzConfig(seed=1, cases=1, coeff_bound=2 ** 32, strategy=strategy)
 
+    def test_replace_rechecks(self):
+        config = FuzzConfig(seed=1, cases=0, coeff_bound=2 ** 40)
+        with pytest.raises(ValueError, match="at most 32 bits"):
+            config._replace(strategy=Strategy.TARGETED)
+        # The targeted search builds its config the same way.
+        with pytest.raises(ValueError, match="at most 32 bits"):
+            find_class_example(ClassLabel.GAMMA_2122, 5, config)
+
 
 class TestRandomPolynomial:
     def test_deterministic(self):

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,18 @@ class TestConstruction:
     def test_content_times_primitive_enforced(self, prim, content):
         with pytest.raises(ValueError):
             Polynomial(prim, content)
+
+    def test_replace_rechecks(self):
+        with pytest.raises(ValueError):
+            Polynomial((2, 4))
+        with pytest.raises(ValueError):
+            Polynomial((1, 1))._replace(prim=(2, 4))
+
+    def test_no_tuple_sum_repetition_or_order(self):
+        p, q = P("1,1"), P("-1,1")
+        for op, a, b in ((operator.add, p, q), (operator.mul, 2, p), (operator.lt, p, q)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 class TestArithmetic:

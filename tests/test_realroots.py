@@ -22,6 +22,7 @@ from shapiro12.polycore import (
     sign_at,
 )
 from shapiro12.realroots import (
+    IsolatingInterval,
     RootCount,
     _bound_exponent,
     _descartes_count,
@@ -211,6 +212,10 @@ class TestRefine:
         root = isolate_real_roots(P("-2,0,1"))[0]
         with pytest.raises(ValueError):
             refine(root, -1)
+
+    def test_replace_rechecks_interval_order(self):
+        with pytest.raises(ValueError):
+            IsolatingInterval(Fraction(1), Fraction(2))._replace(lo=Fraction(3))
 
 
     def test_rational_value(self):
