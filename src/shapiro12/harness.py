@@ -10,10 +10,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .polycore import Polynomial, _int_mul, format_polynomial, from_coefficients, parse_polynomial
+from .realroots import IsolatedRoot
 from .shapiro import (
     ClassLabel,
     DeltaIdenticallyZeroError,
     Verdict,
+    _classify_outside_gamma1,
     actual_verdict,
     build,
     classify,
@@ -210,17 +212,21 @@ FIXTURES: dict[ClassLabel, str] = {
 #: candidate for the next label's scan.
 _SEARCH_MEMO_SIZE = 512
 
+#: The memo's entry for a Gamma1 candidate: only these labels need its breakaways.
+_GAMMA_1 = frozenset({ClassLabel.GAMMA_11, ClassLabel.GAMMA_121, ClassLabel.GAMMA_122})
+
 
 @lru_cache(maxsize=_SEARCH_MEMO_SIZE)
-def _targeted_case(search_cfg: FuzzConfig, index: int) -> tuple[Polynomial, ClassLabel | None]:
-    """Candidate `index` of the targeted stream and its class, None when it is
-    out of the classifier's domain.  Any other exception is not cached."""
+def _targeted_case(search_cfg: FuzzConfig, index: int,
+                   ) -> tuple[Polynomial, ClassLabel | frozenset[ClassLabel] | None]:
+    """Candidate `index` of the targeted stream and its class, _GAMMA_1 in Gamma1,
+    None out of the classifier's domain.  Any other exception is not cached."""
     poly = random_polynomial(search_cfg, index)
     try:
-        found, _ = classify(build(poly))
+        staged = _classify_outside_gamma1(build(poly))
     except ValueError:
         return poly, None
-    return poly, found
+    return poly, _GAMMA_1 if isinstance(staged, IsolatedRoot) else staged[0]
 
 
 def find_class_example(label: ClassLabel, budget: int,
@@ -230,7 +236,9 @@ def find_class_example(label: ClassLabel, budget: int,
     Seeded fixtures are consulted first and re-verified by classification,
     never trusted blindly.  Searches for different labels walk the same
     targeted stream, so each candidate is classified once and then read from
-    a bounded memo.
+    a bounded memo.  It holds a Gamma1 candidate as Gamma1 alone: a search for
+    a Gamma1 label classifies it in full, uncached, and a search for any other
+    label skips the invariant checks on its breakaways that ``classify`` runs.
     """
     text = FIXTURES.get(label)
     if text is not None:
@@ -241,6 +249,8 @@ def find_class_example(label: ClassLabel, budget: int,
     search_cfg = config._replace(strategy=Strategy.TARGETED)
     for i in range(budget):
         poly, found = _targeted_case(search_cfg, i)
+        if found is _GAMMA_1 and label in found:
+            found, _ = classify(build(poly))
         if found is label:
             return poly
     return None

@@ -123,6 +123,8 @@ class Polynomial(NamedTuple("Polynomial", [("prim", tuple[int, ...]), ("content"
         return not self.prim
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if not self.prim or not other.prim:
             return ZERO
         # Gauss's lemma: the product of primitive vectors is primitive.

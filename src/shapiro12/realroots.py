@@ -188,7 +188,8 @@ def _descartes_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     descending ones, shifted by 1.
     """
     d = math.lcm(lo.denominator, hi.denominator)
-    u, w = int(lo * d), int((hi - lo) * d)
+    u = lo.numerator * (d // lo.denominator)
+    w = hi.numerator * (d // hi.denominator) - u
     n = len(coeffs) - 1
     # Descending coefficients of d^n a(y / d), then y -> y + u, then y -> w x.
     desc = [c * d ** (n - i) for i, c in enumerate(coeffs)][::-1]
@@ -341,17 +342,21 @@ def _cf_leaves(f: Sequence[int], capped: bool) -> list[tuple[int, ...]]:
 def _isolate(f: Sequence[int], capped: bool) -> list[IsolatingInterval]:
     """Sorted isolating intervals of the real roots of an integer polynomial
     of degree >= 1, read off its leaves, with the power-of-two root bound for
-    the end M(inf) of a map M(x) = +-x + b (c = 0). Raises as _cf_leaves."""
-    bound = Fraction(2) ** _bound_exponent(f)
-    out = []
+    the end M(inf) of a map M(x) = +-x + b (c = 0). Raises as _cf_leaves.
+    Every map starts from +-x and each step keeps ad - bc = +-1, so M(0) is
+    the left end when ad - bc > 0 and M(inf) when it is negative."""
+    bound = None
+    pairs = []
     for leaf in _cf_leaves(f, capped):
         if len(leaf) == 2:
-            ends = [Fraction(*leaf)] * 2
-        else:
-            a, b, c, d = leaf
-            ends = sorted((Fraction(b, d), Fraction(a, c) if c else a * bound))
-        out.append(IsolatingInterval(*ends))
-    return sorted(out, key=lambda iv: iv.lo)
+            pairs.append((Fraction(*leaf),) * 2)
+            continue
+        a, b, c, d = leaf
+        if not c:
+            bound = bound or Fraction(2) ** _bound_exponent(f)
+        ends = (Fraction(b, d), Fraction(a, c) if c else a * bound)
+        pairs.append(ends if a * d > b * c else ends[::-1])
+    return [IsolatingInterval(lo, hi) for lo, hi in sorted(pairs)]
 
 
 def cf_root_count(p: Polynomial) -> RootCount:

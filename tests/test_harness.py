@@ -177,18 +177,26 @@ class TestSearchMemo:
         return {label: find_class_example(label, budget, self.CONFIG) for label in ClassLabel}
 
     def test_each_candidate_is_classified_once(self, monkeypatch):
-        calls = []
+        staged, classified = [], []
+        stage = harness._classify_outside_gamma1
 
-        def counting(instance):
-            calls.append(instance)
+        def counting_stage(instance):
+            staged.append(instance)
+            return stage(instance)
+
+        def counting_classify(instance):
+            classified.append(instance)
             return classify(instance)
 
-        monkeypatch.setattr(harness, "classify", counting)
+        monkeypatch.setattr(harness, "_classify_outside_gamma1", counting_stage)
+        monkeypatch.setattr(harness, "classify", counting_classify)
         harness._targeted_case.cache_clear()
         self.report()
-        # 9 fixtures and 100 candidates.  Without the memo each of the four
-        # empty labels classifies all 100 again: 409 calls.
-        assert len(calls) == 109
+        # 100 candidates, each staged once.  Without the memo each of the
+        # four empty labels stages all 100 again: 500 calls.  Every Gamma1
+        # label has a fixture, so only the 9 fixtures are classified in full.
+        assert len(staged) == 100
+        assert len(classified) == 9
         info = harness._targeted_case.cache_info()
         assert (info.misses, info.hits) == (100, 300)
         # Criterion 7 searches with budget 400: one scan must fit for the next.
@@ -203,6 +211,27 @@ class TestSearchMemo:
         assert cached == self.report()
         assert sum(poly is not None for poly in cached.values()) >= 5
 
+    def test_examples_equal_a_plain_classify_scan(self, monkeypatch):
+        # The reference never stages: the first candidate that classify
+        # itself puts in the label, with ValueError read as no class.
+        monkeypatch.setattr(harness, "FIXTURES", {})
+        budget = 100
+        for seed in (29, 31):
+            config = self.CONFIG._replace(seed=seed)
+            targeted = config._replace(strategy=Strategy.TARGETED)
+            labels = []
+            for i in range(budget):
+                try:
+                    labels.append(classify(build(random_polynomial(targeted, i)))[0])
+                except ValueError:
+                    labels.append(None)
+            harness._targeted_case.cache_clear()
+            for label in ClassLabel:
+                expected = (random_polynomial(targeted, labels.index(label))
+                            if label in labels else None)
+                assert find_class_example(label, budget, config) == expected, (seed, label)
+            assert sum(label in labels for label in ClassLabel) >= 5
+
     def test_other_errors_propagate_on_every_call(self, monkeypatch):
         calls = []
 
@@ -210,7 +239,7 @@ class TestSearchMemo:
             calls.append(instance)
             raise InvariantError("broken classifier")
 
-        monkeypatch.setattr(harness, "classify", failing)
+        monkeypatch.setattr(harness, "_classify_outside_gamma1", failing)
         harness._targeted_case.cache_clear()
         for _ in range(2):
             with pytest.raises(InvariantError):

@@ -76,7 +76,8 @@ class TestConstruction:
 
     def test_no_tuple_sum_repetition_or_order(self):
         p, q = P("1,1"), P("-1,1")
-        for op, a, b in ((operator.add, p, q), (operator.mul, 2, p), (operator.lt, p, q)):
+        for op, a, b in ((operator.add, p, q), (operator.mul, 2, p), (operator.mul, p, 2),
+                         (operator.mul, p, (1, 2)), (operator.lt, p, q)):
             with pytest.raises(TypeError):
                 op(a, b)
 

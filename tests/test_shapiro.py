@@ -576,6 +576,38 @@ class TestPaperAlgebraOnGamma1:
                 assert delta_sign_shortcut(inst, b.location) is via_gain
 
 
+class TestGainAtInfinity:
+    """On the +1 locus of Gamma1, K - K0 = delta/((n-1)p''p) and K -> K0 at
+    +-inf. Where delta > 0 at +inf, K falls to K0 from above after the last
+    standard breakaway on the right, which is then a maximum with gain > K0:
+    the label is Gamma122. The same holds on the left at -inf. This reads
+    the sign of delta at the infinities, not at the maxima."""
+
+    def test_positive_delta_at_an_infinity_puts_the_outermost_maximum_above_k0(
+            self, gamma1_instances):
+        config = FuzzConfig(seed=5, cases=1000, degree_range=(6, 10), coeff_bound=12,
+                            strategy=Strategy.POSITIVE_ONLY)
+        instances = [*gamma1_instances, build(P("67/72,-11/3,17/3,-32/9,1")),
+                     *(build(random_polynomial(config, i)) for i in range(config.cases))]
+        seen = 0
+        for inst in instances:
+            label, evidence = classify(inst)
+            if label not in _GAMMA_1:
+                continue
+            lead = inst.delta.prim[-1]
+            findings = {f.kind: f.breakaways for f in evidence.interval_findings}
+            # The outermost maximum is the last on the right, the first on the left.
+            for kind, sign, outermost in (
+                    (IntervalKind.RIGHT_INFINITE, lead, -1),
+                    (IntervalKind.LEFT_INFINITE_EVEN, lead * (-1) ** inst.delta.degree, 0)):
+                if sign > 0:
+                    seen += 1
+                    assert label is ClassLabel.GAMMA_122
+                    assert kind in findings
+                    assert findings[kind][outermost].comparison is Comparison.GT
+        assert seen >= 200
+
+
 # The seeded corpus has no breakaway of even multiplicity in B and no
 # rational breakaway, so these inputs are crafted to have them.
 _CRAFTED = {
