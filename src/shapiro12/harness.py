@@ -6,16 +6,13 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .polycore import Polynomial, _int_mul, format_polynomial, from_coefficients, parse_polynomial
-from .realroots import IsolatedRoot
 from .shapiro import (
     ClassLabel,
     DeltaIdenticallyZeroError,
     Verdict,
-    _classify_outside_gamma1,
     actual_verdict,
     build,
     classify,
@@ -200,57 +197,40 @@ FIXTURES: dict[ClassLabel, str] = {
     ClassLabel.GAMMA_231: "100,0,84,0,-15,0,1",  # x^6 - 15x^4 + 84x^2 + 100
 }
 
-# The four remaining classes require an odd multiplicity-weighted count of
-# p'' zeros on the right of p0.  With p positive (or negative) everywhere
-# and p0 its only critical point, p'' has the same sign at p0 and at both
-# infinities, so each side's count is even: those classes are empty under
-# the multiplicity counting convention and the search reports NOT_FOUND.
-
-
-#: Entries of the targeted-search memo: at least the largest budget in use
-#: (400, acceptance criterion 7), so that one label's scan keeps every
-#: candidate for the next label's scan.
-_SEARCH_MEMO_SIZE = 512
-
-#: The memo's entry for a Gamma1 candidate: only these labels need its breakaways.
-_GAMMA_1 = frozenset({ClassLabel.GAMMA_11, ClassLabel.GAMMA_121, ClassLabel.GAMMA_122})
-
-
-@lru_cache(maxsize=_SEARCH_MEMO_SIZE)
-def _targeted_case(search_cfg: FuzzConfig, index: int,
-                   ) -> tuple[Polynomial, ClassLabel | frozenset[ClassLabel] | None]:
-    """Candidate `index` of the targeted stream and its class, _GAMMA_1 in Gamma1,
-    None out of the classifier's domain.  Any other exception is not cached."""
-    poly = random_polynomial(search_cfg, index)
-    try:
-        staged = _classify_outside_gamma1(build(poly))
-    except ValueError:
-        return poly, None
-    return poly, _GAMMA_1 if isinstance(staged, IsolatedRoot) else staged[0]
+#: The four classes that need an odd multiplicity-weighted count of p'' zeros
+#: on the right of p0.  With p positive (or negative) everywhere and p0 its only
+#: critical point, p'' has the sign of the leading coefficient at p0 and at both
+#: infinities, so each side's count is even (``classify`` raises otherwise): the
+#: classes are empty under multiplicity counting, and the search reports NOT_FOUND.
+EMPTY_CLASSES = frozenset({ClassLabel.GAMMA_2121, ClassLabel.GAMMA_2122,
+                           ClassLabel.GAMMA_2321, ClassLabel.GAMMA_2322})
 
 
 def find_class_example(label: ClassLabel, budget: int,
                        config: FuzzConfig) -> Polynomial | None:
     """First polynomial classifying to the label; None when the budget runs out.
 
-    Seeded fixtures are consulted first and re-verified by classification,
-    never trusted blindly.  Searches for different labels walk the same
-    targeted stream, so each candidate is classified once and then read from
-    a bounded memo.  It holds a Gamma1 candidate as Gamma1 alone: a search for
-    a Gamma1 label classifies it in full, uncached, and a search for any other
-    label skips the invariant checks on its breakaways that ``classify`` runs.
+    A label in EMPTY_CLASSES is answered None at once, by its parity proof.
+    A seeded fixture is consulted next and re-verified by classification,
+    never trusted blindly; when it fails, the targeted stream is classified
+    candidate by candidate, with ValueError read as no class.  The config
+    is checked for the targeted strategy whatever the label.
     """
+    search_cfg = config._replace(strategy=Strategy.TARGETED)
+    if label in EMPTY_CLASSES:
+        return None
     text = FIXTURES.get(label)
     if text is not None:
         poly = parse_polynomial(text)
         found, _ = classify(build(poly))
         if found is label:
             return poly
-    search_cfg = config._replace(strategy=Strategy.TARGETED)
     for i in range(budget):
-        poly, found = _targeted_case(search_cfg, i)
-        if found is _GAMMA_1 and label in found:
+        poly = random_polynomial(search_cfg, i)
+        try:
             found, _ = classify(build(poly))
+        except ValueError:
+            continue
         if found is label:
             return poly
     return None

@@ -482,16 +482,39 @@ def _levels(roots: Sequence[IsolatedRoot], *others: Polynomial,
     raise InvariantError("refinement passed the root separation bound")
 
 
+#: The primes below 200, for the modular test in ``rational_value``.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+                 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157,
+                 163, 167, 173, 179, 181, 191, 193, 197, 199)
+
+
+def _has_root_mod(w: Sequence[int], q: int) -> bool:
+    """Whether the integer polynomial w has a root modulo the prime q."""
+    w = [c % q for c in reversed(w)]
+    for x in range(q):
+        acc = 0
+        for c in w:
+            acc = (acc * x + c) % q
+        if not acc:
+            return True
+    return False
+
+
 def rational_value(root: IsolatedRoot) -> Fraction | None:
     """The root as an exact rational number, or None when it is irrational.
 
-    By the rational root theorem lc * r is an integer for every rational root
-    r of the primitive witness with leading coefficient lc. Inside one cell
-    of level k with 2^k > 2|lc|, lc times the interval holds at most one
-    integer s, and the root is rational exactly when s/lc is a root of the
-    witness.
+    By the rational root theorem a rational root u/v of the primitive witness
+    w with leading coefficient lc has v | lc, so for a prime q not dividing
+    lc, u/v mod q is a root of w mod q: a small prime leaving w mod q without
+    a root proves the root irrational. Else, inside one cell of level k with
+    2^k > 2|lc|, lc times the interval holds at most one integer s, and the
+    root is rational exactly when s/lc is a root of the witness.
     """
-    lc = abs(root.witness.prim[-1])
+    w = root.witness.prim
+    lc = abs(w[-1])
+    if len(w) > 2 and not root.interval.is_point \
+            and any(lc % q and not _has_root_mod(w, q) for q in _SMALL_PRIMES):
+        return None
     iv = refine(root, (2 * lc).bit_length()).interval
     if iv.is_point:
         return iv.lo

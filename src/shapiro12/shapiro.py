@@ -212,14 +212,6 @@ def actual_verdict(instance: ShapiroInstance) -> ActualVerdict:
 
 def classify(instance: ShapiroInstance) -> tuple[ClassLabel, Evidence]:
     """Assign the unique class of p and record the decisive exact evidence."""
-    staged = _classify_outside_gamma1(instance)
-    return _classify_definite_p2(instance, staged) if isinstance(staged, IsolatedRoot) else staged
-
-
-def _classify_outside_gamma1(instance: ShapiroInstance,
-                             ) -> tuple[ClassLabel, Evidence] | IsolatedRoot:
-    """The class and evidence of p outside Gamma1, or p0 when p'' has no real
-    zero: Gamma1, which _classify_definite_p2 splits by the breakaways."""
     p1, p2 = instance.p1, instance.p2
 
     if instance.nr_p.distinct > 0:
@@ -239,7 +231,7 @@ def _classify_outside_gamma1(instance: ShapiroInstance,
     # zeros are those of p''.
     p2_roots = isolate_real_roots(p2) if p2.degree >= 1 else ()
     if not p2_roots:
-        return p0
+        return _classify_definite_p2(instance, p0)
 
     left: list[IsolatedRoot] = []
     right: list[IsolatedRoot] = []

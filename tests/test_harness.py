@@ -4,6 +4,7 @@ import pytest
 
 from shapiro12 import harness
 from shapiro12.harness import (
+    EMPTY_CLASSES,
     FIXTURES,
     FuzzConfig,
     Strategy,
@@ -11,7 +12,7 @@ from shapiro12.harness import (
     random_polynomial,
     run_fuzz,
 )
-from shapiro12.polycore import InvariantError, from_coefficients, parse_polynomial
+from shapiro12.polycore import from_coefficients, parse_polynomial
 from shapiro12.shapiro import ClassLabel, Verdict, build, classify
 from sturm_helper import sturm_count
 
@@ -149,13 +150,15 @@ class TestFindClassExample:
             assert poly is not None
             assert classify(build(poly))[0] is label
 
-    def test_search_finds_lambda_1(self):
+    def test_search_finds_lambda_1(self, monkeypatch):
+        # Without fixtures the search runs, and it returns the first targeted
+        # candidate that classify itself puts in Lambda1.
+        monkeypatch.setattr(harness, "FIXTURES", {})
         config = FuzzConfig(seed=21, cases=0, degree_range=(2, 4), coeff_bound=6)
-        fixtures_removed = dict(FIXTURES)
-        # find it by search even without the fixture shortcut
-        poly = find_class_example(ClassLabel.LAMBDA_1, budget=50, config=config)
-        assert poly is not None and classify(build(poly))[0] is ClassLabel.LAMBDA_1
-        assert fixtures_removed == FIXTURES  # search must not mutate fixtures
+        targeted = config._replace(strategy=Strategy.TARGETED)
+        first = next(poly for poly in (random_polynomial(targeted, i) for i in range(50))
+                     if classify(build(poly))[0] is ClassLabel.LAMBDA_1)
+        assert find_class_example(ClassLabel.LAMBDA_1, budget=50, config=config) == first
 
     def test_unreachable_label_returns_none(self):
         # Empty under multiplicity counting: p'' of even degree keeps an even
@@ -168,52 +171,50 @@ class TestFindClassExample:
             assert classify(build(P(text)))[0] is label
 
 
-class TestSearchMemo:
-    """find_class_example reads every targeted candidate through one memo."""
+class TestTargetedSearch:
+    """find_class_example answers the four empty classes by their parity
+    proof, and the nine others by their fixtures or a plain classify scan."""
 
     CONFIG = FuzzConfig(seed=29, cases=0, degree_range=(4, 8), coeff_bound=10)
 
     def report(self, budget=100):
         return {label: find_class_example(label, budget, self.CONFIG) for label in ClassLabel}
 
-    def test_each_candidate_is_classified_once(self, monkeypatch):
-        staged, classified = [], []
-        stage = harness._classify_outside_gamma1
-
-        def counting_stage(instance):
-            staged.append(instance)
-            return stage(instance)
+    def test_report_classifies_only_the_fixtures(self, monkeypatch):
+        classified, generated = [], []
 
         def counting_classify(instance):
-            classified.append(instance)
+            classified.append(instance.p)
             return classify(instance)
 
-        monkeypatch.setattr(harness, "_classify_outside_gamma1", counting_stage)
-        monkeypatch.setattr(harness, "classify", counting_classify)
-        harness._targeted_case.cache_clear()
-        self.report()
-        # 100 candidates, each staged once.  Without the memo each of the
-        # four empty labels stages all 100 again: 500 calls.  Every Gamma1
-        # label has a fixture, so only the 9 fixtures are classified in full.
-        assert len(staged) == 100
-        assert len(classified) == 9
-        info = harness._targeted_case.cache_info()
-        assert (info.misses, info.hits) == (100, 300)
-        # Criterion 7 searches with budget 400: one scan must fit for the next.
-        assert harness._targeted_case.cache_parameters()["maxsize"] >= 400
+        def counting_random_polynomial(*args):
+            generated.append(args)
+            return random_polynomial(*args)
 
-    def test_examples_equal_an_uncached_scan(self, monkeypatch):
-        # Without fixtures every label is searched, and some are found late.
-        monkeypatch.setattr(harness, "FIXTURES", {})
-        harness._targeted_case.cache_clear()
-        cached = self.report()
-        monkeypatch.setattr(harness, "_targeted_case", harness._targeted_case.__wrapped__)
-        assert cached == self.report()
-        assert sum(poly is not None for poly in cached.values()) >= 5
+        monkeypatch.setattr(harness, "classify", counting_classify)
+        monkeypatch.setattr(harness, "random_polynomial", counting_random_polynomial)
+        report = self.report()
+        # One classify per fixture, and no candidate is generated: every
+        # fixture holds and the four empty labels are answered by the proof.
+        assert classified == [P(FIXTURES[label]) for label in ClassLabel if label in FIXTURES]
+        assert len(classified) == 9
+        assert generated == []
+        assert {label for label, poly in report.items() if poly is None} == EMPTY_CLASSES
+
+    def test_empty_classes_are_answered_at_once(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an empty class must not be searched")
+
+        monkeypatch.setattr(harness, "classify", forbidden)
+        monkeypatch.setattr(harness, "random_polynomial", forbidden)
+        assert len(EMPTY_CLASSES) == 4
+        for label in EMPTY_CLASSES:
+            assert find_class_example(label, budget=10 ** 9, config=self.CONFIG) is None
 
     def test_examples_equal_a_plain_classify_scan(self, monkeypatch):
-        # The reference never stages: the first candidate that classify
-        # itself puts in the label, with ValueError read as no class.
+        # Without fixtures the nine labels are searched, and some are found
+        # late: the reference is the first candidate that classify puts in
+        # the label, with ValueError read as no class.
         monkeypatch.setattr(harness, "FIXTURES", {})
         budget = 100
         for seed in (29, 31):
@@ -225,24 +226,22 @@ class TestSearchMemo:
                     labels.append(classify(build(random_polynomial(targeted, i)))[0])
                 except ValueError:
                     labels.append(None)
-            harness._targeted_case.cache_clear()
             for label in ClassLabel:
                 expected = (random_polynomial(targeted, labels.index(label))
                             if label in labels else None)
                 assert find_class_example(label, budget, config) == expected, (seed, label)
             assert sum(label in labels for label in ClassLabel) >= 5
 
-    def test_other_errors_propagate_on_every_call(self, monkeypatch):
-        calls = []
-
-        def failing(instance):
-            calls.append(instance)
-            raise InvariantError("broken classifier")
-
-        monkeypatch.setattr(harness, "_classify_outside_gamma1", failing)
-        harness._targeted_case.cache_clear()
-        for _ in range(2):
-            with pytest.raises(InvariantError):
-                find_class_example(ClassLabel.GAMMA_2122, budget=5, config=self.CONFIG)
-        assert len(calls) == 2
-        assert harness._targeted_case.cache_info().currsize == 0
+    def test_targeted_stream_never_reaches_an_empty_class(self):
+        # The running check behind EMPTY_CLASSES: criterion 7's whole
+        # targeted stream (budget 400) through plain classify.  An odd side
+        # count would raise InvariantError, which is no ValueError.
+        targeted = self.CONFIG._replace(strategy=Strategy.TARGETED)
+        labels = set()
+        for i in range(400):
+            try:
+                labels.add(classify(build(random_polynomial(targeted, i)))[0])
+            except ValueError:
+                pass
+        assert not labels & EMPTY_CLASSES
+        assert len(labels) >= 5

@@ -1,5 +1,5 @@
-"""Memory stays bounded on long runs: the package has two caches, each of a
-finite size, and nothing keeps the intermediate swell of a Sturm sequence."""
+"""Memory stays bounded on long runs: the package has one cache, of a finite
+size, and nothing keeps the intermediate swell of a Sturm sequence."""
 
 import gc
 import importlib
@@ -26,7 +26,7 @@ def _package_caches():
 def test_every_cache_is_bounded():
     caches = _package_caches()
     names = {f"{c.__module__}.{c.__name__}" for c in caches}
-    assert names == {"shapiro12.polycore.proves_coprime", "shapiro12.harness._targeted_case"}
+    assert names == {"shapiro12.polycore.proves_coprime"}
     for cache in caches:
         assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -225,6 +226,46 @@ class TestRefine:
         values = [rational_value(r) for r in isolate_real_roots(p)]
         assert values == [None, Fraction(5, 6), None, 3]
         assert rational_value(isolate_real_roots(P("0,2"))[0]) == 0
+
+
+class TestRationalValueModularTest:
+    """A small prime that leaves the witness without a root modulo it proves
+    every root irrational before rational_value refines; with no prime to
+    try, rational_value answers by the refinement alone."""
+
+    SIX = P("-2,0,1") * P("-3,0,1") * P("-6,0,1")  # a root modulo every prime
+
+    @staticmethod
+    def values(p):
+        return [rational_value(r) for r in isolate_real_roots(p)]
+
+    def refined(self, p):
+        with mock.patch.object(realroots, "_SMALL_PRIMES", ()):
+            return self.values(p)
+
+    @given(int_polys(4, 9), st.integers(-9, 9), st.integers(1, 9), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_plain_refinement(self, p, u, v, with_linear):
+        p = p * P("-2,0,1")
+        if with_linear:
+            p = p * from_coefficients([-u, v])
+        assert self.values(p) == self.refined(p)
+
+    def test_the_primes_below_200(self):
+        assert realroots._SMALL_PRIMES == tuple(
+            q for q in range(2, 200) if all(q % d for d in range(2, q)))
+
+    def test_a_root_modulo_every_prime_falls_through(self):
+        assert self.values(self.SIX) == self.refined(self.SIX) == [None] * 6
+        (w,) = {r.witness.prim for r in isolate_real_roots(self.SIX)}
+        assert all(realroots._has_root_mod(w, q) for q in realroots._SMALL_PRIMES)
+
+    def test_no_root_mod_three_skips_the_refinement(self):
+        # x^2 - 2 has no root mod 3, so neither root is refined; with a
+        # rational root beside it the refinement still runs and finds it.
+        with mock.patch.object(realroots, "refine", side_effect=AssertionError("refined")):
+            assert self.values(P("-2,0,1")) == [None, None]
+        assert self.values(P("-2,0,1") * P("-5,6")) == [None, Fraction(5, 6), None]
 
 
 class TestSignAtRoot:
