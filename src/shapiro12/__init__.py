@@ -3,8 +3,8 @@
 Classifies any real polynomial of even degree into one of thirteen classes by
 real-axis root-locus analysis of p''*p/(p')^2, predicts from the class alone
 whether delta and p have a real zero between them, and verifies the
-prediction by exact counting: p by its Sturm sequence, delta by the leaves
-of its continued fractions.
+prediction by exact counting: p and delta each by the leaves of its
+continued fractions.
 
 The other layers (``polycore``, ``realroots``, ``harness``, ``cli``) are
 imported from their own modules; ``shapiro`` also holds the axis analysis of

@@ -5,17 +5,14 @@ polynomial that has one simple root in the interval, so every question
 about an algebraic number (its sign under another polynomial, its order
 relative to another root) reduces to integer sign computations.
 
-Every count is made here. Counting walks the Sturm sequence of p, whose
-leading signs at -inf and +inf give the number of distinct real roots and
-whose last element is the repeated part gcd(p, p'), and then that of each
-repeated part in turn; nothing is cached. Isolation starts with no walk:
-continued fractions find the roots, each node an integer Mobius image of p
-whose Descartes count is the sign variations of its coefficients, and
-cf_root_count counts delta by the integer leaves alone. A first run on p
-that finishes proves every real root simple, so p is its own witness. One
-that gives up, at a real multiple root or at its step cap, tries a modular
-certificate that p is squarefree before it walks the chain of repeated
-parts. Signs and order at isolated roots settle by Descartes counts on
+Every count is made here, by one algorithm: continued fractions find the
+roots, each node an integer Mobius image of p whose Descartes count is the
+sign variations of its coefficients, and cf_root_count counts p and delta
+alike by the integer leaves alone. A first run that finishes proves every
+real root simple, so p is its own witness. One that gives up, at a real
+multiple root or at its step cap, tries a modular certificate that p is
+squarefree before it takes the chain of repeated parts gcd(gk, gk') by
+exact gcds. Signs and order at isolated roots settle by Descartes counts on
 intervals, each the Taylor shift by 1 that splits a continued-fraction
 node, and try the same certificate, that two polynomials are coprime,
 before the exact gcd. Every narrower interval comes from refine, a binary
@@ -28,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polycore import (
@@ -36,9 +33,6 @@ from .polycore import (
     InvariantError,
     Polynomial,
     _horner,
-    _int_derivative,
-    _primitive,
-    _remainder_sequence,
     _sign,
     _sign_changes,
     div_exact,
@@ -104,48 +98,6 @@ class MergedRoot(NamedTuple):
     @property
     def primary(self) -> IsolatedRoot:
         return self.members[0]
-
-
-# ---------------------------------------------------------------------------
-# Sturm counting
-# ---------------------------------------------------------------------------
-
-def _sturm_chain(p: Polynomial) -> Iterator[tuple[int, Polynomial]]:
-    """(distinct real roots of gk, g(k+1)) for g0 = p and the monic
-    g(k+1) = gcd(gk, gk'), while deg gk > 0, from one walk of the Sturm
-    sequence of gk each, which is not kept.
-
-    An element of degree d has the sign of its leading coefficient at +inf,
-    times (-1)^d at -inf, and the last element is gcd(gk, gk') up to a
-    constant. A real root of p of multiplicity m is a root of g0 ... g(m-1)
-    and of no later gk.
-    """
-    g = p.prim
-    while len(g) > 1:
-        at_minus, at_plus = [], []
-        for last in _remainder_sequence(g, _primitive(_int_derivative(g))[0]):
-            s = _sign(last[-1])
-            at_plus.append(s)
-            at_minus.append(s if len(last) % 2 else -s)
-        if len(last) >= len(g):
-            raise InvariantError("gcd(g, g') must have a lower degree than g")
-        after = monic(Polynomial(last))
-        yield _sign_changes(at_minus) - _sign_changes(at_plus), after
-        g = after.prim
-
-
-def real_root_profile(p: Polynomial) -> tuple[RootCount, Polynomial]:
-    """The real root counts of p and its monic repeated part gcd(p, p').
-
-    g(k+1) divides gk, so the chain stops at the first gk without a real
-    zero: a p without one costs a single walk.
-    """
-    if p.is_zero:
-        raise ValueError("cannot count roots of the zero polynomial")
-    chain = _sturm_chain(p)
-    distinct, repeated = next(chain, (0, ONE))
-    later = takewhile(bool, (count for count, _ in chain)) if distinct else ()
-    return RootCount(distinct, distinct + sum(later)), repeated
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +354,16 @@ def _isolate_given_up(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     if proves_coprime(p, p.derivative()):
         witness = monic(p)
         return tuple(IsolatedRoot(iv, 1, witness) for iv in _isolate(p.prim, capped=False))
-    # hk = gk/g(k+1) is the monic squarefree part of gk, and h0 that of p.
-    chain = [monic(p), *(g for _, g in _sturm_chain(p))]
+    # The chain of repeated parts g0 = monic p and g(k+1) = gcd(gk, gk'): a
+    # real root of p of multiplicity m is a root of g0 ... g(m-1) and of no
+    # later gk. hk = gk/g(k+1) is the monic squarefree part of gk, and h0
+    # that of p.
+    chain = [monic(p)]
+    while chain[-1].degree >= 1:
+        g = chain[-1]
+        chain.append(gcd(g, g.derivative()))
+        if chain[-1].degree >= g.degree:
+            raise InvariantError("gcd(g, g') must have a lower degree than g")
     sf, *later = [div_exact(g, after) for g, after in zip(chain, chain[1:])]
     found = _isolate(sf.prim, capped=False)
     multiplicity = [1] * len(found)

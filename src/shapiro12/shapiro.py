@@ -26,11 +26,11 @@ from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, 
 from .realroots import (
     IsolatedRoot,
     RootCount,
+    _common_divisor,
     cf_root_count,
     compare_roots,
     isolate_real_roots,
     order_roots,
-    real_root_profile,
     sign_at_root,
 )
 
@@ -141,8 +141,7 @@ class Evidence(NamedTuple):
 
 
 class ShapiroInstance(NamedTuple):
-    """p, its derivatives, delta, K0 = n/(n-1), the real root counts of p
-    and its repeated part g = gcd(p, p').
+    """p, its derivatives, delta, K0 = n/(n-1) and the real root counts of p.
 
     For p = cP with P primitive, ``build`` forms P', P'' and
     Delta = (n-1)(P')^2 - nPP'' as integer vectors, so p1 and p2 have
@@ -151,8 +150,9 @@ class ShapiroInstance(NamedTuple):
     delta; the double pole of pp is p0 itself with multiplicity 2 and needs
     no polynomial of its own. No field holds pp = p''p/(p')^2: its events,
     breakaways, gain and sign are read from p, p', p'' and B. The Lambda1
-    test, ``actual_verdict`` and B/g^3 read ``nr_p`` and ``repeated``, from
-    one Sturm walk of p and of each repeated part that follows a real zero.
+    test and ``actual_verdict`` read ``nr_p``, counted by the continued
+    fractions that count delta; no field holds g = gcd(p, p'), which only
+    B/g^3 needs.
     """
 
     p: Polynomial
@@ -162,7 +162,6 @@ class ShapiroInstance(NamedTuple):
     delta: Polynomial
     k0: Fraction
     nr_p: RootCount
-    repeated: Polynomial
 
 
 class ActualVerdict(NamedTuple):
@@ -190,7 +189,7 @@ def build(p: Polynomial) -> ShapiroInstance:
     c = p.content
     return ShapiroInstance(p, n, _from_ints(p1_ints, c), _from_ints(p2_ints, c),
                            _from_ints(delta_ints, c * c), Fraction(n, n - 1),
-                           *real_root_profile(p))
+                           cf_root_count(p))
 
 
 def predict_verdict(label: ClassLabel) -> Verdict:
@@ -199,8 +198,8 @@ def predict_verdict(label: ClassLabel) -> Verdict:
 
 
 def actual_verdict(instance: ShapiroInstance) -> ActualVerdict:
-    """Ground truth by exact root counting: p by the Sturm walk of ``build``,
-    delta by the leaves of its continued fractions.
+    """Ground truth by exact root counting: p and delta each by the leaves
+    of its continued fractions, p's counted once by ``build``.
     """
     nr_p = instance.nr_p
     if instance.delta.is_zero:
@@ -289,7 +288,8 @@ def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
 
 
 def _reduced_breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
-    """B/g^3 with g = gcd(p, p').
+    """B/g^3 with g = gcd(p, p'), taken as 1 when the modular certificate
+    proves p squarefree.
 
     A factor w^m of p with m >= 2 divides each term of B 3m - 4 times. Near
     a root of w, where p = t^m (a + bt + ...), the t^(3m - 4) terms cancel
@@ -297,7 +297,7 @@ def _reduced_breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
     w^(m - 1), and B/g^3 keeps no factor of g unless b = 0.
     """
     b = _breakaway_polynomial(instance)
-    g = instance.repeated
+    g = _common_divisor(instance.p, instance.p1)
     return div_exact(b, g * g * g) if g.degree >= 1 else b
 
 
@@ -331,13 +331,18 @@ def _classify_definite_p2(instance: ShapiroInstance, p0: IsolatedRoot,
     pole = AxisEvent(_double_pole(p0), EventKind.POLE)
     findings = []
     all_below = True
-    # The maxima are every other standard breakaway, starting next to p0.
-    for kind, maxima, lo, hi in ((IntervalKind.RIGHT_INFINITE, right[::2], pole, None),
-                                 (IntervalKind.LEFT_INFINITE_EVEN, left[::-2][::-1], None, pole)):
+    # The maxima are every other standard breakaway, starting next to p0, so
+    # the outermost breakaway on a side is a maximum when the side has an odd
+    # count. Beyond it K falls strictly to its limit K0 at infinity, so its
+    # gain exceeds K0 without a sign of delta.
+    for kind, outward, maxima, lo, hi in (
+            (IntervalKind.RIGHT_INFINITE, right, right[::2], pole, None),
+            (IntervalKind.LEFT_INFINITE_EVEN, left[::-1], left[::-2][::-1], None, pole)):
         if not maxima:
             continue
         # On the +1 locus sign(K - K0) = sign(delta).
-        here = tuple(BreakawayFinding(m, Comparison.from_sign(sign_at_root(instance.delta, m)))
+        here = tuple(BreakawayFinding(m, Comparison.GT if m is outward[-1] else
+                                      Comparison.from_sign(sign_at_root(instance.delta, m)))
                      for m in maxima)
         decisive = next((bf for bf in here if bf.comparison is not Comparison.LT), None)
         all_below = all_below and decisive is None

@@ -10,6 +10,8 @@ of the two FAILS classes at degree 32.
 * Gamma11: (x^2 + 1)^16, whose delta is -1024(x^2 + 1)^30.
 * Gamma121: the first positive-only case of seed 5 at degree 32; its delta,
   of degree 60, has no real zero.
+* Gamma11 with wide coefficients: degree 32, coefficient i equal to
+  (-1)^i (2^64 - 1 - 7i)/(2^63 + 3i + 1), the slowest input CI classifies.
 """
 
 import math
@@ -35,6 +37,12 @@ RARE_HIGH_DEGREE = (
 
 GAMMA_11_DEGREE_32 = (math.prod([from_coefficients([1, 0, 1])] * 16, start=ONE),
                       ClassLabel.GAMMA_11)
+
+GAMMA_11_WIDE = (
+    from_coefficients([Fraction((-1) ** i * (2 ** 64 - 1 - 7 * i), 2 ** 63 + 3 * i + 1)
+                       for i in range(33)]),
+    ClassLabel.GAMMA_11,
+)
 
 GAMMA_121_DEGREE_32 = (
     random_polynomial(FuzzConfig(seed=5, cases=1, degree_range=(32, 32), coeff_bound=12,

@@ -3,17 +3,18 @@ isolation against.
 
 Every count walks the Sturm sequence of p afresh and evaluates it at both
 ends, an open end at the power-of-two root bound. It shares the remainder
-loop with the package but none of its counting: not the Sturm chain that
-``real_root_profile`` reads, nor the Descartes counts that isolation reads.
-``recording_walks`` lets a test count the walks the package makes.
+loop with the package but none of its counting, which reads the Descartes
+counts of continued fractions alone. ``sturm_root_count`` adds the
+multiplicities. ``recording_walks`` lets a test count the walks the package
+makes.
 """
 
 from fractions import Fraction
 
-from shapiro12 import polycore, realroots
+from shapiro12 import polycore
 from shapiro12.polycore import _horner, _int_derivative, _primitive, _remainder_sequence, \
-    _sign_changes, sign_at
-from shapiro12.realroots import _bound_exponent
+    _sign_changes, gcd, sign_at
+from shapiro12.realroots import RootCount, _bound_exponent
 
 
 def sturm_sequence(p):
@@ -46,12 +47,22 @@ def sturm_count(p, lo=None, hi=None):
     return _sign_changes(v for v, _ in values) - _sign_changes(v for _, v in values)
 
 
+def sturm_root_count(p):
+    """RootCount of p from Sturm counts of g0 = p and g(k+1) = gcd(gk, gk'):
+    a real root of multiplicity m is a root of g0 ... g(m-1) alone."""
+    counts = [sturm_count(p)]
+    while counts[-1]:
+        p = gcd(p, p.derivative())
+        counts.append(sturm_count(p))
+    return RootCount(counts[0], sum(counts))
+
+
 def recording_walks(monkeypatch):
     """Record the first element of every remainder sequence the package walks.
 
-    Patches the attribute of both modules that walk one, polycore for gcd and
-    realroots for Sturm chains, so the helper's own walks, which call the
-    function it imported, are not recorded.
+    Patches the attribute of polycore that gcd, the package's one walk,
+    reads. The helper's own Sturm walks call the function it imported and
+    are not recorded; every gcd is, the helper's included.
     """
     walks = []
     remainder_sequence = polycore._remainder_sequence
@@ -60,6 +71,5 @@ def recording_walks(monkeypatch):
         walks.append(a)
         return remainder_sequence(a, b)
 
-    for module in (polycore, realroots):
-        monkeypatch.setattr(module, "_remainder_sequence", recording)
+    monkeypatch.setattr(polycore, "_remainder_sequence", recording)
     return walks

@@ -1,11 +1,11 @@
-"""Differential check of the Sturm counting and continued-fraction isolation
-kernels against sympy.
+"""Differential check of the continued-fraction counting and isolation
+kernel against sympy.
 
-The classifier and the counted verdict share both kernels: each route reads
-the Sturm profile of p, and the isolation that classify runs on p', p'' and
-B also counts delta.  A fault in either could make both routes wrong and
-still in agreement.  sympy isolates real roots with its own code, so it is
-an independent third counter, and a reference for the intervals and
+The classifier and the counted verdict share the kernel: each route reads
+the count of p, and the isolation that classify runs on p', p'' and B also
+counts p and delta.  A fault in it could make both routes wrong and still in
+agreement.  sympy isolates real roots with its own code, so it is an
+independent third counter, and a reference for the intervals and
 multiplicities that isolation reports.  Skipped when sympy is not installed.
 """
 
@@ -20,8 +20,8 @@ from shapiro12.realroots import (
     RootCount,
     _Inconclusive,
     _isolate,
+    cf_root_count,
     isolate_real_roots,
-    real_root_profile,
 )
 from shapiro12.shapiro import actual_verdict, build
 from rare_inputs import GAMMA_11_DEGREE_32, RARE_HIGH_DEGREE
@@ -93,7 +93,7 @@ def _check_counts(q, rng, where, count_between, isolation=False):
     ref = _sympy_poly(q)
     isolated = ref.intervals()
     expected = RootCount(len(isolated), sum(m for _, m in isolated))
-    assert real_root_profile(q)[0] == expected, where
+    assert cf_root_count(q) == expected, where
     for lo, hi in _intervals(q, rng):
         assert sturm_count(q, lo, hi) == count_between(ref, _rational(lo), _rational(hi)), \
             (*where, lo, hi)
@@ -144,10 +144,10 @@ def test_rare_class_counts_agree_with_sympy():
 @pytest.mark.parametrize("strategy", sorted(HIGH_DEGREE_DELTA))
 def test_high_degree_delta_counts_agree_with_sympy(strategy):
     # Counting is most of the case time from degree 18 up. Whole-line counts
-    # read the cached Sturm profile and finite intervals walk the uncached
-    # sequence. At degrees up to 60, sympy's Sturm-based count_roots takes
-    # seconds per interval, so its root isolation restricted to the interval
-    # counts instead.
+    # read the continued fractions, and finite intervals walk the test
+    # helper's Sturm sequence. At degrees up to 60, sympy's Sturm-based
+    # count_roots takes seconds per interval, so its root isolation
+    # restricted to the interval counts instead.
     config = HIGH_DEGREE_DELTA[strategy]
     rng = random.Random(config.seed)
     for i in range(config.cases):
@@ -158,8 +158,9 @@ def test_high_degree_delta_counts_agree_with_sympy(strategy):
 
 @pytest.mark.parametrize("name", sorted(VERDICT_CORPORA))
 def test_verdict_counts_agree_with_sympy(name):
-    # actual_verdict counts p by its Sturm profile and delta by its
-    # isolation; both counts must match sympy's.
+    # actual_verdict counts p and delta by their continued fractions, or
+    # by their isolation where the first run gives up; both counts must
+    # match sympy's.
     config, least_gave_up = VERDICT_CORPORA[name]
     rng = random.Random(config.seed)
     polys = [random_polynomial(config, i) for i in range(config.cases)]

@@ -19,7 +19,7 @@ from shapiro12.polycore import (
     parse_rational,
     sign_at,
 )
-from shapiro12.realroots import RootCount, isolate_real_roots, real_root_profile
+from shapiro12.realroots import RootCount, cf_root_count, isolate_real_roots
 from fraction_ref import ref_add, ref_derivative, ref_eval, ref_gcd, ref_mul, ref_sum, ref_trim
 from sturm_helper import recording_walks
 
@@ -167,25 +167,26 @@ class TestSquarefree:
     def test_multiplicities_read_only_the_repeated_part_chain(self, monkeypatch):
         # p = (x-1)^3 (x+2) (x^2+1) (x^2-3)^2: the chain g0 = p,
         # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three levels, and counting and
-        # isolating with multiplicities each walk the Sturm sequence of
-        # every level once and no other remainder sequence.
+        # isolating with multiplicities each walk the remainder sequence of
+        # every level and its derivative once, for its gcd, and no other.
         p = math.prod([P("-1,1")] * 3 + [P("-3,0,1")] * 2, start=P("10,5") * P("1,0,1"))
         chain = [p.prim, (P("-1,1") * P("-1,1") * P("-3,0,1")).prim, P("-1,1").prim]
         walks = recording_walks(monkeypatch)
-        assert real_root_profile(p)[0] == RootCount(4, 8)
+        assert cf_root_count(p) == RootCount(4, 8)
         assert walks == chain
         walks.clear()
         assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 2, 3, 2]
         assert walks == chain
 
     def test_every_rational_multiple_shares_one_profile(self):
-        # The count and the repeated part depend on the roots alone, so p,
-        # -p, (3/7)p and monic p have the same.
+        # The count and the repeated part gcd(p, p') depend on the roots
+        # alone, so p, -p, (3/7)p and monic p have the same.
         p = P("1/2,-3/7,5/3,0,-2/9") * P("-1,3") * P("-1,3")
         multiples = [from_coefficients([c * x for x in p.coeffs])
                      for c in (1, -1, Fraction(3, 7))]
         multiples.append(monic(p))
-        assert {real_root_profile(q) for q in multiples} == {(RootCount(3, 4), P("-1/3,1"))}
+        assert {(cf_root_count(q), gcd(q, q.derivative())) for q in multiples} \
+            == {(RootCount(3, 4), P("-1/3,1"))}
 
 
 class TestTextFormat:

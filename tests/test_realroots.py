@@ -34,13 +34,12 @@ from shapiro12.realroots import (
     isolates,
     order_roots,
     rational_value,
-    real_root_profile,
     refine,
     sign_at_root,
 )
 from fraction_ref import ref_add
 from oracle_rootlocus import separate_roots
-from sturm_helper import recording_walks, sturm_count
+from sturm_helper import recording_walks, sturm_count, sturm_root_count
 
 P = parse_polynomial
 
@@ -132,7 +131,7 @@ class TestIsolation:
         p = math.prod([P("-2,0,1")] * 3 + [P("-3,0,1")] * 5 + [P("-5,0,1")] * 4,
                       start=ONE)
         assert [r.multiplicity for r in isolate_real_roots(p)] == [4, 5, 3, 3, 5, 4]
-        assert real_root_profile(p)[0] == RootCount(6, 24)
+        assert cf_root_count(p) == sturm_root_count(p) == RootCount(6, 24)
 
 
 @st.composite
@@ -408,29 +407,30 @@ class TestRefinementBound:
 
 class TestRootCount:
     def test_examples(self):
-        assert real_root_profile(P("-1,0,1"))[0] == RootCount(2, 2)
-        rc = real_root_profile(P("0,0,0,4"))[0]
+        assert cf_root_count(P("-1,0,1")) == RootCount(2, 2)
+        rc = cf_root_count(P("0,0,0,4"))
         assert rc.distinct == 1 and rc.with_multiplicity == 3
 
     def test_constant(self):
-        rc = real_root_profile(P("7"))[0]
+        rc = cf_root_count(P("7"))
         assert rc.distinct == rc.with_multiplicity == 0
 
     def test_repeated_part_that_keeps_the_degree_raises(self, monkeypatch):
         # A kernel fault that fails to lower deg g must raise, not loop
-        # forever; the stub, a remainder sequence that ends at g itself,
-        # gives up after a few calls if nothing stops it.
+        # forever; the stub, a gcd that returns g itself, gives up after a
+        # few calls if nothing stops it. The double root 1 makes the first
+        # run give up and fails the certificate, so the chain is taken.
         calls = []
 
-        def stuck(a, b):
-            calls.append(a)
+        def stuck(g, derivative):
+            calls.append(g)
             if len(calls) > 5:
                 raise RuntimeError("the degree check never fired")
-            return iter([a])
+            return g
 
-        monkeypatch.setattr(realroots, "_remainder_sequence", stuck)
+        monkeypatch.setattr(realroots, "gcd", stuck)
         with pytest.raises(InvariantError):
-            real_root_profile(P("-1,0,1"))
+            cf_root_count(P("1,-2,1"))
 
 
 @st.composite
@@ -472,14 +472,15 @@ def small_rational_roots():
 
 
 class TestNonSquarefreeGroundTruth:
-    """Counts on non-squarefree p read the Sturm sequence of p itself."""
+    """Counts on non-squarefree p, by the package and by Sturm sequences."""
 
     @given(factored_polys())
     @settings(max_examples=80, deadline=None)
     def test_counts_and_repeated_part(self, case):
         p, roots, mults, repeated = case
         assert sturm_count(p) == len(roots)
-        assert real_root_profile(p) == (RootCount(len(roots), sum(mults)), repeated)
+        assert cf_root_count(p) == sturm_root_count(p) == RootCount(len(roots), sum(mults))
+        assert gcd(p, p.derivative()) == repeated
         isolated = isolate_real_roots(p)
         assert [r.multiplicity for r in isolated] == [m for _, m in sorted(zip(roots, mults))]
         # Only a real multiple root makes isolation take the squarefree part.
@@ -514,7 +515,7 @@ class TestInvariants:
     @given(int_polys())
     @settings(max_examples=60, deadline=None)
     def test_multiplicity_parity(self, p):
-        rc = real_root_profile(p)[0]
+        rc = cf_root_count(p)
         assert rc.with_multiplicity >= rc.distinct
         assert rc.with_multiplicity % 2 == int(p.degree) % 2
 
@@ -565,9 +566,9 @@ def _assert_interval_contract(p):
     """Sorted, disjoint intervals; a point is a root of its witness, any
     other interval holds exactly one (by a Sturm count) and has a nonzero
     witness at both ends; counts and multiplicities, and the counts of
-    cf_root_count, agree with root_count."""
+    cf_root_count, agree with the Sturm counts of the repeated parts."""
     roots = isolate_real_roots(p)
-    count = real_root_profile(p)[0]
+    count = sturm_root_count(p)
     assert len(roots) == count.distinct, p
     assert sum(r.multiplicity for r in roots) == count.with_multiplicity, p
     assert cf_root_count(p) == count, p
@@ -602,8 +603,9 @@ class TestModularCertificatesAndDescartes:
         assert not proves_coprime(common * P("1,0,1"), common * P("-3,1"))
 
     def test_coprimality_certificate_computed_once_per_pair(self, monkeypatch):
-        # Classifying a Gamma122 polynomial compares B/g^2 with p' once per
-        # standard breakaway and again while separating the roots.
+        # Classifying a Gamma122 polynomial asks once whether p and p' are
+        # coprime, for g, and compares the witness of B/g^3 with p' once per
+        # standard breakaway: that pair repeats.
         pairs = []
 
         def recording(p, q):

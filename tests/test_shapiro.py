@@ -23,7 +23,7 @@ from shapiro12.polycore import (
     gcd,
     parse_polynomial,
 )
-from shapiro12.realroots import RootCount, compare_roots, isolate_real_roots
+from shapiro12.realroots import RootCount, compare_roots, isolate_real_roots, sign_at_root
 from shapiro12.shapiro import (
     ActualVerdict,
     ClassLabel,
@@ -49,6 +49,7 @@ from oracle_rootlocus import (
     oracle_pp,
 )
 from fraction_ref import ref_derivative, ref_mul, ref_sum
+from rare_inputs import GAMMA_11_WIDE
 from sturm_helper import recording_walks, sturm_count
 
 P = parse_polynomial
@@ -89,23 +90,39 @@ class TestBuild:
         inst = build(P("2,0,-2,0,1"))
         assert inst.delta == P("32,0,-80,0,16")
 
-    def test_p_walked_once_by_build(self, monkeypatch):
-        # build counts p and takes its repeated part from one walk of the
-        # Sturm sequence of p, and of each repeated part while that has real
-        # zeros; classify and actual_verdict read both and walk none again.
+    def test_p_counted_once_by_build(self, monkeypatch):
+        # build counts p by the continued fractions that count delta. Only a
+        # first run that gives up at a real multiple root walks remainder
+        # sequences: the gcd of each repeated part with its derivative.
+        # classify and actual_verdict read nr_p and count p nowhere again.
+        counted = []
+        monkeypatch.setattr(shapiro, "cf_root_count",
+                            lambda q, count=realroots.cf_root_count: counted.append(q) or count(q))
         walks = recording_walks(monkeypatch)
         double = P("-1,1") * P("-1,1") * P("1,0,1")  # (x - 1)^2 (x^2 + 1)
         inst = build(double)
         assert walks == [double.prim, P("-1,1").prim]
-        assert (inst.nr_p, inst.repeated) == (RootCount(1, 2), P("-1,1"))
+        assert inst.nr_p == RootCount(1, 2)
         for p in [double] + [P(text) for text in FIXTURES.values()]:
-            walks.clear()
+            counted.clear()
             inst = build(p)
-            assert walks[0] == p.prim
-            walks.clear()
+            assert counted == [p]
+            counted.clear()
             classify(inst)
             actual_verdict(inst)
-            assert p.prim not in walks, format_polynomial(p)
+            assert p not in counted, format_polynomial(p)
+
+    def test_wide_coefficients_walk_no_remainder_sequence(self, monkeypatch):
+        # The slowest input CI classifies, of degree 32 with 64-bit numerators
+        # and denominators: a Sturm walk of p takes about a second there. The
+        # continued fractions count p, and the certificate proves p
+        # squarefree for B/g^3, so build and classify walk none.
+        p, label = GAMMA_11_WIDE
+        walks = recording_walks(monkeypatch)
+        inst = build(p)
+        assert classify(inst)[0] is label
+        assert walks == []
+        assert inst.nr_p.distinct == sturm_count(p)
 
     def test_rejections(self):
         for text in ["1,1", "5", "1,2,3,4", "0"]:
@@ -146,7 +163,7 @@ class TestBuild:
                 for name, value in list(vars(module).items()):
                     if value is f:
                         monkeypatch.setattr(module, name, counting)
-        # Lambda1 is decided by one Sturm count of p: deciding it runs no gcd.
+        # Lambda1 is decided by one count of p: deciding it runs no gcd.
         inst = build(P(FIXTURES[ClassLabel.LAMBDA_1]))
         assert classify(inst)[0] is ClassLabel.LAMBDA_1
         assert actual_verdict(inst).verdict is Verdict.HOLDS
@@ -484,18 +501,19 @@ class TestPaperAlgebraOnGamma1:
         # none. classify divides out g^3, which leaves no factor of g here
         # but in (x^2 + 1)^2 (x^2 + 3): there H = (x + i)^2 (x^2 + 3) has
         # H'(i) = 0 (see the next test), and B/g^3 keeps x^2 + 1.
-        repeated = [inst for inst in gamma1_instances if inst.repeated.degree >= 1]
+        repeated = [inst for inst in gamma1_instances if gcd(inst.p, inst.p1).degree >= 1]
         special = build(math.prod([P("1,0,1")] * 2, start=P("3,0,1")))
         crafted = [build(math.prod([P("1,0,1")] * 3, start=P("2,1,1"))),
                    build(math.prod([P("2,1,1")] * 4, start=ONE)), special]
         assert len(repeated) >= 3
         for inst in repeated + crafted:
             b = _breakaway_polynomial(inst)
-            g = inst.repeated
+            g = gcd(inst.p, inst.p1)
             full, reduced = isolate_real_roots(b), isolate_real_roots(div_exact(b, g * g))
             assert [r.multiplicity for r in full] == [r.multiplicity for r in reduced]
             assert all(compare_roots(x, y) == 0 for x, y in zip(full, reduced))
             assert gcd(div_exact(b, g * g * g), g) == (g if inst is special else P("1"))
+            assert shapiro._reduced_breakaway_polynomial(inst) == div_exact(b, g * g * g)
 
     @given(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4),
                               st.fractions(Fraction(1, 8), 4, max_denominator=8),
@@ -524,7 +542,9 @@ class TestPaperAlgebraOnGamma1:
     def test_no_exact_gcd_at_high_degree(self, monkeypatch):
         # With B/g^2, the witness of B kept w^(m-1) of every repeated factor
         # w^m of p, which delta shares, so the coprimality certificate failed
-        # and sign_at_root took an exact gcd: 11 calls on this corpus.
+        # and sign_at_root took an exact gcd: 11 calls on this corpus. The
+        # one exact gcd left is g = gcd(p, p') itself, where the certificate
+        # cannot prove p squarefree.
         calls = []
         exact_gcd = realroots.gcd
 
@@ -538,16 +558,16 @@ class TestPaperAlgebraOnGamma1:
         polys = [random_polynomial(config, i) for i in range(config.cases)]
         assert sum(gcd(p, p.derivative()).degree >= 1 for p in polys) >= 10
         for p in polys:
-            classify(build(p))
-        assert calls == []
+            calls.clear()
+            inst = build(p)
+            classify(inst)
+            assert calls in ([], [(inst.p, inst.p1)]), format_polynomial(p)
 
-    def test_certified_cases_run_no_remainder_sequence_but_that_of_p(self, gamma1_instances,
-                                                                     monkeypatch):
-        # When p is squarefree, classify isolates p', p'' and B by continued
-        # fractions alone and decides every order and sign with coprimality
-        # certificates: the Sturm sequence of p, walked once by build for the
-        # count that the Lambda1 test reads, is the only remainder sequence
-        # that build and classify make.
+    def test_certified_cases_run_no_remainder_sequence(self, gamma1_instances, monkeypatch):
+        # When p is squarefree, build counts p and classify isolates p', p''
+        # and B by continued fractions alone, and the coprimality
+        # certificates decide g = 1 for B/g^3 and every order and sign: build
+        # and classify make no remainder sequence.
         walks = recording_walks(monkeypatch)
         fixtures = [P(FIXTURES[label]) for label in _GAMMA_1[1:]]
         polys = fixtures + [inst.p for inst in gamma1_instances]
@@ -556,7 +576,7 @@ class TestPaperAlgebraOnGamma1:
         for p in certified:
             walks.clear()
             assert classify(build(p))[0] in _GAMMA_1
-            assert walks == [p.prim]
+            assert walks == [], format_polynomial(p)
 
     def test_breakaway_polynomial_is_the_covariant_of_delta(self, gamma1_instances):
         # On the Gamma1 fixtures and seeded cases, nB = p'delta' - 2p''delta
@@ -606,6 +626,24 @@ class TestGainAtInfinity:
                     assert kind in findings
                     assert findings[kind][outermost].comparison is Comparison.GT
         assert seen >= 200
+
+    def test_every_maximum_compared_by_the_sign_of_delta(self, gamma1_instances):
+        # classify reads the outermost maximum of a side with an odd count of
+        # standard breakaways as GT without a sign of delta. Every comparison
+        # must equal that sign all the same. Sides with two maxima, the inner
+        # one below K0, catch the rule applied to the innermost breakaway.
+        inner_below = set()
+        for inst in gamma1_instances:
+            for finding in classify(inst)[1].interval_findings:
+                for bf in finding.breakaways:
+                    assert bf.comparison is \
+                        Comparison.from_sign(sign_at_root(inst.delta, bf.location))
+                if len(finding.breakaways) >= 2:
+                    right = finding.kind is IntervalKind.RIGHT_INFINITE
+                    inner = finding.breakaways[0 if right else -1]
+                    if inner.comparison is Comparison.LT:
+                        inner_below.add(finding.kind)
+        assert inner_below == {IntervalKind.RIGHT_INFINITE, IntervalKind.LEFT_INFINITE_EVEN}
 
 
 # The seeded corpus has no breakaway of even multiplicity in B and no
