@@ -7,9 +7,9 @@ equality is structural.  ``prim`` is a positive multiple of the polynomial:
 it has the same roots and the same sign everywhere, which is all that root
 counting and sign questions need.  All arithmetic runs on integers and is
 exact; nothing in this module ever rounds.  Besides the product, the
-derivative, values and exact division it holds the remainder sequence with
-gcd, a modular coprimality certificate and the text format; every root
-count is made in ``realroots``.
+derivative, values and exact division it holds gcd, which tries a
+modular coprimality certificate before an exact remainder sequence, and the
+text format; every root count is made in ``realroots``.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 CoefficientLike = Union[Fraction, int, str]
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
-#: Entries of the ``proves_coprime`` cache, the one cache in this module.
-#: Repeats within one ``classify`` fit easily; each key is a pair of
-#: polynomials and each value a bool, so memory stays flat on long runs.
+#: Entries of the ``gcd`` cache, the one cache in the package. Repeats
+#: within one ``classify`` fit easily; each key is a pair of polynomials and
+#: each value a divisor of both, so memory stays flat on long runs.
 CACHE_SIZE = 256
 
 
@@ -191,40 +191,6 @@ def div_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(tuple(quo), p.content / q.content)
 
 
-def _int_rem_positive(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Remainder of a by b up to a strictly positive rational factor.
-
-    Each reduction step scales by abs(lc(b)) instead of lc(b), so the sign
-    of the true remainder is preserved.  Needed for Sturm chains.  The usual
-    step of a remainder sequence, deg a = deg b + 1, is one pass:
-    lc(b)^2 a - (q1 x + q0) b, with lc(b)^2 > 0.
-    """
-    db = len(b) - 1
-    lb = b[-1]
-    if len(a) == db + 2:
-        q1 = lb * a[-1]
-        q0 = lb * a[-2] - a[-1] * (b[-2] if db else 0)
-        l2 = lb * lb
-        # The top two coefficients cancel; b[i - 1] is 0 at i = 0.
-        r = [l2 * x - q0 * y - q1 * z for x, y, z in zip(a[:db], b, (0, *b))]
-        while r and r[-1] == 0:
-            r.pop()
-        return r
-    r = list(a)
-    alb = abs(lb)
-    slb = _sign(lb)
-    while len(r) - 1 >= db and r:
-        lr = slb * r[-1]
-        k = len(r) - 1 - db
-        r = [alb * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + k] -= lr * bc
-        del r[-1]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
 def sign_at(p: Polynomial, x: Fraction | int) -> int:
     """Exact sign of p(x), computed with integer arithmetic only."""
     return _sign(_horner(p.prim, x))
@@ -242,30 +208,8 @@ def _sign_changes(values: Iterable[int]) -> int:
     return count
 
 
-def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Yield a, b, -rem(a, b), ... as primitive integer vectors, up to the last nonzero one.
-
-    Each remainder is negated and taken up to a positive factor, so for
-    b = a' this is a Sturm sequence of a; the last element is gcd(a, b) up
-    to a constant.  A walk holds two elements at a time.
-    """
-    yield a
-    while b:
-        yield b
-        a, b = b, _primitive([-c for c in _int_rem_positive(a, b)])[0]
-
-
-def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor: the last element of the remainder sequence."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    for last in _remainder_sequence(p.prim, q.prim):
-        pass
-    return monic(Polynomial(last))
-
-
 # ---------------------------------------------------------------------------
-# Modular certificate: a one-sided proof from a gcd over GF(q).
+# Gcd: a one-sided proof from a gcd over GF(q), then the exact sequence.
 # ---------------------------------------------------------------------------
 
 #: The word-size prime of the certificate: 2^30 - 35, the largest prime
@@ -291,17 +235,48 @@ def _gcd_degree_mod(a: Sequence[int], b: Sequence[int]) -> int:
     return len(a) - 1
 
 
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Remainder of lc(b)^k a by b, for k the number of steps: each step
+    scales by lc(b) and cancels the leading term."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        lr = r[-1]
+        k = len(r) - 1 - db
+        r = [lb * c for c in r]
+        for i, bc in enumerate(b):
+            r[i + k] -= lr * bc
+        del r[-1]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _exact_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Last nonzero element of the primitive remainder sequence a, b, ...:
+    gcd(a, b) up to a constant."""
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))[0]
+    return a
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def proves_coprime(p: Polynomial, q: Polynomial) -> bool:
-    """True proves that p and q have no common root; False proves nothing.
+def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic greatest common divisor, 1 without a remainder sequence when
+    the modular certificate proves p and q coprime.
 
     When the prime divides neither leading coefficient, a common factor over
     Z keeps its degree mod the prime, so a constant gcd mod the prime rules
-    it out.
+    it out. Otherwise the gcd is the last element of the exact primitive
+    remainder sequence.
     """
-    if p.is_zero or q.is_zero or p.prim[-1] % _PRIME == 0 or q.prim[-1] % _PRIME == 0:
-        return False
-    return _gcd_degree_mod(p.prim, q.prim) == 0
+    if p.is_zero and q.is_zero:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    a, b = p.prim, q.prim
+    if a and b and a[-1] % _PRIME and b[-1] % _PRIME and _gcd_degree_mod(a, b) == 0:
+        return ONE
+    return monic(Polynomial(_exact_gcd(a, b)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ roots, each node an integer Mobius image of p whose Descartes count is the
 sign variations of its coefficients, and cf_root_count counts p and delta
 alike by the integer leaves alone. A first run that finishes proves every
 real root simple, so p is its own witness. One that gives up, at a real
-multiple root or at its step cap, tries a modular certificate that p is
-squarefree before it takes the chain of repeated parts gcd(gk, gk') by
-exact gcds. Signs and order at isolated roots settle by Descartes counts on
-intervals, each the Taylor shift by 1 that splits a continued-fraction
-node, and try the same certificate, that two polynomials are coprime,
-before the exact gcd. Every narrower interval comes from refine, a binary
+multiple root or at its step cap, takes the chain of repeated parts
+g(k+1) = gcd(gk, gk'), which stops at g1 = 1 when the modular certificate
+inside gcd proves p squarefree. Signs and order at isolated roots settle by
+Descartes counts on intervals, each the Taylor shift by 1 that splits a
+continued-fraction node, and by the gcd of two polynomials where they may
+share the root. Every narrower interval comes from refine, a binary
 search by integer signs of the witness for the root's cell of one level of
 the dyadic grid, at the levels that _levels bounds by root separation.
 """
@@ -29,7 +29,6 @@ from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polycore import (
-    ONE,
     InvariantError,
     Polynomial,
     _horner,
@@ -38,7 +37,6 @@ from .polycore import (
     div_exact,
     gcd,
     monic,
-    proves_coprime,
     sign_at,
 )
 
@@ -332,10 +330,11 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     When it finishes, every leaf had one sign variation or a Budan
     difference of 1 and every point root a nonzero derivative, so each real
     root is simple, whatever the complex multiplicities: p is its own (monic)
-    witness and every multiplicity is 1. The same holds of an uncapped run
-    when the first one gives up on a p that the modular certificate proves
-    squarefree. Otherwise the witness is the exact squarefree part, isolated
-    without the cap, and multiplicities come from the chain of repeated parts.
+    witness and every multiplicity is 1. When it gives up, the witness is
+    the monic squarefree part, isolated without the cap, and multiplicities
+    come from the chain of repeated parts. For a squarefree p that chain
+    stops at gcd(p, p') = 1, mostly proved by the modular certificate alone,
+    and the witness is monic p.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -351,9 +350,6 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
 
 def _isolate_given_up(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     """isolate_real_roots for a p on which the capped first run gave up."""
-    if proves_coprime(p, p.derivative()):
-        witness = monic(p)
-        return tuple(IsolatedRoot(iv, 1, witness) for iv in _isolate(p.prim, capped=False))
     # The chain of repeated parts g0 = monic p and g(k+1) = gcd(gk, gk'): a
     # real root of p of multiplicity m is a root of g0 ... g(m-1) and of no
     # later gk. hk = gk/g(k+1) is the monic squarefree part of gk, and h0
@@ -499,15 +495,6 @@ def _constant_sign(q: Polynomial, iv: IsolatingInterval) -> int:
     return 0
 
 
-def _common_divisor(w: Polynomial, q: Polynomial) -> Polynomial:
-    """A divisor of the witness w with every common root of w and q: w when
-    both are equal, 1 when the certificate proves them coprime, else their
-    gcd."""
-    if w == q:
-        return w
-    return ONE if proves_coprime(w, q) else gcd(w, q)
-
-
 def sign_at_root(q: Polynomial, root: IsolatedRoot) -> int:
     """Exact sign of q at the algebraic number pinned by root."""
     if q.is_zero:
@@ -522,7 +509,7 @@ def sign_at_root(q: Polynomial, root: IsolatedRoot) -> int:
         # One refinement settles most misses, so whether q vanishes at the
         # root is asked at the second; past it, q does not, and refining ends
         # once q has constant sign on the closure.
-        if misses == 2 and _vanishes_on(_common_divisor(root.witness, q), root.interval):
+        if misses == 2 and _vanishes_on(gcd(root.witness, q), root.interval):
             return 0
         levels = levels or _levels((root,), q)
         root = refine(root, next(levels))
@@ -547,7 +534,7 @@ def compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
         if ib.hi <= ia.lo:
             return 1
         if levels is None:
-            common, levels = _common_divisor(a.witness, b.witness), _levels((a, b))
+            common, levels = gcd(a.witness, b.witness), _levels((a, b))
         if _vanishes_on(common, IsolatingInterval(max(ia.lo, ib.lo), min(ia.hi, ib.hi))):
             return 0
         k = next(levels)

@@ -22,11 +22,10 @@ from functools import partial
 from typing import NamedTuple
 
 from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, _int_mul, _sign,
-                       div_exact, sign_at)
+                       div_exact, gcd, sign_at)
 from .realroots import (
     IsolatedRoot,
     RootCount,
-    _common_divisor,
     cf_root_count,
     compare_roots,
     isolate_real_roots,
@@ -288,8 +287,8 @@ def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
 
 
 def _reduced_breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
-    """B/g^3 with g = gcd(p, p'), taken as 1 when the modular certificate
-    proves p squarefree.
+    """B/g^3 with g = gcd(p, p'), which the modular certificate inside gcd
+    mostly proves to be 1 without an exact remainder sequence.
 
     A factor w^m of p with m >= 2 divides each term of B 3m - 4 times. Near
     a root of w, where p = t^m (a + bt + ...), the t^(3m - 4) terms cancel
@@ -297,7 +296,7 @@ def _reduced_breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
     w^(m - 1), and B/g^3 keeps no factor of g unless b = 0.
     """
     b = _breakaway_polynomial(instance)
-    g = _common_divisor(instance.p, instance.p1)
+    g = gcd(instance.p, instance.p1)
     return div_exact(b, g * g * g) if g.degree >= 1 else b
 
 

@@ -2,19 +2,39 @@
 isolation against.
 
 Every count walks the Sturm sequence of p afresh and evaluates it at both
-ends, an open end at the power-of-two root bound. It shares the remainder
-loop with the package but none of its counting, which reads the Descartes
-counts of continued fractions alone. ``sturm_root_count`` adds the
-multiplicities. ``recording_walks`` lets a test count the walks the package
-makes.
+ends, an open end at the power-of-two root bound. The sequence is built
+here, by a sign-preserving remainder of its own: the package counts by the
+Descartes counts of continued fractions and takes gcds by a modular
+certificate and a pseudo-remainder loop, and this module uses neither.
+``sturm_root_count`` adds the multiplicities. ``recording_walks`` lets a
+test count the exact remainder sequences the package walks.
 """
 
 from fractions import Fraction
 
 from shapiro12 import polycore
-from shapiro12.polycore import _horner, _int_derivative, _primitive, _remainder_sequence, \
-    _sign_changes, gcd, sign_at
+from shapiro12.polycore import Polynomial, _horner, _int_derivative, _primitive, \
+    _sign_changes, sign_at
 from shapiro12.realroots import RootCount, _bound_exponent
+
+
+def _stepwise_rem_positive(a, b):
+    """Remainder of a by b up to a positive factor: one leading term of a per
+    step, each step scaled by |lc(b)|, so the sign of the true remainder is
+    kept."""
+    r = list(a)
+    db = len(b) - 1
+    alb, slb = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
+    while len(r) - 1 >= db and r:
+        lr = slb * r[-1]
+        k = len(r) - 1 - db
+        r = [alb * c for c in r]
+        for i, bc in enumerate(b):
+            r[i + k] -= lr * bc
+        del r[-1]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 def sturm_sequence(p):
@@ -23,7 +43,12 @@ def sturm_sequence(p):
     Squarefree or not, its sign variations count distinct real roots at
     every x with p(x) != 0; its last element is gcd(p, p') up to a constant.
     """
-    return _remainder_sequence(p.prim, _primitive(_int_derivative(p.prim))[0])
+    a, b = p.prim, _primitive(_int_derivative(p.prim))[0]
+    out = [a]
+    while b:
+        out.append(b)
+        a, b = b, _primitive([-c for c in _stepwise_rem_positive(a, b)])[0]
+    return out
 
 
 def sturm_count(p, lo=None, hi=None):
@@ -48,28 +73,31 @@ def sturm_count(p, lo=None, hi=None):
 
 
 def sturm_root_count(p):
-    """RootCount of p from Sturm counts of g0 = p and g(k+1) = gcd(gk, gk'):
-    a real root of multiplicity m is a root of g0 ... g(m-1) alone."""
+    """RootCount of p from Sturm counts of g0 = p and g(k+1) = gcd(gk, gk'),
+    each the last element of the Sturm sequence of gk: a real root of
+    multiplicity m is a root of g0 ... g(m-1) alone."""
     counts = [sturm_count(p)]
     while counts[-1]:
-        p = gcd(p, p.derivative())
+        p = Polynomial(sturm_sequence(p)[-1])
         counts.append(sturm_count(p))
     return RootCount(counts[0], sum(counts))
 
 
 def recording_walks(monkeypatch):
-    """Record the first element of every remainder sequence the package walks.
+    """Record the first element of every exact remainder sequence the
+    package walks.
 
-    Patches the attribute of polycore that gcd, the package's one walk,
-    reads. The helper's own Sturm walks call the function it imported and
-    are not recorded; every gcd is, the helper's included.
+    Patches the loop of polycore that gcd, the package's one walk, runs when
+    the modular certificate does not prove coprimality, and clears the gcd
+    cache so that no earlier result hides a walk.
     """
     walks = []
-    remainder_sequence = polycore._remainder_sequence
+    exact_gcd = polycore._exact_gcd
 
     def recording(a, b):
         walks.append(a)
-        return remainder_sequence(a, b)
+        return exact_gcd(a, b)
 
-    monkeypatch.setattr(polycore, "_remainder_sequence", recording)
+    monkeypatch.setattr(polycore, "_exact_gcd", recording)
+    polycore.gcd.cache_clear()
     return walks

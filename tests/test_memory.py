@@ -26,7 +26,7 @@ def _package_caches():
 def test_every_cache_is_bounded():
     caches = _package_caches()
     names = {f"{c.__module__}.{c.__name__}" for c in caches}
-    assert names == {"shapiro12.polycore.proves_coprime"}
+    assert names == {"shapiro12.polycore.gcd"}
     for cache in caches:
         assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 

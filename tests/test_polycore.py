@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from shapiro12.polycore import (
     NEG_INFINITY,
+    _PRIME,
     Polynomial,
-    _int_rem_positive,
     div_exact,
     format_polynomial,
     from_coefficients,
@@ -168,13 +168,18 @@ class TestSquarefree:
         # p = (x-1)^3 (x+2) (x^2+1) (x^2-3)^2: the chain g0 = p,
         # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three levels, and counting and
         # isolating with multiplicities each walk the remainder sequence of
-        # every level and its derivative once, for its gcd, and no other.
+        # g0 and g1 with their derivatives once, for their gcds, and no
+        # other: the modular certificate proves gcd(g2, g2') = 1. Once the
+        # gcds are cached, isolating walks none.
         p = math.prod([P("-1,1")] * 3 + [P("-3,0,1")] * 2, start=P("10,5") * P("1,0,1"))
-        chain = [p.prim, (P("-1,1") * P("-1,1") * P("-3,0,1")).prim, P("-1,1").prim]
+        chain = [p.prim, (P("-1,1") * P("-1,1") * P("-3,0,1")).prim]
         walks = recording_walks(monkeypatch)
         assert cf_root_count(p) == RootCount(4, 8)
         assert walks == chain
         walks.clear()
+        assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 2, 3, 2]
+        assert walks == []
+        gcd.cache_clear()
         assert [r.multiplicity for r in isolate_real_roots(p)] == [1, 2, 3, 2]
         assert walks == chain
 
@@ -315,58 +320,18 @@ class TestKernelReference:
             _assert_canonical(quo)
             assert quo.coeffs == a
 
-    @given(fraction_lists(4).filter(any), fraction_lists(3).filter(any))
+    @given(fraction_lists(4).filter(any), fraction_lists(3).filter(any),
+           fraction_lists(3).filter(any))
+    # The common factor x - 1/q of the second pair is constant modulo the
+    # prime q, which divides both leading coefficients.
+    @example([3, 1], [-2, 1], [-1, _PRIME])
     @settings(max_examples=100, deadline=None)
-    def test_repeated_part_is_euclid_gcd(self, a, b):
-        # a * b^2 repeats every root of b, so gcd(p, p') is rarely 1.
-        ref = ref_mul(ref_trim(a), ref_mul(ref_trim(b), ref_trim(b)))
-        p = from_coefficients(ref)
-        got = gcd(p, p.derivative())
-        _assert_canonical(got)
-        assert got.coeffs == ref_gcd(ref, ref_derivative(ref))
-
-
-def _stepwise_rem_positive(a, b):
-    """One leading term of a per step, each step scaled by |lc(b)|: the
-    remainder loop that ``_int_rem_positive`` replaces for a one-degree drop."""
-    r = list(a)
-    db = len(b) - 1
-    alb, slb = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
-    while len(r) - 1 >= db and r:
-        lr = slb * r[-1]
-        k = len(r) - 1 - db
-        r = [alb * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + k] -= lr * bc
-        del r[-1]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-_SPARSE_INTS = st.one_of(st.just(0), st.integers(-30, 30))
-
-
-@st.composite
-def one_degree_drop(draw):
-    """(a, b) with deg a = deg b + 1 >= 1, nonzero leading coefficients of
-    either sign and often zero coefficients below them."""
-    db = draw(st.integers(0, 7))
-    lead = st.integers(-30, 30).filter(bool)
-    b = draw(st.lists(_SPARSE_INTS, min_size=db, max_size=db)) + [draw(lead)]
-    a = draw(st.lists(_SPARSE_INTS, min_size=db + 1, max_size=db + 1)) + [draw(lead)]
-    return a, b
-
-
-class TestOnePassRemainder:
-    @given(one_degree_drop())
-    @example(([3, -5], [-7]))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_stepwise_loop(self, case):
-        # The one pass is lc(b)^2 a - (q1 x + q0) b. The loop takes the same
-        # two steps, or stops after one when the x^deg(b) coefficient already
-        # cancels, and then lacks the positive factor |lc(b)| of the second.
-        a, b = case
-        got, want = _int_rem_positive(a, b), _stepwise_rem_positive(a, b)
-        assert got in (want, [abs(b[-1]) * c for c in want])
-        assert len(got) < len(b)
+    def test_repeated_part_is_euclid_gcd(self, a, b, h):
+        # a * b^2 repeats every root of b, so gcd(p, p') is rarely 1; a * h
+        # and b * h share every root of h.
+        a, b, h = ref_trim(a), ref_trim(b), ref_trim(h)
+        ref = ref_mul(a, ref_mul(b, b))
+        for x, y in ((ref, ref_derivative(ref)), (ref_mul(a, h), ref_mul(b, h))):
+            got = gcd(from_coefficients(x), from_coefficients(y))
+            _assert_canonical(got)
+            assert got.coeffs == ref_gcd(x, y)

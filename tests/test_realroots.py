@@ -19,7 +19,6 @@ from shapiro12.polycore import (
     gcd,
     monic,
     parse_polynomial,
-    proves_coprime,
     sign_at,
 )
 from shapiro12.realroots import (
@@ -585,37 +584,47 @@ def _assert_interval_contract(p):
 
 
 class TestModularCertificatesAndDescartes:
-    """The isolation kernel: the coprimality certificate, continued fractions."""
+    """The isolation kernel: gcd and its coprimality certificate, continued
+    fractions."""
 
     @given(int_polys(4, 9), int_polys(4, 9), int_polys(3, 9))
     @settings(max_examples=80, deadline=None)
     def test_common_factor_never_certified_coprime(self, f, g, h):
-        assert not proves_coprime(f * h, g * h)
+        common = gcd(f * h, g * h)
+        assert common.degree >= h.degree
+        assert div_exact(common, monic(h)) == gcd(f, g)
 
-    def test_certificates_prove_the_generic_case(self):
-        assert proves_coprime(P("-2,0,1"), P("-3,0,1"))
-        assert not proves_coprime(P("-2,0,1") * P("1,1"), P("1,1"))
+    def test_certificates_prove_the_generic_case(self, monkeypatch):
+        walks = recording_walks(monkeypatch)
+        assert gcd(P("-2,0,1"), P("-3,0,1")) == ONE
+        assert walks == []
+        assert gcd(P("-2,0,1") * P("1,1"), P("1,1")) == P("1,1")
+        assert walks == [(P("-2,0,1") * P("1,1")).prim]
 
-    def test_no_certificate_when_the_prime_divides_a_leading_coefficient(self):
+    def test_no_certificate_when_the_prime_divides_a_leading_coefficient(self, monkeypatch):
         # The common factor qx - 1 drops to the constant -1 modulo the prime q,
-        # so the gcd mod q is constant although the two share a root.
+        # so the gcd mod q is constant although the two share a root: gcd
+        # takes the exact remainder sequence.
         common = P(f"-1,{_PRIME}")
-        assert not proves_coprime(common * P("1,0,1"), common * P("-3,1"))
+        walks = recording_walks(monkeypatch)
+        assert gcd(common * P("1,0,1"), common * P("-3,1")) == monic(common)
+        assert walks == [(common * P("1,0,1")).prim]
 
     def test_coprimality_certificate_computed_once_per_pair(self, monkeypatch):
-        # Classifying a Gamma122 polynomial asks once whether p and p' are
-        # coprime, for g, and compares the witness of B/g^3 with p' once per
-        # standard breakaway: that pair repeats.
+        # Classifying a Gamma122 polynomial takes g = gcd(p, p') once and
+        # compares the witness of B/g^3 with p' once per standard breakaway:
+        # that pair repeats, and the cache serves the repeats.
         pairs = []
 
         def recording(p, q):
             pairs.append((p, q))
-            return proves_coprime(p, q)
+            return gcd(p, q)
 
-        monkeypatch.setattr(realroots, "proves_coprime", recording)
-        proves_coprime.cache_clear()
+        for module in (realroots, shapiro):
+            monkeypatch.setattr(module, "gcd", recording)
+        gcd.cache_clear()
         shapiro12.classify(shapiro12.build(P("6,-6,4,-3,1")))
-        info = proves_coprime.cache_info()
+        info = gcd.cache_info()
         assert info.misses == len(set(pairs))
         assert info.hits == len(pairs) - len(set(pairs)) > 0
 

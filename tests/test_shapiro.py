@@ -93,7 +93,8 @@ class TestBuild:
     def test_p_counted_once_by_build(self, monkeypatch):
         # build counts p by the continued fractions that count delta. Only a
         # first run that gives up at a real multiple root walks remainder
-        # sequences: the gcd of each repeated part with its derivative.
+        # sequences: the gcd of each repeated part with its derivative, but
+        # for the last, linear one, which the modular certificate settles.
         # classify and actual_verdict read nr_p and count p nowhere again.
         counted = []
         monkeypatch.setattr(shapiro, "cf_root_count",
@@ -101,7 +102,7 @@ class TestBuild:
         walks = recording_walks(monkeypatch)
         double = P("-1,1") * P("-1,1") * P("1,0,1")  # (x - 1)^2 (x^2 + 1)
         inst = build(double)
-        assert walks == [double.prim, P("-1,1").prim]
+        assert walks == [double.prim]
         assert inst.nr_p == RootCount(1, 2)
         for p in [double] + [P(text) for text in FIXTURES.values()]:
             counted.clear()
@@ -543,25 +544,18 @@ class TestPaperAlgebraOnGamma1:
         # With B/g^2, the witness of B kept w^(m-1) of every repeated factor
         # w^m of p, which delta shares, so the coprimality certificate failed
         # and sign_at_root took an exact gcd: 11 calls on this corpus. The
-        # one exact gcd left is g = gcd(p, p') itself, where the certificate
-        # cannot prove p squarefree.
-        calls = []
-        exact_gcd = realroots.gcd
-
-        def recording(p, q):
-            calls.append((p, q))
-            return exact_gcd(p, q)
-
-        monkeypatch.setattr(realroots, "gcd", recording)
+        # one exact remainder sequence left is that of g = gcd(p, p') itself,
+        # where the certificate cannot prove p squarefree.
         config = FuzzConfig(seed=11, cases=24, degree_range=(22, 32), coeff_bound=12,
                             strategy=Strategy.POSITIVE_ONLY)
         polys = [random_polynomial(config, i) for i in range(config.cases)]
         assert sum(gcd(p, p.derivative()).degree >= 1 for p in polys) >= 10
+        walks = recording_walks(monkeypatch)
         for p in polys:
-            calls.clear()
+            walks.clear()
             inst = build(p)
             classify(inst)
-            assert calls in ([], [(inst.p, inst.p1)]), format_polynomial(p)
+            assert walks in ([], [inst.p.prim]), format_polynomial(p)
 
     def test_certified_cases_run_no_remainder_sequence(self, gamma1_instances, monkeypatch):
         # When p is squarefree, build counts p and classify isolates p', p''
