@@ -9,11 +9,13 @@ counting and sign questions need.  All arithmetic runs on integers and is
 exact; nothing in this module ever rounds.  Besides the product, the
 derivative, values and exact division it holds gcd, which tries a
 modular coprimality certificate before an exact remainder sequence, and the
-text format; every root count is made in ``realroots``.
+text format, which turns an all-integer text into the primitive vector with
+no ``Fraction`` per token; every root count is made in ``realroots``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from fractions import Fraction
@@ -147,7 +149,7 @@ ONE = Polynomial((1,))
 
 def from_coefficients(coeffs: Sequence[CoefficientLike]) -> Polynomial:
     """Build a canonical polynomial from ascending coefficients."""
-    values = [Fraction(c) for c in coeffs]
+    values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
     den = math.lcm(*(v.denominator for v in values))
     return _from_ints([v.numerator * (den // v.denominator) for v in values], Fraction(1, den))
 
@@ -301,9 +303,22 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(int(sign + num), int(den or 1))
 
 
+#: A text of integer tokens only; ``\s`` is what ``str.strip`` removes.
+_INTEGER_TEXT = re.compile(r"(?:\s*[+-]?[0-9]+\s*,)*\s*[+-]?[0-9]+\s*")
+
+
 def parse_polynomial(text: str, descending: bool = False) -> Polynomial:
-    """Parse the comma-separated coefficient format, e.g. ``1,0,1`` for x^2+1."""
-    values = [parse_rational(t.strip()) for t in text.split(",")]
+    """Parse the comma-separated coefficient format, e.g. ``1,0,1`` for x^2+1.
+
+    An integer text takes one ``int`` per token. ``parse_rational`` takes
+    the rest, and the few tokens ``int`` refuses: leading zeros past its
+    digit limit, or a control character that ``strip`` drops.
+    """
+    tokens = text.split(",")
+    if _INTEGER_TEXT.fullmatch(text):
+        with contextlib.suppress(ValueError):
+            return _from_ints([int(t) for t in (tokens[::-1] if descending else tokens)], ONE.content)
+    values = [parse_rational(t.strip()) for t in tokens]
     if descending:
         values.reverse()
     return from_coefficients(values)

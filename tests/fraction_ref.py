@@ -1,6 +1,8 @@
 """Reference polynomial arithmetic on ascending Fraction lists, with no
-trailing zero: independent of the package, whose kernel the tests check."""
+trailing zero, and the per-token parser of the text format: independent of
+the package, whose kernel and parser the tests check."""
 
+import re
 from fractions import Fraction
 
 
@@ -52,3 +54,34 @@ def ref_gcd(a, b):
             r = list(ref_trim(r))
         a, b = b, tuple(r)
     return tuple(x / a[-1] for x in a)
+
+
+def ref_compose(a, b):
+    """a(b(x)), by Horner's rule."""
+    out = ()
+    for c in reversed(a):
+        out = ref_add(ref_mul(out, b), (c,))
+    return out
+
+
+_REF_TOKEN = re.compile(r"([+-]?)0*([0-9]+)(?:/0*([0-9]+))?")
+
+
+def ref_parse_rational(token):
+    """One stripped token: an integer or num/den, any leading zeros, den nonzero."""
+    match = _REF_TOKEN.fullmatch(token)
+    if not match:
+        raise ValueError(f"malformed rational: {token!r}")
+    sign, num, den = match.groups()
+    if den == "0":
+        raise ValueError(f"zero denominator: {token!r}")
+    return Fraction(int(sign + num), int(den or 1))
+
+
+def ref_parse_polynomial(text, descending=False):
+    """The comma-separated format parsed token by token, every token a
+    Fraction: ascending coefficients, ValueError naming the first bad token."""
+    values = [ref_parse_rational(t.strip()) for t in text.split(",")]
+    if descending:
+        values.reverse()
+    return ref_trim(values)

@@ -2,8 +2,9 @@
 
 Pins the ``classify`` JSON (without its ``timings``), the ``plotdata`` CSV
 and the ``fuzz`` summaries, plus one digest over the ``classify`` JSON of a
-seeded corpus, so a change that must leave the output alone is checked byte
-for byte.  The module does not need pytest:
+seeded corpus and one over the class table of the census boxes of
+``tests/test_census.py``, so a change that must leave the output alone is
+checked byte for byte.  The module does not need pytest:
 ``PYTHONPATH=src python tests/test_golden.py`` exits 1 and names every
 output whose digest changed.
 """
@@ -17,6 +18,7 @@ import sys
 from shapiro12.cli import main
 from shapiro12.harness import FIXTURES, FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import format_polynomial
+from test_census import census_table
 
 # (10x - 3)(3x + 1)(x^2 + 1) has an event at 3/10, on a -3:3/41 grid point;
 # 2,-6,9 is a Gamma11 case with p0 = 1/3. Neither rational is dyadic.
@@ -91,6 +93,8 @@ GOLDEN = {
 
 CORPUS_GOLDEN = "9f11ae29b8e5753a4b43728b5eafdc97fc9f6aed23925d6fde62d42e40a64531"
 
+CENSUS_GOLDEN = "3c1f000858334752732fef66ef76ee012f4d8bbdaf6a6d21c568c5a78ccef6b8"
+
 
 def _run(argv: tuple[str, ...]) -> str:
     out = io.StringIO()
@@ -134,12 +138,20 @@ def corpus_digest() -> str:
     return digest.hexdigest()
 
 
+def census_digest() -> str:
+    return hashlib.sha256(census_table().encode()).hexdigest()
+
+
 def test_cli_outputs_match_golden_digests():
     assert digests() == GOLDEN
 
 
 def test_corpus_classify_reports_match_golden_digest():
     assert corpus_digest() == CORPUS_GOLDEN
+
+
+def test_census_class_table_matches_golden_digest():
+    assert census_digest() == CENSUS_GOLDEN
 
 
 if __name__ == "__main__":
@@ -150,4 +162,6 @@ if __name__ == "__main__":
     print(f"{len(got) - len(changed)} of {len(GOLDEN)} golden outputs match")
     corpus_changed = corpus_digest() != CORPUS_GOLDEN
     print(f"corpus digest {'changed' if corpus_changed else 'matches'}")
-    sys.exit(1 if changed or corpus_changed else 0)
+    census_changed = census_digest() != CENSUS_GOLDEN
+    print(f"census digest {'changed' if census_changed else 'matches'}")
+    sys.exit(1 if changed or corpus_changed or census_changed else 0)

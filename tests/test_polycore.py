@@ -20,7 +20,9 @@ from shapiro12.polycore import (
     sign_at,
 )
 from shapiro12.realroots import RootCount, cf_root_count, isolate_real_roots
-from fraction_ref import ref_add, ref_derivative, ref_eval, ref_gcd, ref_mul, ref_sum, ref_trim
+from fraction_ref import (
+    ref_add, ref_derivative, ref_eval, ref_gcd, ref_mul, ref_parse_polynomial, ref_sum, ref_trim,
+)
 from sturm_helper import recording_walks
 
 P = parse_polynomial
@@ -227,6 +229,61 @@ class TestTextFormat:
         for bad in ["-3/-4", "1/0", " 1"]:
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+
+def _padded(token):
+    pad = st.sampled_from(["", " ", "\t", "\n", "\u00a0", "\u3000", "\x1c"])
+    return st.tuples(pad, token, pad).map("".join)
+
+
+_INTEGER_TOKENS = st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]),
+                            st.sampled_from(["", "0", "000"]), st.integers(0, 10 ** 30))
+#: Tokens outside the format, then two past int's digit limit, the first by
+#: leading zeros alone.
+_ODD_TOKENS = ["1e5", "1_0", "1.5", "--1", "+-1", "1/0", "1/-2", "\u0663", "0x1", "", "+ 1", "1 /2",
+               "-" + "0" * 4400 + "7", "1" * 4301]
+_OTHER_TOKENS = st.one_of(
+    st.builds("{}/{}{}".format, _INTEGER_TOKENS, st.sampled_from(["", "0"]), st.integers(0, 99)),
+    st.sampled_from(_ODD_TOKENS),
+)
+
+
+@st.composite
+def _texts(draw):
+    """Integer tokens, with up to two fractions or malformed tokens among them."""
+    tokens = draw(st.lists(_padded(_INTEGER_TOKENS), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_padded(_OTHER_TOKENS)))
+    return ",".join(tokens)
+
+
+class TestParserOracle:
+    """The one-pass integer parser against the per-token reference parser."""
+
+    @staticmethod
+    def check(text, descending=False):
+        try:
+            expected = ref_parse_polynomial(text, descending)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_polynomial(text, descending)
+            assert str(raised.value) == str(exc)
+        else:
+            p = parse_polynomial(text, descending)
+            assert p.coeffs == expected
+            assert p == from_coefficients(expected)
+
+    @pytest.mark.parametrize("token", _ODD_TOKENS)
+    def test_odd_token_among_integers(self, token):
+        for text in (token, f"{token},2", f"1,{token}", f"1, {token} ,2"):
+            self.check(text)
+
+    @given(_texts(), st.booleans())
+    @example("0" * 4400 + "1,2", False)
+    @example("\x1c1,-2,3", True)
+    @settings(max_examples=300, deadline=None)
+    def test_same_polynomial_or_same_error(self, text, descending):
+        self.check(text, descending)
 
 
 class TestRingProperties:
