@@ -692,15 +692,39 @@ def _binomial_shift(desc, c):
             for j in range(len(a))][::-1]
 
 
+def _lane_shift(desc):
+    """_taylor_shift(desc) and whether it read the result from 64-bit lanes."""
+    with mock.patch.object(realroots.struct, "unpack", wraps=realroots.struct.unpack) as unpack:
+        return _taylor_shift(desc), unpack.called
+
+
 class TestTaylorShift:
-    # Isolation shifts by powers of two, and _descartes_count by the
+    # Isolation shifts by 1 and by powers of two, and _descartes_count by the
     # integer numerator of an interval's lower end, which may be negative.
-    @given(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=16),
-           st.one_of(st.integers(0, 40).map(lambda s: 1 << s),
+    # Degrees 0-40 at widths up to 80 bits put shifts by 1 on both sides of
+    # the lane bound sum |a_i| < 2^(63 - n).
+    @given(st.tuples(st.integers(0, 40), st.integers(0, 80)).flatmap(
+               lambda nw: st.lists(st.integers(-(1 << nw[1]), 1 << nw[1]),
+                                   min_size=nw[0] + 1, max_size=nw[0] + 1)),
+           st.one_of(st.just(1), st.integers(1, 40).map(lambda s: 1 << s),
                      st.integers(-10 ** 6, 10 ** 6).filter(bool)))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_agrees_with_the_binomial_expansion(self, desc, c):
         assert _taylor_shift(desc, c) == _binomial_shift(desc, c)
+
+    @pytest.mark.parametrize("a, lanes", [(1 << 63, False), (-(1 << 63), False),
+                                          ((1 << 63) - 1, True), (1 - (1 << 63), True)])
+    def test_single_coefficient_at_the_lane_edge(self, a, lanes):
+        assert _lane_shift([a]) == ([a], lanes)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_equal_coefficients_at_the_lane_bound(self, n):
+        # sum |a_i| just under 2^(63 - n) takes the lanes; twice that does not.
+        v = ((1 << 63 - n) - 1) // (n + 1)
+        for sign in (1, -1):
+            for scale, lanes in ((1, True), (2, False)):
+                desc = [sign * scale * v] * (n + 1)
+                assert _lane_shift(desc) == (_binomial_shift(desc, 1), lanes)
 
 
 def squarefree_polys():
