@@ -6,11 +6,16 @@ the sign) and ``content`` is a positive rational.  The pair is canonical, so
 equality is structural.  ``prim`` is a positive multiple of the polynomial:
 it has the same roots and the same sign everywhere, which is all that root
 counting and sign questions need.  All arithmetic runs on integers and is
-exact; nothing in this module ever rounds.  Besides the product, the
-derivative, values and exact division it holds gcd, which tries a
-modular coprimality certificate before an exact remainder sequence, and the
-text format, which turns an all-integer text into the primitive vector with
-no ``Fraction`` per token; every root count is made in ``realroots``.
+exact; nothing in this module ever rounds.  Products run by Kronecker
+substitution: each factor is packed into one integer at 2^(8 nb), the
+integers are multiplied, and the product's coefficients are read back from
+signed lanes of nb bytes, a width set by a proven bound on their size.  The
+same lane reader serves the ``delta`` and ``B`` of ``shapiro`` and the
+Taylor shift of ``realroots``.  Besides the product, the derivative, values
+and exact division it holds gcd, which tries a modular coprimality
+certificate before an exact remainder sequence, and the text format, which
+turns an all-integer text into the primitive vector with no ``Fraction``
+per token; every root count is made in ``realroots``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import math
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -57,14 +63,56 @@ def _from_ints(ints: list[int], content: Fraction) -> "Polynomial":
     return Polynomial(prim, content * g if g > 1 else content) if prim else ZERO
 
 
+def _lane_bytes(bound: int) -> int:
+    """Bytes per signed lane for integers of absolute value at most bound:
+    at least 8, and enough that every such integer is below 2^(8 nb - 1)."""
+    return max(8, (bound.bit_length() + 8) // 8)
+
+
+def _pack(coeffs: Sequence[int], shift: int) -> int:
+    """The reversal of coeffs at 2^shift, by Horner over ascending order, so
+    that lanes read from the top come out ascending."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc << shift) + c
+    return acc
+
+
+def _lane_reader(count: int, nb: int):
+    """(bias, unpack) for count signed big-endian lanes of nb bytes each."""
+    bias = int.from_bytes((b"\x80" + bytes(nb - 1)) * count, "big")
+    if nb == 8:
+        return bias, struct.Struct(f">{count}q").unpack
+    return bias, lambda raw: (int.from_bytes(raw[i:i + nb], "big", signed=True)
+                              for i in range(0, len(raw), nb))
+
+
+#: Readers of up to 127 signed 64-bit lanes, built once: enough for every
+#: Taylor shift that takes lanes, and for delta and B up to degree 44.
+_LANES = tuple(_lane_reader(k, 8) for k in range(128))
+
+
+def _read_lanes(v: int, count: int, nb: int) -> list[int]:
+    """c_0, ..., c_(count-1), most significant first, from
+    v = sum_k c_k 2^(8 nb (count - 1 - k)) with every |c_k| < 2^(8 nb - 1).
+
+    Adding 2^(8 nb - 1) to every lane makes each a digit in [0, 2^(8 nb))
+    with no carry into the next, and XOR with that bias leaves c_k in two's
+    complement: one struct.unpack reads all 8-byte lanes, and one
+    int.from_bytes each wider lane.
+    """
+    bias, unpack = _LANES[count] if nb == 8 and count < len(_LANES) else _lane_reader(count, nb)
+    return list(unpack(((v + bias) ^ bias).to_bytes(nb * count, "big")))
+
+
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two integer coefficient vectors, of length len(a) + len(b) - 1."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    """Product of two integer coefficient vectors, of length len(a) + len(b) - 1,
+    by Kronecker substitution: each coefficient is at most |a|_1 |b|_1 in size,
+    which sets the lane width."""
+    if not a or not b:
+        return [0] * (len(a) + len(b) - 1)
+    nb = _lane_bytes(sum(map(abs, a)) * sum(map(abs, b)))
+    return _read_lanes(_pack(a, 8 * nb) * _pack(b, 8 * nb), len(a) + len(b) - 1, nb)
 
 
 def _int_derivative(coeffs: Sequence[int]) -> list[int]:

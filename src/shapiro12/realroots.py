@@ -14,8 +14,9 @@ multiple root or at its step cap, takes the chain of repeated parts
 g(k+1) = gcd(gk, gk'), which stops at g1 = 1 when the modular certificate
 inside gcd proves p squarefree. Signs and order at isolated roots settle by
 Descartes counts on intervals, each the Taylor shift by 1 that splits a
-continued-fraction node (read from signed 64-bit lanes of one integer when
-every shifted coefficient provably fits one), and by the gcd of two
+continued-fraction node (read from signed 64-bit lanes of one integer, by
+the lane reader of polycore's products, when every shifted coefficient
+provably fits one), and by the gcd of two
 polynomials where they may share the root. Every narrower interval comes
 from refine, a binary search by integer signs of the witness for the root's
 cell of one level of the dyadic grid, at the levels that _levels bounds by
@@ -25,7 +26,6 @@ root separation.
 from __future__ import annotations
 
 import math
-import struct
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
@@ -35,6 +35,7 @@ from .polycore import (
     InvariantError,
     Polynomial,
     _horner,
+    _read_lanes,
     _sign,
     _sign_changes,
     div_exact,
@@ -105,9 +106,6 @@ class MergedRoot(NamedTuple):
 # Descartes' rule of signs on intervals
 # ---------------------------------------------------------------------------
 
-_LANE_BIAS = (1 << 63).to_bytes(8, "big")
-
-
 def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
     """Descending coefficients of a(x + c), given those of a(x), for c != 0.
 
@@ -117,19 +115,16 @@ def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
     Horner run on the last quotient, whose end is the next lowest coefficient.
 
     For c = 1 with sum |a_i| < 2^(63 - n), a(x + 1) is read instead from one
-    integer, a(2^64 + 1) = sum_k b_k 2^(64 k), in signed 64-bit lanes: each
-    b_k = sum_i a_i C(i, k) has |b_k| <= 2^n sum |a_i| < 2^63, so adding
-    2^63 to every lane makes each a digit in [0, 2^64) with no carry into
-    the next, and XOR with that bias leaves b_k in two's complement.
+    integer, a(2^64 + 1) = sum_k b_k 2^(64 k), in signed 64-bit lanes by
+    _read_lanes: each b_k = sum_i a_i C(i, k) has |b_k| <= 2^n sum |a_i| <
+    2^63, which is all the reader needs.
     """
     n = len(desc) - 1
     if c == 1 and sum(map(abs, desc)).bit_length() + n <= 63:
         acc = 0
         for a in desc:
             acc += (acc << 64) + a
-        bias = int.from_bytes(_LANE_BIAS * (n + 1), "big")
-        lanes = ((acc + bias) ^ bias).to_bytes(8 * n + 8, "big")
-        return list(struct.unpack(f">{n + 1}q", lanes))
+        return _read_lanes(acc, n + 1, 8)
     s = c.bit_length() - 1 if c > 0 and not c & (c - 1) else -1
     if s < 0:
         powers = [c ** (n - i) for i in range(n + 1)]

@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
-from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, _int_mul, _sign,
-                       div_exact, gcd, sign_at)
+from .polycore import (InvariantError, Polynomial, _from_ints, _int_derivative, _lane_bytes, _pack,
+                       _read_lanes, _sign, div_exact, gcd, sign_at)
 from .realroots import (
     IsolatedRoot,
     RootCount,
@@ -144,10 +144,12 @@ class ShapiroInstance(NamedTuple):
 
     For p = cP with P primitive, ``build`` forms P', P'' and
     Delta = (n-1)(P')^2 - nPP'' as integer vectors, so p1 and p2 have
-    content c times an integer and ``delta`` c^2 times one. The breakaway
-    polynomial B is the covariant nB = p'delta' - 2p''delta, read off p and
-    delta; the double pole of pp is p0 itself with multiplicity 2 and needs
-    no polynomial of its own. No field holds pp = p''p/(p')^2: its events,
+    content c times an integer and ``delta`` c^2 times one; Delta is one
+    integer expression in P, P' and P'' packed at a power of two, read back
+    in signed lanes. The breakaway polynomial B is the covariant
+    nB = p'delta' - 2p''delta, read off p and delta the same way; the
+    double pole of pp is p0 itself with multiplicity 2 and needs no
+    polynomial of its own. No field holds pp = p''p/(p')^2: its events,
     breakaways, gain and sign are read from p, p', p'' and B. The Lambda1
     test and ``actual_verdict`` read ``nr_p``, counted by the continued
     fractions that count delta; no field holds g = gcd(p, p'), which only
@@ -170,7 +172,14 @@ class ActualVerdict(NamedTuple):
 
 
 def build(p: Polynomial) -> ShapiroInstance:
-    """Derive all exact data the classifier needs from p, in one integer pass."""
+    """Derive all exact data the classifier needs from p, in one integer pass.
+
+    Delta = (n-1)(P')^2 - nPP'' is formed by Kronecker substitution: P, P'
+    and P'' are packed at X = 2^(8 nb), the one integer
+    (n-1)P'(X)^2 - nP(X)P''(X) is formed, and its 2n - 1 lanes are read at
+    once. The lane width comes from the bound (n-1)|P'|_1^2 + n|P|_1|P''|_1
+    on every coefficient, and the top two lanes must read 0.
+    """
     if p.is_zero or p.degree < 2:
         raise ValueError("polynomial degree must be at least 2")
     n = int(p.degree)
@@ -178,11 +187,15 @@ def build(p: Polynomial) -> ShapiroInstance:
         raise ValueError("polynomial degree must be even")
     p1_ints = _int_derivative(p.prim)
     p2_ints = _int_derivative(p1_ints)
-    square = _int_mul(p1_ints, p1_ints)
+    nb = _lane_bytes((n - 1) * sum(map(abs, p1_ints)) ** 2
+                     + n * sum(map(abs, p.prim)) * sum(map(abs, p2_ints)))
+    s = 8 * nb
+    a1 = _pack(p1_ints, s)
     # (P')^2 and PP'' both have degree 2n - 2, but delta is -1/(n-1) times
     # the Hessian of p read as a binary form of degree n, a form of degree
     # 2n - 4: the top two coefficients of Delta cancel exactly.
-    delta_ints = [(n - 1) * a - n * b for a, b in zip(square, _int_mul(p.prim, p2_ints))]
+    delta_ints = _read_lanes((n - 1) * a1 * a1 - n * _pack(p.prim, s) * _pack(p2_ints, s),
+                             2 * n - 1, nb)
     if any(delta_ints[2 * n - 3:]):
         raise InvariantError("the x^(2n-2) and x^(2n-3) coefficients of delta must cancel")
     c = p.content
@@ -271,18 +284,25 @@ def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
 
     Since delta' = (n-2)p'p'' - npp''', B is the covariant
     nB = p'delta' - 2p''delta, that is B = p'^3 (delta/p'^2)'/n. For p = cP
-    and delta = dD with P and D primitive, B = (cd/n)(P'D' - 2P''D): two
-    integer products, of degree at most 3n - 6.
+    and delta = dD with P and D primitive, B = (cd/n)(P'D' - 2P''D), of
+    degree at most 3n - 6: one integer expression in P', P'', D and D'
+    packed at 2^(8 nb), read back in lanes wide enough for the bound
+    |P'|_1 |D'|_1 + 2|P''|_1 |D|_1 on every coefficient.
     """
     delta = instance.delta
     if delta.is_zero:  # p = c(ax + b)^n, where pp is constant
         return delta
     p1_ints = _int_derivative(instance.p.prim)
     p2_ints = _int_derivative(p1_ints)
-    # Both products have n + deg delta - 1 coefficients, also when delta is
-    # a constant and D' is empty.
-    b = [x - 2 * y for x, y in zip(_int_mul(p1_ints, _int_derivative(delta.prim)),
-                                   _int_mul(p2_ints, delta.prim), strict=True)]
+    d_ints = delta.prim
+    d1_ints = _int_derivative(d_ints)
+    nb = _lane_bytes(sum(map(abs, p1_ints)) * sum(map(abs, d1_ints))
+                     + 2 * sum(map(abs, p2_ints)) * sum(map(abs, d_ints)))
+    s = 8 * nb
+    # Both products have n + deg delta - 1 coefficients; when delta is a
+    # constant, D' is empty and packs to 0.
+    b = _read_lanes(_pack(p1_ints, s) * _pack(d1_ints, s)
+                    - 2 * _pack(p2_ints, s) * _pack(d_ints, s), len(p2_ints) + len(d_ints) - 1, nb)
     return _from_ints(b, instance.p.content * delta.content / instance.n)
 
 

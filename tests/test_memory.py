@@ -1,5 +1,5 @@
 """Memory stays bounded on long runs: the package has one cache, of a finite
-size, and nothing keeps the intermediate swell of a Sturm sequence."""
+size, and keeps nothing per case beyond it."""
 
 import gc
 import importlib

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shapiro12 import polycore
+from shapiro12.harness import FuzzConfig, Strategy, run_fuzz
 from shapiro12.polycore import (
     NEG_INFINITY,
     _PRIME,
     Polynomial,
+    _int_mul,
     div_exact,
     format_polynomial,
     from_coefficients,
@@ -107,6 +110,54 @@ class TestArithmetic:
         assert sign_at(p, 1) == -1
         assert sign_at(p, 0) == 1
         assert sign_at(p, Fraction(10, 3)) == 1
+
+
+def int_vectors(max_len=40, max_bits=200):
+    """Integer vectors of 0 to max_len entries, all of one width of 0 to
+    max_bits bits."""
+    return st.tuples(st.integers(0, max_len), st.integers(0, max_bits)).flatmap(
+        lambda lw: st.lists(st.integers(-(1 << lw[1]), 1 << lw[1]), min_size=lw[0], max_size=lw[0]))
+
+
+_EDGE = (1 << 63) - 1
+
+
+class TestKroneckerProduct:
+    # _int_mul reads every coefficient of the product from one integer, in
+    # signed lanes whose width the bound |a|_1 |b|_1 sets. Widths of 0 to
+    # 200 bits put the products in 8-byte lanes and in wider ones.
+    @given(int_vectors(), int_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_schoolbook_product(self, a, b):
+        got = _int_mul(a, b)
+        assert len(got) == max(0, len(a) + len(b) - 1)
+        assert ref_trim(got) == ref_mul(a, b)
+
+    @pytest.mark.parametrize("a", [_EDGE, -_EDGE, -_EDGE - 1, _EDGE + 1])
+    def test_single_coefficient_at_the_lane_edge(self, a):
+        # +-(2^63 - 1) fill an 8-byte lane; -2^63 and 2^63 take a ninth byte.
+        assert _int_mul([a], [1]) == _int_mul([1], [a]) == [a]
+        assert _int_mul([0, a], [-1, 0]) == [0, -a, 0]
+        assert _int_mul([a], [a]) == [a * a]
+
+    def test_adjacent_lanes_either_side_of_the_edge(self):
+        for lo, hi in ((_EDGE, _EDGE + 1), (_EDGE + 1, _EDGE), (-_EDGE - 1, _EDGE),
+                       (_EDGE, -_EDGE - 1)):
+            assert _int_mul([lo, hi], [1]) == [lo, hi]
+            assert _int_mul([1, 1], [lo, hi]) == [lo, lo + hi, hi]
+        # 2^62 - 1 plus 2^62: a lane that sums to exactly 2^63 - 1.
+        assert _int_mul([1, 1], [(1 << 62) - 1, 1 << 62]) == [(1 << 62) - 1, _EDGE, 1 << 62]
+
+    def test_empty_factor(self):
+        assert _int_mul([1, 2, 3], []) == _int_mul([], [1, 2, 3]) == [0, 0]
+        assert _int_mul([5], []) == _int_mul([], []) == []
+
+    def test_reader_table_stays_fixed_on_a_wide_fuzz_run(self):
+        before = len(polycore._LANES)
+        summary = run_fuzz(FuzzConfig(seed=1, cases=20, degree_range=(14, 16),
+                                      coeff_bound=(1 << 64) - 1, strategy=Strategy.UNIFORM))
+        assert summary.disagreements == []
+        assert len(polycore._LANES) == before
 
 
 class TestGcd:

@@ -694,8 +694,8 @@ def _binomial_shift(desc, c):
 
 def _lane_shift(desc):
     """_taylor_shift(desc) and whether it read the result from 64-bit lanes."""
-    with mock.patch.object(realroots.struct, "unpack", wraps=realroots.struct.unpack) as unpack:
-        return _taylor_shift(desc), unpack.called
+    with mock.patch.object(realroots, "_read_lanes", wraps=realroots._read_lanes) as read:
+        return _taylor_shift(desc), read.called
 
 
 class TestTaylorShift:

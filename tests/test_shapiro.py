@@ -6,6 +6,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,14 @@ class TestBuild:
             assert inst.delta.prim[2 * inst.n - 3:] == ()
             assert inst.delta.degree <= 2 * inst.n - 4
 
+    def test_uncancelled_top_coefficients_raise(self, monkeypatch):
+        # The cancellation is read from the top lanes of the packed Delta:
+        # one unit more in the lowest lane is a nonzero x^(2n-2) coefficient.
+        read = shapiro._read_lanes
+        monkeypatch.setattr(shapiro, "_read_lanes", lambda v, count, nb: read(v + 1, count, nb))
+        with pytest.raises(polycore.InvariantError, match="must cancel"):
+            build(P("1,0,1"))
+
     def test_gain_limit_is_k0(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -234,6 +243,27 @@ class TestIntegerDerivation:
             inputs += [random_polynomial(config, i) for i in range(config.cases)]
         for p in inputs:
             assert _derived_coeffs(build(p)) == self.reference(p), format_polynomial(p)
+
+    @given(st.integers(1, 8).flatmap(lambda h: st.lists(
+        st.integers(1 << 63, (1 << 64) - 1).flatmap(lambda m: st.sampled_from((m, -m))),
+        min_size=2 * h + 1, max_size=2 * h + 1).filter(lambda a: math.gcd(*a) == 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_wide_coefficients_take_wide_lanes(self, coeffs):
+        # Primitive 64-bit coefficients put the bounds on delta and B past
+        # 64 bits, so both are read from lanes of more than 8 bytes.
+        p = from_coefficients(coeffs)
+        with mock.patch.object(shapiro, "_read_lanes", wraps=shapiro._read_lanes) as read:
+            assert _derived_coeffs(build(p)) == self.reference(p)
+        assert [c.args[2] > 8 for c in read.call_args_list] == [True, True]
+
+    def test_delta_lanes_take_the_sum_of_absolute_values(self):
+        # At c = 31500000 the largest coefficient of Delta for
+        # c(1 + x + ... + x^16) + x^16 is a 64-bit number, about 1.5 times
+        # (n-1) max|P'|^2 + n max|P| max|P''|, which is below 2^63: lanes
+        # sized from the largest coefficients alone would overflow.
+        c = 31_500_000
+        p = from_coefficients([c] * 16 + [c + 1])
+        assert _derived_coeffs(build(p)) == self.reference(p)
 
 
 class TestClassifyFixtures:
