@@ -12,10 +12,10 @@ integers are multiplied, and the product's coefficients are read back from
 signed lanes of nb bytes, a width set by a proven bound on their size.  The
 same lane reader serves the ``delta`` and ``B`` of ``shapiro`` and the
 Taylor shift of ``realroots``.  Besides the product, the derivative, values
-and exact division it holds gcd, which tries a modular coprimality
-certificate before an exact remainder sequence, and the text format, which
-turns an all-integer text into the primitive vector with no ``Fraction``
-per token; every root count is made in ``realroots``.
+and exact division it holds Fujiwara's root bound, gcd, which first tries
+one integer gcd of the values at 2^s + 1 past that bound, and the text
+format, which turns an all-integer text into the primitive vector with no
+``Fraction`` per token; every root count is made in ``realroots``.
 """
 
 from __future__ import annotations
@@ -259,30 +259,49 @@ def _sign_changes(values: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Gcd: a one-sided proof from a gcd over GF(q), then the exact sequence.
+# Gcd: a one-sided proof from one integer gcd, then the exact sequence.
 # ---------------------------------------------------------------------------
 
-#: The word-size prime of the certificate: 2^30 - 35, the largest prime
-#: below 2^30, so every residue is a one-digit Python integer.
-_PRIME = 2 ** 30 - 35
+def _bound_exponent(prim: Sequence[int]) -> int:
+    """e with every complex root of the integer polynomial inside |z| < 2^e.
+
+    Fujiwara's bound |z| <= 2 max |a_i/a_n|^(1/(n-i)), read from bit lengths:
+    |a_i/a_n| < 2^(bits(a_i) - bits(a_n) + 1), so each term is below
+    2^k_i with k_i = ceil((bits(a_i) - bits(a_n) + 1) / (n - i)). e < 0 for
+    small roots, as of 2^2000 x - 1: a shift by e needs it clipped at 0.
+    """
+    n = len(prim) - 1
+    top = prim[-1].bit_length()
+    k = max((-((top - a.bit_length() - 1) // (n - i))
+             for i, a in enumerate(prim[:-1]) if a), default=0)
+    return k + 1
 
 
-def _gcd_degree_mod(a: Sequence[int], b: Sequence[int]) -> int:
-    """Degree of gcd(a, b) over GF(q), for leading coefficients prime to q."""
-    q = _PRIME
-    a = [c % q for c in a]
-    b = [c % q for c in b]
-    while b:
-        inv = pow(b[-1], -1, q)
-        db = len(b) - 1
-        while len(a) > db:
-            f = a[-1] * inv % q
-            k = len(a) - 1 - db
-            a[k:] = [(x - f * y) % q for x, y in zip(a[k:], b)]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
+def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True only when the primitive vectors a and b share no factor of
+    degree >= 1, by the heuristic-gcd bound (Char, Geddes and Gonnet, 1989).
+
+    Every complex root of either lies in |z| < 2^e. A primitive common
+    factor h of degree d >= 1 has h(X) | G = gcd(a(X), b(X)) at X = 2^s + 1,
+    s > e, and |h(X)| > (X - 2^e)^d >= X/2, so G <= 2^(s-1) rules it out.
+    Integers the two values share by chance can lift G: one retry with s
+    past G's size sheds them, unless G >= X^2/4, as degree d >= 2 makes it.
+    """
+    e = max(0, min(_bound_exponent(a), _bound_exponent(b)))
+    s = e + 32
+    for _ in range(2):
+        va = vb = 0
+        for c in reversed(a):
+            va += (va << s) + c
+        for c in reversed(b):
+            vb += (vb << s) + c
+        g = math.gcd(va, vb)
+        if g <= 1 << (s - 1):
+            return True
+        if 4 * g >= ((1 << s) + 1) ** 2:
+            return False
+        s = e + g.bit_length() + 32
+    return False
 
 
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -313,18 +332,12 @@ def _exact_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor, 1 without a remainder sequence when
-    the modular certificate proves p and q coprime.
-
-    When the prime divides neither leading coefficient, a common factor over
-    Z keeps its degree mod the prime, so a constant gcd mod the prime rules
-    it out. Otherwise the gcd is the last element of the exact primitive
-    remainder sequence.
-    """
+    """Monic greatest common divisor: 1 when _coprime proves p and q coprime,
+    else the last element of the exact primitive remainder sequence."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
     a, b = p.prim, q.prim
-    if a and b and a[-1] % _PRIME and b[-1] % _PRIME and _gcd_degree_mod(a, b) == 0:
+    if a and b and _coprime(a, b):
         return ONE
     return monic(Polynomial(_exact_gcd(a, b)))
 

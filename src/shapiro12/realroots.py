@@ -11,16 +11,16 @@ sign variations of its coefficients, and cf_root_count counts p and delta
 alike by the integer leaves alone. A first run that finishes proves every
 real root simple, so p is its own witness. One that gives up, at a real
 multiple root or at its step cap, takes the chain of repeated parts
-g(k+1) = gcd(gk, gk'), which stops at g1 = 1 when the modular certificate
-inside gcd proves p squarefree. Signs and order at isolated roots settle by
-Descartes counts on intervals, each the Taylor shift by 1 that splits a
-continued-fraction node (read from signed 64-bit lanes of one integer, by
-the lane reader of polycore's products, when every shifted coefficient
-provably fits one), and by the gcd of two
-polynomials where they may share the root. Every narrower interval comes
-from refine, a binary search by integer signs of the witness for the root's
-cell of one level of the dyadic grid, at the levels that _levels bounds by
-root separation.
+g(k+1) = gcd(gk, gk'), which stops at g1 = 1 when the integer certificate
+inside gcd proves p squarefree. Ends at infinity take polycore's Fujiwara
+bound. Signs and order at isolated roots settle by Descartes counts on
+intervals, each the Taylor shift by 1 that splits a continued-fraction node
+(read from signed 64-bit lanes of one integer, by the lane reader of
+polycore's products, when every shifted coefficient provably fits one), and
+by the gcd of two polynomials where they may share the root. Every narrower
+interval comes from refine, a binary search by integer signs of the witness
+for the root's cell of one level of the dyadic grid, at the levels that
+_levels bounds by root separation.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .polycore import (
     InvariantError,
     Polynomial,
+    _bound_exponent,
     _horner,
     _read_lanes,
     _sign,
@@ -177,20 +178,6 @@ def isolates(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
 # Isolation
 # ---------------------------------------------------------------------------
 
-def _bound_exponent(prim: Sequence[int]) -> int:
-    """e with every root of the integer polynomial strictly inside (-2^e, 2^e).
-
-    Fujiwara's bound |z| <= 2 max |a_i/a_n|^(1/(n-i)), read from bit lengths:
-    |a_i/a_n| < 2^(bits(a_i) - bits(a_n) + 1), so each term is below
-    2^k_i with k_i = ceil((bits(a_i) - bits(a_n) + 1) / (n - i)).
-    """
-    n = len(prim) - 1
-    top = prim[-1].bit_length()
-    k = max((-((top - a.bit_length() - 1) // (n - i))
-             for i, a in enumerate(prim[:-1]) if a), default=0)
-    return k + 1
-
-
 def _lower_bound_exponent(desc: Sequence[int]) -> int:
     """s >= 0 with every positive root strictly above 2^s, or -1 when the
     bound is below 1, for an integer polynomial with a sign variation, from
@@ -220,8 +207,8 @@ def _lower_bound_exponent(desc: Sequence[int]) -> int:
 #: seeded fuzz corpora at bounds 2, 3 and 12 (nine seeds), one B needs 19
 #: splits and every other at most 15. A squarefree input can still reach
 #: the cap, as the delta of degree 60 and 978-bit coefficients of a
-#: positive-only degree-32 p at bound 2^32 - 1 does; it pays for a modular
-#: gcd with its derivative and one more, uncapped isolation.
+#: positive-only degree-32 p at bound 2^32 - 1 does; it pays for the gcd
+#: certificate with its derivative and one more, uncapped isolation.
 _STEP_CAP = 22
 
 
@@ -347,8 +334,8 @@ def isolate_real_roots(p: Polynomial) -> tuple[IsolatedRoot, ...]:
     witness and every multiplicity is 1. When it gives up, the witness is
     the monic squarefree part, isolated without the cap, and multiplicities
     come from the chain of repeated parts. For a squarefree p that chain
-    stops at gcd(p, p') = 1, mostly proved by the modular certificate alone,
-    and the witness is monic p.
+    stops at gcd(p, p') = 1, mostly proved by gcd's integer certificate
+    alone, and the witness is monic p.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")

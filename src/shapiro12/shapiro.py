@@ -307,7 +307,7 @@ def _breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
 
 
 def _reduced_breakaway_polynomial(instance: ShapiroInstance) -> Polynomial:
-    """B/g^3 with g = gcd(p, p'), which the modular certificate inside gcd
+    """B/g^3 with g = gcd(p, p'), which gcd's certificate, one integer gcd,
     mostly proves to be 1 without an exact remainder sequence.
 
     A factor w^m of p with m >= 2 divides each term of B 3m - 4 times. Near

@@ -4,8 +4,9 @@ isolation against.
 Every count walks the Sturm sequence of p afresh and evaluates it at both
 ends, an open end at the power-of-two root bound. The sequence is built
 here, by a sign-preserving remainder of its own: the package counts by the
-Descartes counts of continued fractions and takes gcds by a modular
-certificate and a pseudo-remainder loop, and this module uses neither.
+Descartes counts of continued fractions and takes gcds by an integer
+certificate (one gcd of the two values at 2^s + 1 past the root bound) and
+a pseudo-remainder loop, and this module uses neither.
 ``sturm_root_count`` adds the multiplicities. ``recording_walks`` lets a
 test count the exact remainder sequences the package walks.
 """
@@ -13,9 +14,9 @@ test count the exact remainder sequences the package walks.
 from fractions import Fraction
 
 from shapiro12 import polycore
-from shapiro12.polycore import Polynomial, _horner, _int_derivative, _primitive, \
-    _sign_changes, sign_at
-from shapiro12.realroots import RootCount, _bound_exponent
+from shapiro12.polycore import Polynomial, _bound_exponent, _horner, _int_derivative, \
+    _primitive, _sign_changes, sign_at
+from shapiro12.realroots import RootCount
 
 
 def _stepwise_rem_positive(a, b):
@@ -88,7 +89,7 @@ def recording_walks(monkeypatch):
     package walks.
 
     Patches the loop of polycore that gcd, the package's one walk, runs when
-    the modular certificate does not prove coprimality, and clears the gcd
+    its integer certificate does not prove coprimality, and clears the gcd
     cache so that no earlier result hides a walk.
     """
     walks = []

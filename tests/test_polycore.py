@@ -1,17 +1,20 @@
 import math
 import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shapiro12 import polycore
-from shapiro12.harness import FuzzConfig, Strategy, run_fuzz
+from shapiro12 import polycore, shapiro
+from shapiro12.harness import FuzzConfig, Strategy, random_polynomial, run_fuzz
 from shapiro12.polycore import (
     NEG_INFINITY,
-    _PRIME,
+    ONE,
     Polynomial,
+    _bound_exponent,
+    _coprime,
     _int_mul,
     div_exact,
     format_polynomial,
@@ -180,6 +183,130 @@ class TestGcd:
         assert gcd(from_coefficients([0]), P("0,0,4")) == P("0,0,1")
 
 
+def wide_polys():
+    """Nonzero integer polynomials of degree 0 to 40 with coefficients of 0
+    to 2000 bits. The width is cut to 8000 / (degree + 1)^2 bits, since the
+    Fraction reference gcd slows with both."""
+    def vectors(dw):
+        bound = 1 << min(dw[1], 8000 // (dw[0] + 1) ** 2)
+        return st.lists(st.integers(-bound, bound), min_size=dw[0] + 1, max_size=dw[0] + 1)
+
+    return st.tuples(st.integers(0, 40), st.integers(0, 2000)).flatmap(vectors) \
+        .map(from_coefficients).filter(lambda p: not p.is_zero)
+
+
+def root_near_bound(m, k):
+    """(f, x - z) with z = 2^(k+1) - 3 and f(x)(x - z) = x^m - r x^(m-1) - ...
+    - r^(m-1) x - c, r = 2^k - 1, c fixed by the root z. For m >= 2 and k in
+    {m - 1, m} (checked up to m = 15), Fujiwara's exponent of the product is
+    e = k + 1: the root z lies 3 below 2^e."""
+    r, z = (1 << k) - 1, (1 << (k + 1)) - 3
+    c = z ** m - sum(r ** i * z ** (m - i) for i in range(1, m))
+    h = from_coefficients([-z, 1])
+    return div_exact(from_coefficients([-c] + [-r ** i for i in range(m - 1, 0, -1)] + [1]), h), h
+
+
+def factor_pairs():
+    """(f, h) for a common factor h of degree >= 1: f from wide_polys and h
+    narrow of degree 1 to 4 or 2^k x - c with k and c of up to 2000 bits, or
+    root_near_bound's pair, whose product has a root just inside 2^e."""
+    nonzero = st.integers(-(1 << 2000), 1 << 2000).filter(bool)
+    common = st.one_of(
+        st.lists(st.integers(-(1 << 64), 1 << 64), min_size=2, max_size=5)
+        .map(from_coefficients).filter(lambda h: h.degree >= 1),
+        st.tuples(st.integers(0, 2000), nonzero)
+        .map(lambda kc: from_coefficients([-kc[1], 1 << kc[0]])),
+    )
+    return st.one_of(st.tuples(wide_polys(), common),
+                     st.tuples(st.integers(2, 12), st.integers(0, 1))
+                     .map(lambda mj: root_near_bound(mj[0], mj[0] - mj[1])))
+
+
+def _certificate_tries(a, b, monkeypatch):
+    """_coprime's answer on two polynomials, and the integer gcds it took."""
+    tries = []
+    recording = SimpleNamespace(gcd=lambda *v: tries.append(v) or math.gcd(*v))
+    with monkeypatch.context() as m:
+        m.setattr(polycore, "math", recording)
+        return _coprime(a.prim, b.prim), len(tries)
+
+
+class TestIntegerCertificate:
+    """gcd's certificate: one integer gcd of the two values at X = 2^s + 1,
+    s = e + 32, past Fujiwara's bound 2^e on every complex root, with one
+    retry at a larger s."""
+
+    @given(factor_pairs(), wide_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_certified_pairs_are_coprime_and_gcd_is_euclid(self, fh, g):
+        f, h = fh
+        for a, b in ((f * h, g * h), (f, g)):
+            want = ref_gcd(a.coeffs, b.coeffs)
+            if _coprime(a.prim, b.prim):
+                assert len(want) == 1
+            assert gcd(a, b).coeffs == want
+
+    def test_power_of_two_inputs_walk_no_remainder_sequence(self, monkeypatch):
+        # (2^27x - 1)(2^27x - 2)(x^30 + 1), one of CI's slowest classify
+        # inputs: at X = 2^s the values of B and delta share 2^50, past the
+        # bound, and only the retry would shed it. The values of x^4 + 2^200
+        # and 4x^3 at X = 2^s share 2^200, above X^2/4, so there no retry
+        # runs. The odd X = 2^s + 1 certifies every pair at the first try.
+        linear = [from_coefficients([-c, 1 << 27]) for c in (1, 2)]
+        inst = shapiro.build(linear[0] * linear[1] * from_coefficients([1] + [0] * 29 + [1]))
+        quartic = from_coefficients([1 << 200, 0, 0, 0, 1])
+        walks = recording_walks(monkeypatch)
+        for a, b in ((inst.p, inst.p1), (shapiro._breakaway_polynomial(inst), inst.delta),
+                     (quartic, quartic.derivative())):
+            assert _certificate_tries(a, b, monkeypatch) == (True, 1)
+            assert gcd(a, b) == ONE
+        assert walks == []
+
+    def test_shared_integers_take_the_retry(self, monkeypatch):
+        # The delta (degree 60, 978-bit coefficients) of a positive-only
+        # degree-32 p at bound 2^32 - 1: its values and those of delta' share
+        # about 73 bits of small primes at s = e + 32, and the retry past
+        # them proves delta squarefree.
+        config = FuzzConfig(seed=1, cases=1, degree_range=(32, 32), coeff_bound=2 ** 32 - 1,
+                            strategy=Strategy.POSITIVE_ONLY)
+        delta = shapiro.build(random_polynomial(config, 0)).delta
+        walks = recording_walks(monkeypatch)
+        assert _certificate_tries(delta, delta.derivative(), monkeypatch) == (True, 2)
+        assert gcd(delta, delta.derivative()) == ONE
+        assert walks == []
+
+    def test_roots_far_inside_one_clip_the_exponent(self, monkeypatch):
+        # 2^2000 x - 1 has e = -1998; the certificate clips it at 0.
+        p = from_coefficients([-1, 1 << 2000])
+        assert _bound_exponent(p.prim) < 0
+        walks = recording_walks(monkeypatch)
+        assert gcd(p, P("1,0,1")) == ONE
+        assert gcd(p, from_coefficients([1, 1 << 2000])) == ONE
+        assert walks == []
+
+    def test_root_just_inside_the_bound(self, monkeypatch):
+        # x - 509 divides a degree-8 polynomial whose Fujiwara exponent is 9:
+        # at X = 2^9 + 1 its value is 4, below 2^8, and the certificate at
+        # s = e would prove the pair coprime. At s = e + 32 it walks.
+        f, h = root_near_bound(8, 8)
+        assert h == P("-509,1") and _bound_exponent((f * h).prim) == 9
+        walks = recording_walks(monkeypatch)
+        assert gcd(f * h, h * P("1,1")) == h
+        assert walks == [(f * h).prim]
+
+    def test_common_factor_of_degree_two_takes_no_retry(self, monkeypatch):
+        # |h(X)| > X^2/4 for a common factor h of degree 2, so a retry could
+        # not certify; one of degree 1 leaves G below X^2/4 and takes it.
+        quadratic, linear = P("1,0,1"), P("-1,1")
+        assert _certificate_tries(quadratic * P("-3,1"), quadratic * P("5,1"),
+                                  monkeypatch) == (False, 1)
+        assert _certificate_tries(linear * P("2,0,1"), linear * P("3,1"),
+                                  monkeypatch) == (False, 2)
+        walks = recording_walks(monkeypatch)
+        assert gcd(quadratic * P("-3,1"), quadratic * P("5,1")) == quadratic
+        assert walks == [(quadratic * P("-3,1")).prim]
+
+
 class TestDivExact:
     def test_exact(self):
         assert div_exact(P("-1,0,1"), P("1,1")) == P("-1,1")
@@ -222,7 +349,7 @@ class TestSquarefree:
         # g1 = (x-1)^2 (x^2-3), g2 = x-1 has three levels, and counting and
         # isolating with multiplicities each walk the remainder sequence of
         # g0 and g1 with their derivatives once, for their gcds, and no
-        # other: the modular certificate proves gcd(g2, g2') = 1. Once the
+        # other: the integer certificate proves gcd(g2, g2') = 1. Once the
         # gcds are cached, isolating walks none.
         p = math.prod([P("-1,1")] * 3 + [P("-3,0,1")] * 2, start=P("10,5") * P("1,0,1"))
         chain = [p.prim, (P("-1,1") * P("-1,1") * P("-3,0,1")).prim]
@@ -430,9 +557,10 @@ class TestKernelReference:
 
     @given(fraction_lists(4).filter(any), fraction_lists(3).filter(any),
            fraction_lists(3).filter(any))
-    # The common factor x - 1/q of the second pair is constant modulo the
-    # prime q, which divides both leading coefficients.
-    @example([3, 1], [-2, 1], [-1, _PRIME])
+    # The common factor qx - 1 of the second pair, q = 2^30 - 35, has a root
+    # far inside 1 and a 30-bit leading coefficient: its value at 2^s + 1
+    # passes the certificate's bound at the first try and at the retry.
+    @example([3, 1], [-2, 1], [-1, 2**30 - 35])
     @settings(max_examples=100, deadline=None)
     def test_repeated_part_is_euclid_gcd(self, a, b, h):
         # a * b^2 repeats every root of b, so gcd(p, p') is rarely 1; a * h

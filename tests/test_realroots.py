@@ -11,9 +11,9 @@ import shapiro12
 from shapiro12 import realroots, shapiro
 from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
-    _PRIME,
     ONE,
     InvariantError,
+    _bound_exponent,
     div_exact,
     from_coefficients,
     gcd,
@@ -24,7 +24,6 @@ from shapiro12.polycore import (
 from shapiro12.realroots import (
     IsolatingInterval,
     RootCount,
-    _bound_exponent,
     _descartes_count,
     _taylor_shift,
     cf_root_count,
@@ -602,10 +601,11 @@ class TestModularCertificatesAndDescartes:
         assert walks == [(P("-2,0,1") * P("1,1")).prim]
 
     def test_no_certificate_when_the_prime_divides_a_leading_coefficient(self, monkeypatch):
-        # The common factor qx - 1 drops to the constant -1 modulo the prime q,
-        # so the gcd mod q is constant although the two share a root: gcd
+        # The common factor qx - 1, q = 2^30 - 35, has a root far inside 1
+        # and a 30-bit leading coefficient, so |qX - 1| passes the bound
+        # 2^(s-1) at X = 2^s + 1, at the first try and at the retry: gcd
         # takes the exact remainder sequence.
-        common = P(f"-1,{_PRIME}")
+        common = P(f"-1,{2**30 - 35}")
         walks = recording_walks(monkeypatch)
         assert gcd(common * P("1,0,1"), common * P("-3,1")) == monic(common)
         assert walks == [(common * P("1,0,1")).prim]
@@ -656,17 +656,20 @@ class TestModularCertificatesAndDescartes:
             _assert_interval_contract(q)
 
     def test_fallback_when_not_squarefree_mod_the_prime(self, monkeypatch):
-        # x^2 - q is squarefree over Q but x^2 mod q. Isolation reads no
-        # residue: the first isolation finishes on p itself, with no Sturm
-        # walk, and p is the witness.
-        p = from_coefficients([-_PRIME, 0, 1])
+        # x^2 - q, q = 2^30 - 35, is squarefree over Q but x^2 mod q: no
+        # step reads a residue. The first isolation finishes on p itself,
+        # with no Sturm walk, p is the witness, and the integer certificate
+        # proves gcd(p, p') = 1 without a remainder sequence.
+        q = 2**30 - 35
+        p = from_coefficients([-q, 0, 1])
         walks = recording_walks(monkeypatch)
         minus, plus = isolate_real_roots(p)
+        assert gcd(p, p.derivative()) == ONE
         assert walks == []
         assert minus.witness == plus.witness == monic(p)
         assert minus.multiplicity == plus.multiplicity == 1
-        assert 0 <= plus.interval.lo and plus.interval.lo ** 2 < _PRIME < plus.interval.hi ** 2
-        assert minus.interval.hi <= 0 and minus.interval.hi ** 2 < _PRIME < minus.interval.lo ** 2
+        assert 0 <= plus.interval.lo and plus.interval.lo ** 2 < q < plus.interval.hi ** 2
+        assert minus.interval.hi <= 0 and minus.interval.hi ** 2 < q < minus.interval.lo ** 2
 
     @given(factored_polys(), int_polys(6, 9))
     @settings(max_examples=80, deadline=None)
@@ -813,7 +816,7 @@ class TestLazySquarefreeCertificate:
     ]
 
     def test_squarefree_give_up_walks_no_remainder_sequence(self, monkeypatch):
-        # When the capped first run gives up on a p that the modular
+        # When the capped first run gives up on a p that the integer
         # certificate proves squarefree, an uncapped run on p itself
         # finishes: p is the witness and no Sturm sequence is walked. Here
         # the Fibonacci pair and the delta (degree 60, 978-bit coefficients)

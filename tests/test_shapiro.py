@@ -95,7 +95,7 @@ class TestBuild:
         # build counts p by the continued fractions that count delta. Only a
         # first run that gives up at a real multiple root walks remainder
         # sequences: the gcd of each repeated part with its derivative, but
-        # for the last, linear one, which the modular certificate settles.
+        # for the last, linear one, which the integer certificate settles.
         # classify and actual_verdict read nr_p and count p nowhere again.
         counted = []
         monkeypatch.setattr(shapiro, "cf_root_count",
