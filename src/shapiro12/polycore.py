@@ -9,13 +9,14 @@ counting and sign questions need.  All arithmetic runs on integers and is
 exact; nothing in this module ever rounds.  Products run by Kronecker
 substitution: each factor is packed into one integer at 2^(8 nb), the
 integers are multiplied, and the product's coefficients are read back from
-signed lanes of nb bytes, a width set by a proven bound on their size.  The
-same lane reader serves the ``delta`` and ``B`` of ``shapiro`` and the
-Taylor shift of ``realroots``.  Besides the product, the derivative, values
-and exact division it holds Fujiwara's root bound, gcd, which first tries
-one integer gcd of the values at 2^s + 1 past that bound, and the text
-format, which turns an all-integer text into the primitive vector with no
-``Fraction`` per token; every root count is made in ``realroots``.
+signed lanes of nb bytes, one or two 64-bit words or wider, a width set by
+a proven bound on their size.  The same lane reader serves the ``delta`` and
+``B`` of ``shapiro`` and the Taylor shifts and Descartes counts of
+``realroots``.  Besides the product, the derivative, values and exact
+division it holds Fujiwara's root bound, gcd, which first tries one integer
+gcd of the values at 2^s + 1 past that bound, and the text format, which
+turns an all-integer text into the primitive vector with no ``Fraction`` per
+token; every root count is made in ``realroots``.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ def _from_ints(ints: list[int], content: Fraction) -> "Polynomial":
 
 def _lane_bytes(bound: int) -> int:
     """Bytes per signed lane for integers of absolute value at most bound:
-    at least 8, and enough that every such integer is below 2^(8 nb - 1)."""
-    return max(8, (bound.bit_length() + 8) // 8)
+    8 below 2^63 (one signed word), 16 below 2^126 (two, see _read_lanes),
+    else at least 17, and enough that every such integer is below 2^(8 nb - 1)."""
+    bits = bound.bit_length()
+    return 8 if bits < 64 else 16 if bits < 127 else max(17, (bits + 8) // 8)
 
 
 def _pack(coeffs: Sequence[int], shift: int) -> int:
@@ -87,20 +90,28 @@ def _lane_reader(count: int, nb: int):
                               for i in range(0, len(raw), nb))
 
 
-#: Readers of up to 127 signed 64-bit lanes, built once: enough for every
-#: Taylor shift that takes lanes, and for delta and B up to degree 44.
+#: Readers of up to 127 signed 64-bit words, built once: enough for every
+#: shift and count of realroots in one-word lanes, and in two-word ones up to
+#: degree 62, and for delta and B of p up to degree 44 (22 in two words).
 _LANES = tuple(_lane_reader(k, 8) for k in range(128))
 
 
 def _read_lanes(v: int, count: int, nb: int) -> list[int]:
     """c_0, ..., c_(count-1), most significant first, from
-    v = sum_k c_k 2^(8 nb (count - 1 - k)) with every |c_k| < 2^(8 nb - 1).
+    v = sum_k c_k 2^(8 nb (count - 1 - k)) with every |c_k| < 2^(8 nb - 1),
+    and |c_k| < 2^126 when nb = 16.
 
     Adding 2^(8 nb - 1) to every lane makes each a digit in [0, 2^(8 nb))
     with no carry into the next, and XOR with that bias leaves c_k in two's
     complement: one struct.unpack reads all 8-byte lanes, and one
-    int.from_bytes each wider lane.
+    int.from_bytes each lane of 17 bytes or more. A 16-byte lane is two
+    words: c = (h << 64) + l with l = c mods 2^64 in [-2^63, 2^63) and |h| <=
+    (|c| + 2^63) / 2^64 < 2^63, so v is a sum of signed 64-bit words in the
+    one form the 8-byte reader decodes, and each pair (h, l) gives c.
     """
+    if nb == 16:
+        words = iter(_read_lanes(v, 2 * count, 8))
+        return [(h << 64) + l for h, l in zip(words, words)]
     bias, unpack = _LANES[count] if nb == 8 and count < len(_LANES) else _lane_reader(count, nb)
     return list(unpack(((v + bias) ^ bias).to_bytes(nb * count, "big")))
 
@@ -119,11 +130,10 @@ def _int_derivative(coeffs: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _horner(coeffs: Sequence[int], x: Fraction | int) -> int:
-    """b**d * P(a/b) for x = a/b and d = deg P: homogenised integer Horner."""
+def _horner(coeffs: Sequence[int], a: int, b: int = 1) -> int:
+    """b**d * P(a/b) for integers a, b and d = deg P: homogenised Horner."""
     if not coeffs:
         return 0
-    a, b = x.numerator, x.denominator
     acc = coeffs[-1]
     bp = 1
     for coef in reversed(coeffs[:-1]):
@@ -188,7 +198,8 @@ class Polynomial(NamedTuple("Polynomial", [("prim", tuple[int, ...]), ("content"
         if not self.prim:
             return Fraction(0)
         x = Fraction(x)
-        return self.content * Fraction(_horner(self.prim, x), x.denominator ** self.degree)
+        return self.content * Fraction(_horner(self.prim, x.numerator, x.denominator),
+                                       x.denominator ** self.degree)
 
 
 ZERO = Polynomial(())
@@ -243,7 +254,7 @@ def div_exact(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def sign_at(p: Polynomial, x: Fraction | int) -> int:
     """Exact sign of p(x), computed with integer arithmetic only."""
-    return _sign(_horner(p.prim, x))
+    return _sign(_horner(p.prim, x.numerator, x.denominator))
 
 
 def _sign_changes(values: Iterable[int]) -> int:

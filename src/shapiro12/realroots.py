@@ -13,14 +13,14 @@ real root simple, so p is its own witness. One that gives up, at a real
 multiple root or at its step cap, takes the chain of repeated parts
 g(k+1) = gcd(gk, gk'), which stops at g1 = 1 when the integer certificate
 inside gcd proves p squarefree. Ends at infinity take polycore's Fujiwara
-bound. Signs and order at isolated roots settle by Descartes counts on
-intervals, each the Taylor shift by 1 that splits a continued-fraction node
-(read from signed 64-bit lanes of one integer, by the lane reader of
-polycore's products, when every shifted coefficient provably fits one), and
-by the gcd of two polynomials where they may share the root. Every narrower
-interval comes from refine, a binary search by integer signs of the witness
-for the root's cell of one level of the dyadic grid, at the levels that
-_levels bounds by root separation.
+bound. Taylor shifts a(x + c), and Descartes counts on intervals, are read
+by polycore's lane reader from one integer, a(2^w + c) or a Mobius image of
+a at 2^w, when every coefficient provably fits one or two 64-bit words.
+Signs and order at isolated roots settle by those counts, and by the gcd of
+two polynomials where they may share the root. Every narrower interval
+comes from refine, a binary search by integer signs of the witness for the
+root's cell of one level of the dyadic grid, at the levels that _levels
+bounds by root separation.
 """
 
 from __future__ import annotations
@@ -107,25 +107,41 @@ class MergedRoot(NamedTuple):
 # Descartes' rule of signs on intervals
 # ---------------------------------------------------------------------------
 
+def _bound_bits(coeffs: Sequence[int], m: int) -> int:
+    """Bit length of the bound sum |a_i| m^n, or 127 when its lower bound
+    |a_k| 2^(n (bits(m) - 1)), for an end coefficient a_k, is past two words
+    before the sum and m^n are formed. As in polycore._lane_bytes, a bound of
+    under 64 bits fits lanes of one signed 64-bit word, and one of under 127
+    bits lanes of two."""
+    n = len(coeffs) - 1
+    if max(coeffs[0].bit_length(), coeffs[-1].bit_length()) - 1 + n * (m.bit_length() - 1) >= 126:
+        return 127
+    return (sum(map(abs, coeffs)) * m ** n).bit_length()
+
+
 def _taylor_shift(desc: Sequence[int], c: int = 1) -> list[int]:
     """Descending coefficients of a(x + c), given those of a(x), for c != 0.
 
-    a(x + c) = b(x/c + 1) with b(y) = a(cy): coefficient k is scaled by c^k
-    (a bit shift when c = 2^s), shifted by 1 and divided back exactly. The
-    shift by 1 is repeated synthetic division by x - 1: each pass is one
-    Horner run on the last quotient, whose end is the next lowest coefficient.
-
-    For c = 1 with sum |a_i| < 2^(63 - n), a(x + 1) is read instead from one
-    integer, a(2^64 + 1) = sum_k b_k 2^(64 k), in signed 64-bit lanes by
-    _read_lanes: each b_k = sum_i a_i C(i, k) has |b_k| <= 2^n sum |a_i| <
-    2^63, which is all the reader needs.
+    Coefficient k of a(x + c), b_k = sum_i a_i C(i, k) c^(i - k), has |b_k|
+    <= sum |a_i| (1 + |c|)^n, of bit length bits(sum |a_i|) + n when c = 1.
+    When that bound fits lanes of one or two 64-bit words, a(x + c) is read
+    from a(2^w + c) = sum_k b_k 2^(w k). Wider shifts run a(x + c) = b(x/c +
+    1) with b(y) = a(cy): coefficient k is scaled by c^k (a bit shift when c
+    = 2^s), shifted by 1 and divided back exactly. The shift by 1 is repeated
+    synthetic division by x - 1: each pass is one Horner run on the last
+    quotient, whose end is the next lowest coefficient.
     """
     n = len(desc) - 1
-    if c == 1 and sum(map(abs, desc)).bit_length() + n <= 63:
-        acc = 0
-        for a in desc:
-            acc += (acc << 64) + a
-        return _read_lanes(acc, n + 1, 8)
+    bits = sum(map(abs, desc)).bit_length() + n if c == 1 else _bound_bits(desc, 1 + abs(c))
+    if bits < 127:
+        w, acc = 64 if bits < 64 else 128, 0
+        if c == 1:
+            for a in desc:
+                acc += (acc << w) + a
+        else:
+            for a in desc:
+                acc = (acc << w) + acc * c + a
+        return _read_lanes(acc, n + 1, w // 8)
     s = c.bit_length() - 1 if c > 0 and not c & (c - 1) else -1
     if s < 0:
         powers = [c ** (n - i) for i in range(n + 1)]
@@ -146,16 +162,29 @@ def _descartes_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     """Descartes bound for the roots of a in the open interval (lo, hi), from
     ascending coefficients.
 
-    With lo = u/d and hi = v/d, b(x) = d^n a((u + (v - u) x) / d) is a
-    positive multiple of a(lo + (hi - lo) x). The bound is the sign
-    variations of (x + 1)^n b(1/(x + 1)), whose positive roots are the images
-    of those of b in (0, 1): the ascending coefficients of b, read as
-    descending ones, shifted by 1.
+    With hi = A/C and lo = B/E, M(x) = (Ax + B)/(Cx + E) maps (0, inf) onto
+    (lo, hi), so the bound is the sign variations of Q(x) = (Cx + E)^n
+    a(M(x)) = sum_i a_i (Ax + B)^i (Cx + E)^(n - i), whose coefficients are
+    at most sum |a_i| max(|A| + |B|, C + E)^n in size. When that fits two
+    words, Q is read in lanes from Q(2^w), one homogenised Horner pass.
+    Wider counts take, with lo = u/d and hi = v/d, b(x) = d^n a((u + (v - u)
+    x) / d), a positive multiple of a(lo + (hi - lo) x), and the variations
+    of T(x) = (x + 1)^n b(1/(x + 1)): the ascending coefficients of b, read
+    as descending ones, shifted by 1. The counts agree: T(x) is a positive
+    multiple of (x + 1)^n a((hi + lo x)/(x + 1)), so Q(x) is one of the
+    reversal x^n T(1/x) at (C/E) x, and neither a reversal nor a positive
+    scaling of x changes the sign variations.
     """
-    d = math.lcm(lo.denominator, hi.denominator)
-    u = lo.numerator * (d // lo.denominator)
-    w = hi.numerator * (d // hi.denominator) - u
     n = len(coeffs) - 1
+    A, C, B, E = hi.numerator, hi.denominator, lo.numerator, lo.denominator
+    bits = _bound_bits(coeffs, max(abs(A) + abs(B), C + E))
+    if bits < 127:
+        w = 64 if bits < 64 else 128
+        q = _horner(coeffs, (A << w) + B, (C << w) + E)
+        return _sign_changes(_read_lanes(q, n + 1, w // 8))
+    d = math.lcm(E, C)
+    u = B * (d // E)
+    w = A * (d // C) - u
     # Descending coefficients of d^n a(y / d), then y -> y + u, then y -> w x.
     desc = [c * d ** (n - i) for i, c in enumerate(coeffs)][::-1]
     if u:

@@ -1,7 +1,9 @@
 """Reference polynomial arithmetic on ascending Fraction lists, with no
-trailing zero, and the per-token parser of the text format: independent of
-the package, whose kernel and parser the tests check."""
+trailing zero, the per-token parser of the text format and the interval
+Descartes count by two Taylor shifts: independent of the package, whose
+kernel, parser and count the tests check."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -85,3 +87,29 @@ def ref_parse_polynomial(text, descending=False):
     if descending:
         values.reverse()
     return ref_trim(values)
+
+
+def ref_taylor_shift(desc, c):
+    """Descending coefficients of a(x + c), given those of a(x), by repeated
+    synthetic division by x - c: each pass leaves the next lowest one."""
+    d, low = list(desc), []
+    for _ in range(len(d) - 1):
+        for i in range(1, len(d)):
+            d[i] += c * d[i - 1]
+        low.append(d.pop())
+    return d + low[::-1]
+
+
+def ref_descartes_count(coeffs, lo, hi):
+    """Sign variations of (x + 1)^n b(1/(x + 1)) for b(x) = d^n a((u + (v - u)
+    x) / d), lo = u/d and hi = v/d, from the ascending integer coefficients of
+    a: the package's count on (lo, hi) before it took one Mobius pass."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    u = lo.numerator * (d // lo.denominator)
+    w = hi.numerator * (d // hi.denominator) - u
+    n = len(coeffs) - 1
+    desc = [c * d ** (n - i) for i, c in enumerate(coeffs)][::-1]
+    desc = ref_taylor_shift(desc, u)
+    shifted = ref_taylor_shift([c * w ** k for k, c in enumerate(reversed(desc))], 1)
+    signs = [c > 0 for c in shifted if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))

@@ -69,7 +69,8 @@ def sturm_count(p, lo=None, hi=None):
     bound = Fraction(2) ** _bound_exponent(p.prim)
     lo = -bound if lo is None else Fraction(lo)
     hi = bound if hi is None else Fraction(hi)
-    values = [(_horner(c, lo), _horner(c, hi)) for c in sturm_sequence(p)]
+    values = [(_horner(c, lo.numerator, lo.denominator), _horner(c, hi.numerator, hi.denominator))
+              for c in sturm_sequence(p)]
     return _sign_changes(v for v, _ in values) - _sign_changes(v for _, v in values)
 
 

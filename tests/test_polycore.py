@@ -16,6 +16,9 @@ from shapiro12.polycore import (
     _bound_exponent,
     _coprime,
     _int_mul,
+    _lane_bytes,
+    _pack,
+    _read_lanes,
     div_exact,
     format_polynomial,
     from_coefficients,
@@ -122,7 +125,7 @@ def int_vectors(max_len=40, max_bits=200):
         lambda lw: st.lists(st.integers(-(1 << lw[1]), 1 << lw[1]), min_size=lw[0], max_size=lw[0]))
 
 
-_EDGE = (1 << 63) - 1
+_EDGE, _EDGE2 = (1 << 63) - 1, (1 << 126) - 1
 
 
 class TestKroneckerProduct:
@@ -150,6 +153,30 @@ class TestKroneckerProduct:
             assert _int_mul([1, 1], [lo, hi]) == [lo, lo + hi, hi]
         # 2^62 - 1 plus 2^62: a lane that sums to exactly 2^63 - 1.
         assert _int_mul([1, 1], [(1 << 62) - 1, 1 << 62]) == [(1 << 62) - 1, _EDGE, 1 << 62]
+
+    @pytest.mark.parametrize("a", [_EDGE2, -_EDGE2, _EDGE2 + 1, -_EDGE2 - 1, 2 * _EDGE2 + 1])
+    def test_single_coefficient_at_the_two_word_edge(self, a):
+        # +-(2^126 - 1) fill a two-word lane; 2^126 and past it take 17 bytes.
+        assert _int_mul([a], [1]) == _int_mul([1], [a]) == [a]
+        assert _int_mul([0, a], [-1, 0]) == [0, -a, 0]
+        assert _int_mul([a], [a]) == [a * a]
+
+    def test_adjacent_lanes_either_side_of_the_two_word_edge(self):
+        # |lo| + |hi| = 2^126 - 1 reads two words a lane, and 2^126 17 bytes.
+        half = 1 << 125
+        for lo, hi in ((half, 1 - half), (1 - half, half), (half, -half), (-half, half)):
+            assert _int_mul([lo, hi], [1]) == [lo, hi]
+            assert _int_mul([-1], [lo, hi]) == [-lo, -hi]
+
+    def test_two_word_lanes_keep_every_low_word(self):
+        # c = (h << 64) + l with the low word l anywhere in [-2^63, 2^63) and
+        # the high word h of either sign, in lanes of 16 bytes.
+        values = [0, 1, -1, _EDGE, -_EDGE, _EDGE + 1, -_EDGE - 1, (1 << 64) - 1, 1 << 64,
+                  -(1 << 64), (1 << 64) + _EDGE, -(1 << 64) - _EDGE - 1, _EDGE2, -_EDGE2,
+                  _EDGE2 - _EDGE, -_EDGE2 + _EDGE + 1]
+        assert [_lane_bytes(abs(v)) for v in (_EDGE, _EDGE + 1, _EDGE2, _EDGE2 + 1)] == [8, 16, 16, 17]
+        assert _read_lanes(_pack(values, 128), len(values), 16) == values
+        assert _read_lanes(_pack(values[::-1], 128), len(values), 16) == values[::-1]
 
     def test_empty_factor(self):
         assert _int_mul([1, 2, 3], []) == _int_mul([], [1, 2, 3]) == [0, 0]

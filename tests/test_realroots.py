@@ -35,7 +35,7 @@ from shapiro12.realroots import (
     refine,
     sign_at_root,
 )
-from fraction_ref import ref_add
+from fraction_ref import ref_add, ref_descartes_count
 from oracle_rootlocus import separate_roots
 from sturm_helper import recording_walks, sturm_count, sturm_root_count
 
@@ -696,17 +696,23 @@ def _binomial_shift(desc, c):
 
 
 def _lane_shift(desc):
-    """_taylor_shift(desc) and whether it read the result from 64-bit lanes."""
+    """_taylor_shift(desc) and the lane width it read the result in: 8 bytes
+    (one signed word), 16 (two), or None for synthetic division."""
     with mock.patch.object(realroots, "_read_lanes", wraps=realroots._read_lanes) as read:
-        return _taylor_shift(desc), read.called
+        return _taylor_shift(desc), read.call_args.args[2] if read.called else None
+
+
+#: The largest integers that one and two signed 64-bit words hold as a lane.
+_ONE_WORD, _TWO_WORDS = (1 << 63) - 1, (1 << 126) - 1
 
 
 class TestTaylorShift:
-    # Isolation shifts by 1 and by powers of two, and _descartes_count by the
-    # integer numerator of an interval's lower end, which may be negative.
-    # Degrees 0-40 at widths up to 80 bits put shifts by 1 on both sides of
-    # the lane bound sum |a_i| < 2^(63 - n).
-    @given(st.tuples(st.integers(0, 40), st.integers(0, 80)).flatmap(
+    # Isolation shifts by 1 and by powers of two, and _descartes_count's
+    # wide path by the integer numerator of an interval's lower end, which
+    # may be negative. Degrees 0-40 at widths up to 130 bits put every kind
+    # of shift on all three sides of the lane bounds sum |a_i| (1 + |c|)^n
+    # < 2^63 and < 2^126.
+    @given(st.tuples(st.integers(0, 40), st.integers(0, 130)).flatmap(
                lambda nw: st.lists(st.integers(-(1 << nw[1]), 1 << nw[1]),
                                    min_size=nw[0] + 1, max_size=nw[0] + 1)),
            st.one_of(st.just(1), st.integers(1, 40).map(lambda s: 1 << s),
@@ -715,19 +721,95 @@ class TestTaylorShift:
     def test_agrees_with_the_binomial_expansion(self, desc, c):
         assert _taylor_shift(desc, c) == _binomial_shift(desc, c)
 
-    @pytest.mark.parametrize("a, lanes", [(1 << 63, False), (-(1 << 63), False),
-                                          ((1 << 63) - 1, True), (1 - (1 << 63), True)])
+    @pytest.mark.parametrize("a, lanes", [(_ONE_WORD, 8), (-_ONE_WORD, 8),
+                                          (_ONE_WORD + 1, 16), (-_ONE_WORD - 1, 16),
+                                          (_TWO_WORDS, 16), (-_TWO_WORDS, 16),
+                                          (_TWO_WORDS + 1, None), (-_TWO_WORDS - 1, None),
+                                          (2 * _TWO_WORDS + 1, None)])
     def test_single_coefficient_at_the_lane_edge(self, a, lanes):
         assert _lane_shift([a]) == ([a], lanes)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_equal_coefficients_at_the_lane_bound(self, n):
-        # sum |a_i| just under 2^(63 - n) takes the lanes; twice that does not.
-        v = ((1 << 63 - n) - 1) // (n + 1)
-        for sign in (1, -1):
-            for scale, lanes in ((1, True), (2, False)):
-                desc = [sign * scale * v] * (n + 1)
-                assert _lane_shift(desc) == (_binomial_shift(desc, 1), lanes)
+        # sum |a_i| just under 2^(63 - n) takes one word and twice that two;
+        # just under 2^(126 - n) takes two words and twice that none.
+        for limit, below, above in ((63, 8, 16), (126, 16, None)):
+            v = ((1 << limit - n) - 1) // (n + 1)
+            for sign in (1, -1):
+                for scale, lanes in ((1, below), (2, above)):
+                    desc = [sign * scale * v] * (n + 1)
+                    assert _lane_shift(desc) == (_binomial_shift(desc, 1), lanes)
+
+
+def _counted(a, lo, hi):
+    """_descartes_count(a, lo, hi) and the lane width of its Mobius pass: 8,
+    16, or None when it took the two Taylor shifts."""
+    with mock.patch.object(realroots, "_read_lanes", wraps=realroots._read_lanes) as read, \
+            mock.patch.object(realroots, "_taylor_shift", wraps=realroots._taylor_shift) as shift:
+        count = _descartes_count(a, lo, hi)
+    return count, None if shift.called else read.call_args.args[2]
+
+
+def _spread(total, n):
+    """n + 1 coefficients of alternating sign whose absolute values sum to total."""
+    q, r = divmod(total, n + 1)
+    return [(-1) ** i * (q + (i < r)) for i in range(n + 1)]
+
+
+@st.composite
+def descartes_cases(draw):
+    """Ascending integer coefficients and an interval (lo, hi): a leaf of the
+    continued fractions (root-bound ends included), a dyadic cell of level
+    0-40 about a root or anywhere, or two fractions of either sign. Degrees
+    1-24 at widths of 0-100 bits put sum |a_i| max(|A| + |B|, C + E)^n on
+    both sides of 2^63 and of 2^126."""
+    n, width = draw(st.integers(1, 24)), draw(st.integers(0, 100))
+    a = draw(st.lists(st.integers(-(1 << width), 1 << width), min_size=n + 1, max_size=n + 1)
+             .filter(lambda a: a[-1]))
+    kind = draw(st.sampled_from(("leaf", "cell", "ends")))
+    if kind == "ends":
+        lo, hi = sorted(draw(st.fractions(-(1 << 20), 1 << 20, max_denominator=1 << 20))
+                        for _ in range(2))
+    else:
+        roots = isolate_real_roots(from_coefficients(a))
+        k = draw(st.integers(0, 40))
+        if roots:
+            root = draw(st.sampled_from(roots))
+            lo, hi = (refine(root, k) if kind == "cell" else root).interval
+        else:
+            m = draw(st.integers(-(1 << k + 3), 1 << k + 3))
+            lo, hi = Fraction(m, 1 << k), Fraction(m + 1, 1 << k)
+    assume(lo < hi)
+    return a, lo, hi
+
+
+class TestMobiusCount:
+    # _descartes_count reads Q(x) = sum a_i (Ax + B)^i (Cx + E)^(n - i), for
+    # hi = A/C and lo = B/E, in lanes of one or two words when its bound
+    # allows, and the reference count takes the two Taylor shifts the
+    # package took before; the counts must agree.
+    @given(descartes_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_two_shift_count(self, case):
+        a, lo, hi = case
+        assert _descartes_count(a, lo, hi) == ref_descartes_count(a, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(Fraction(0), Fraction(1, 1 << 10)),
+                                        (Fraction(-3, 2), Fraction(5, 7)),
+                                        (Fraction(-1 - (1 << 12)), Fraction(-1 << 12)),
+                                        (Fraction(1, 3), Fraction(1, 2))])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 12])
+    def test_both_sides_of_each_lane_bound(self, lo, hi, n):
+        # Coefficients whose absolute sum puts the bound just under 2^63 or
+        # 2^126 take the narrower lanes, and one more the wider path. The
+        # first interval's C + E, and the third's |A| + |B|, set the bound.
+        m = max(abs(hi.numerator) + abs(lo.numerator), hi.denominator + lo.denominator) ** n
+        for edge, below, above in ((_ONE_WORD, 8, 16), (_TWO_WORDS, 16, None)):
+            total = edge // m
+            if total > n:
+                for t, lanes in ((total, below), (total + 1, above)):
+                    a = _spread(t, n)
+                    assert _counted(a, lo, hi) == (ref_descartes_count(a, lo, hi), lanes)
 
 
 def squarefree_polys():
