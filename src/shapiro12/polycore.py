@@ -26,18 +26,12 @@ import math
 import re
 import struct
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
 
 CoefficientLike = Union[Fraction, int, str]
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
-
-#: Entries of the ``gcd`` cache, the one cache in the package. Repeats
-#: within one ``classify`` fit easily; each key is a pair of polynomials and
-#: each value a divisor of both, so memory stays flat on long runs.
-CACHE_SIZE = 256
 
 
 class InvariantError(AssertionError):
@@ -341,13 +335,15 @@ def _exact_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return a
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor: 1 when _coprime proves p and q coprime,
-    else the last element of the exact primitive remainder sequence."""
+    """Monic greatest common divisor: monic p when p and q have equal
+    primitive parts, 1 when _coprime proves them coprime, else the last
+    element of the exact primitive remainder sequence."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
     a, b = p.prim, q.prim
+    if a == b:
+        return monic(p)
     if a and b and _coprime(a, b):
         return ONE
     return monic(Polynomial(_exact_gcd(a, b)))

@@ -90,8 +90,7 @@ def recording_walks(monkeypatch):
     package walks.
 
     Patches the loop of polycore that gcd, the package's one walk, runs when
-    its integer certificate does not prove coprimality, and clears the gcd
-    cache so that no earlier result hides a walk.
+    its integer certificate does not prove coprimality.
     """
     walks = []
     exact_gcd = polycore._exact_gcd
@@ -101,5 +100,4 @@ def recording_walks(monkeypatch):
         return exact_gcd(a, b)
 
     monkeypatch.setattr(polycore, "_exact_gcd", recording)
-    polycore.gcd.cache_clear()
     return walks

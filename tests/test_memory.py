@@ -1,5 +1,5 @@
-"""Memory stays bounded on long runs: the package has one cache, of a finite
-size, and keeps nothing per case beyond it."""
+"""Memory stays bounded on long runs: the package keeps no cache, so nothing
+outlives a call."""
 
 import gc
 import importlib
@@ -23,19 +23,13 @@ def _package_caches():
     return caches
 
 
-def test_every_cache_is_bounded():
-    caches = _package_caches()
-    names = {f"{c.__module__}.{c.__name__}" for c in caches}
-    assert names == {"shapiro12.polycore.gcd"}
-    for cache in caches:
-        assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
+def test_package_keeps_no_cache():
+    assert _package_caches() == []
 
 
 def test_memory_flat_on_long_fuzz_run():
     # With unbounded caches the traced memory grew by 4.5 MB from case 500 to
     # case 2000 below; with bounded ones it grows by about 0.1 MB.
-    for cache in _package_caches():
-        cache.cache_clear()
     tracemalloc.start()
     try:
         run_fuzz(FuzzConfig(seed=101, cases=500, degree_range=(2, 8)))
@@ -55,8 +49,6 @@ def test_memory_per_case_small_at_high_degree():
     # traced memory by about 195 KB per case here.
     config = FuzzConfig(seed=103, cases=40, degree_range=(24, 32), coeff_bound=12,
                         strategy=Strategy.UNIFORM)
-    for cache in _package_caches():
-        cache.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:

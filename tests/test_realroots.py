@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shapiro12
-from shapiro12 import realroots, shapiro
+from shapiro12 import polycore, realroots, shapiro
 from shapiro12.harness import FuzzConfig, Strategy, random_polynomial
 from shapiro12.polycore import (
     ONE,
@@ -40,6 +40,19 @@ from oracle_rootlocus import separate_roots
 from sturm_helper import recording_walks, sturm_count, sturm_root_count
 
 P = parse_polynomial
+
+
+def _recording_kernel(monkeypatch):
+    """Record the arguments of every call gcd makes to its certificate,
+    _coprime, and to its exact remainder sequence, _exact_gcd."""
+    calls = {"_coprime": [], "_exact_gcd": []}
+    for name, log in calls.items():
+        def recording(a, b, kernel=getattr(polycore, name), log=log):
+            log.append((a, b))
+            return kernel(a, b)
+
+        monkeypatch.setattr(polycore, name, recording)
+    return calls
 
 
 def int_polys(max_degree=10, bound=20):
@@ -610,23 +623,25 @@ class TestModularCertificatesAndDescartes:
         assert gcd(common * P("1,0,1"), common * P("-3,1")) == monic(common)
         assert walks == [(common * P("1,0,1")).prim]
 
-    def test_coprimality_certificate_computed_once_per_pair(self, monkeypatch):
+    def test_equal_primitive_parts_need_no_certificate(self, monkeypatch):
+        # gcd(p, c p) is monic(p) for every rational c > 0, read from the
+        # equal primitive parts with no certificate and no walk.
+        p = P("6,-6,4,-3,1")
+        calls = _recording_kernel(monkeypatch)
+        for a, b in ((p, p), (p, from_coefficients([Fraction(3, 7) * c for c in p.coeffs])),
+                     (monic(p), p)):
+            assert gcd(a, b) == monic(p)
+        assert calls == {"_coprime": [], "_exact_gcd": []}
+
+    def test_gamma122_classify_walks_no_remainder_sequence(self, monkeypatch):
         # Classifying a Gamma122 polynomial takes g = gcd(p, p') once and
-        # compares the witness of B/g^3 with p' once per standard breakaway:
-        # that pair repeats, and the cache serves the repeats.
-        pairs = []
-
-        def recording(p, q):
-            pairs.append((p, q))
-            return gcd(p, q)
-
-        for module in (realroots, shapiro):
-            monkeypatch.setattr(module, "gcd", recording)
-        gcd.cache_clear()
+        # compares the witness of B/g^3 with p' once per standard breakaway,
+        # two of them: three certificates of two distinct pairs, each proving
+        # coprimality, so no exact remainder sequence is walked.
+        calls = _recording_kernel(monkeypatch)
         shapiro12.classify(shapiro12.build(P("6,-6,4,-3,1")))
-        info = gcd.cache_info()
-        assert info.misses == len(set(pairs))
-        assert info.hits == len(pairs) - len(set(pairs)) > 0
+        assert calls["_exact_gcd"] == []
+        assert len(calls["_coprime"]) == 3 and len(set(calls["_coprime"])) == 2
 
     @given(st.one_of(int_polys(8, 12), factored_polys().map(lambda case: case[0]),
                      st.tuples(int_polys(4, 9), int_polys(3, 9), st.integers(1, 3))
